@@ -62,9 +62,18 @@ from .tilde import (
     tilde_dy,
 )
 from .verify import run_suite
-from .cli import main
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``mbch.cli`` is imported on first use, so ``python -m mbch.cli``
+    # does not find it already in ``sys.modules`` and warn.
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BiSeries",

@@ -9,6 +9,7 @@ bit i = 1 when position i holds Y, so keys hash fast and stay tiny.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator
 
 from .series import format_rational, parse_rational
@@ -42,7 +43,19 @@ def word_to_str(w: Word) -> str:
 
 
 def _as_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+    """The exactness rule for coefficients: Fraction or int, never float."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
+
+
+def _scaled(coeffs: dict) -> tuple[int, dict]:
+    """(L, {k: L * c}) with L the least common multiple of the denominators,
+    so that inner loops run on integer numerators."""
+    scale = lcm(*(c.denominator for c in coeffs.values()))
+    return scale, {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}
 
 
 class NCSeries:
@@ -145,17 +158,19 @@ class NCSeries:
             c = _as_fraction(other)
             return NCSeries(self.truncation, {w: c * v for w, v in self._coeffs.items()})
         n = min(self.truncation, other.truncation)
-        out: dict[Word, Fraction] = {}
-        for (l1, b1), c1 in self._coeffs.items():
-            if l1 > n:
-                continue
+        s1, left = _scaled(self._coeffs)
+        s2, right = _scaled(other._coeffs)
+        right_by_length = sorted(right.items())
+        out: dict[Word, int] = {}
+        for (l1, b1), c1 in left.items():
             rest = n - l1
-            for (l2, b2), c2 in other._coeffs.items():
+            for (l2, b2), c2 in right_by_length:
                 if l2 > rest:
-                    continue
+                    break
                 w = (l1 + l2, b1 | b2 << l1)
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return NCSeries(n, out)
+                out[w] = out.get(w, 0) + c1 * c2
+        scale = s1 * s2
+        return NCSeries(n, {w: Fraction(c, scale) for w, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -8,6 +8,14 @@ basis by triangular elimination (the associative expansion of a Lyndon
 word's standard bracketing is that word plus lexicographically later
 words, with coefficient 1).
 
+Both steps run on integers.  The coefficients are scaled once by the
+least common multiple of their denominators; the trees are then expanded
+together, terms that share a left factor sharing one expansion of their
+right factors, so a sum of chains expands along a word trie with nothing
+cached between calls.  Every elimination pivot is 1, so the reduction
+never divides, and ``Fraction`` reappears only in the returned
+coordinates.  ``to_assoc`` and ``right_normed`` scale the same way.
+
 Right-nested trees ("long commutators") play a special role throughout:
 ``long_commutator("XXY")`` is [X,[X,Y]], and ``right_normed`` rewrites any
 element into a combination of such chains via [[A,B],C] = [A,[B,C]] -
@@ -19,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .assoc import NCSeries, word_from_str, word_to_str
+from .assoc import NCSeries, _as_fraction, _compress_word, _scaled, word_from_str
 from .series import format_rational, parse_rational
 
 __all__ = [
@@ -101,35 +109,19 @@ def tree_word(t: BracketTree) -> str | None:
     return "".join(parts)
 
 
-def _compress(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        out.append(s[i] if j - i == 1 else f"{s[i]}^{j - i}")
-        i = j
-    return "".join(out)
-
-
 def render_tree(t: BracketTree) -> str:
     """Long-commutator notation for chains, nested brackets otherwise."""
     if isinstance(t, str):
         return t
     w = tree_word(t)
     if w is not None:
-        return f"[{_compress(w)}]"
+        return f"[{_compress_word(w)}]"
     return f"[{render_tree(t[0])},{render_tree(t[1])}]"
 
 
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
-
-def _as_fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
 
 class LieElement:
     """Finite rational combination of bracket trees (may be inhomogeneous)."""
@@ -430,44 +422,45 @@ def standard_bracketing(word: str) -> BracketTree:
 # Associative expansion and Lyndon coordinates
 # ---------------------------------------------------------------------------
 
-_EXPANSION_CACHE: dict[BracketTree, dict] = {
-    "X": {(1, 0): 1},
-    "Y": {(1, 1): 1},
-}
+def _expand(terms: dict) -> dict:
+    """Integer word expansion of an integer combination of trees, every
+    [A,B] becoming AB - BA.
 
-
-def _expand_tree(t: BracketTree) -> dict:
-    """Integer word expansion of a tree ([A,B] -> AB - BA), cached."""
-    e = _EXPANSION_CACHE.get(t)
-    if e is None:
-        ea, eb = _expand_tree(t[0]), _expand_tree(t[1])
-        e = {}
+    Terms sharing a left factor a are expanded together as [a, sum c q],
+    so right-nested chains form a word trie and each shared suffix is
+    expanded once.
+    """
+    out: dict = {}
+    by_left: dict = {}
+    for t, c in terms.items():
+        if isinstance(t, str):
+            w = word_from_str(t)
+            out[w] = out.get(w, 0) + c
+        else:
+            rest = by_left.setdefault(t[0], {})
+            rest[t[1]] = rest.get(t[1], 0) + c
+    for a, rest in by_left.items():
+        ea, eb = _expand({a: 1}), _expand(rest)
         for (l1, b1), c1 in ea.items():
             for (l2, b2), c2 in eb.items():
+                c = c1 * c2
                 w = (l1 + l2, b1 | b2 << l1)
-                e[w] = e.get(w, 0) + c1 * c2
+                out[w] = out.get(w, 0) + c
                 w = (l1 + l2, b2 | b1 << l2)
-                e[w] = e.get(w, 0) - c1 * c2
-        e = {w: c for w, c in e.items() if c}
-        _EXPANSION_CACHE[t] = e
-    return e
+                out[w] = out.get(w, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
 def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
     """Expand into the word algebra, every [A,B] becoming AB - BA."""
     if isinstance(a, LieSeries):
         a = a.as_element()
-    out: dict = {}
-    for t, c in a._terms.items():
-        if tree_degree(t) > truncation:
-            continue
-        for w, ic in _expand_tree(t).items():
-            v = out.get(w, Fraction(0)) + c * ic
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return NCSeries(truncation, out)
+    scale, ints = _scaled(
+        {t: c for t, c in a._terms.items() if tree_degree(t) <= truncation}
+    )
+    return NCSeries(
+        truncation, {w: Fraction(c, scale) for w, c in _expand(ints).items()}
+    )
 
 
 _SB_EXPANSION_CACHE: dict[int, list] = {}
@@ -478,39 +471,37 @@ def _sb_expansions(degree: int) -> list:
     if degree not in _SB_EXPANSION_CACHE:
         rows = []
         for w in lyndon_words(degree):
-            rows.append((w, word_from_str(w), _expand_tree(standard_bracketing(w))))
+            rows.append((w, word_from_str(w), _expand({standard_bracketing(w): 1})))
         _SB_EXPANSION_CACHE[degree] = rows
     return _SB_EXPANSION_CACHE[degree]
 
 
-def _lyndon_reduce(by_degree: dict[int, dict]) -> dict[str, Fraction]:
-    """Triangular extraction of Lyndon coordinates from word dicts.
+def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
+    """Triangular extraction of Lyndon coordinates from an integer word
+    dict holding ``scale`` times the element, degree by degree.
 
-    Eats the per-degree dicts; raises if a nonzero residual remains,
-    which happens exactly when the input was not a Lie element.
+    Each standard bracketing expands to its Lyndon word with coefficient 1,
+    so elimination stays in the integers.  Raises if a nonzero residual
+    remains, which happens exactly when the input was not a Lie element.
     """
+    by_degree: dict[int, dict] = {}
+    for w, c in words.items():
+        by_degree.setdefault(w[0], {})[w] = c
     coords: dict[str, Fraction] = {}
     for d in sorted(by_degree):
         acc = by_degree[d]
-        if not acc:
-            continue
-        if d == 1:
-            for w, c in acc.items():
-                if c:
-                    coords[word_to_str(w)] = c
-            continue
         for wstr, key, expansion in _sb_expansions(d):
             c = acc.get(key)
             if not c:
                 continue
-            coords[wstr] = c
+            coords[wstr] = Fraction(c, scale)
             for w, ic in expansion.items():
-                v = acc.get(w, Fraction(0)) - c * ic
+                v = acc.get(w, 0) - c * ic
                 if v:
                     acc[w] = v
                 else:
                     acc.pop(w, None)
-        if any(acc.values()):
+        if acc:
             raise ValueError("not a Lie element: nonzero associative residual")
     return coords
 
@@ -519,28 +510,16 @@ def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
     """Coordinates in the Lyndon basis, keyed by word string."""
     if isinstance(a, LieSeries):
         a = a.as_element()
-    by_degree: dict[int, dict] = {}
-    for t, c in a._terms.items():
-        acc = by_degree.setdefault(tree_degree(t), {})
-        for w, ic in _expand_tree(t).items():
-            v = acc.get(w, Fraction(0)) + c * ic
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-    return _lyndon_reduce(by_degree)
+    scale, ints = _scaled(a._terms)
+    return _lyndon_reduce(scale, _expand(ints))
 
 
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     """Lyndon coordinates of an NCSeries that lies in the free Lie algebra."""
-    by_degree: dict[int, dict] = {}
-    for w, c in nc.word_dict().items():
-        if w[0] == 0:
-            if c:
-                raise ValueError("not a Lie element: constant term")
-            continue
-        by_degree.setdefault(w[0], {})[w] = c
-    return _lyndon_reduce(by_degree)
+    words = nc.word_dict()
+    if words.get((0, 0)):
+        raise ValueError("not a Lie element: constant term")
+    return _lyndon_reduce(*_scaled(words))
 
 
 def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
@@ -591,15 +570,12 @@ def _rn_tree(t: BracketTree) -> dict:
 
 def right_normed(a: LieElement) -> LieElement:
     """The same element written with right-nested chain trees only."""
-    words: dict[str, Fraction] = {}
-    for t, c in a._terms.items():
+    scale, ints = _scaled(a._terms)
+    words: dict[str, int] = {}
+    for t, c in ints.items():
         for w, ic in _rn_tree(t).items():
-            v = words.get(w, Fraction(0)) + c * ic
-            if v:
-                words[w] = v
-            else:
-                words.pop(w, None)
-    return LieElement({chain_tree(w): c for w, c in words.items()})
+            words[w] = words.get(w, 0) + c * ic
+    return LieElement({chain_tree(w): Fraction(c, scale) for w, c in words.items()})
 
 
 # ---------------------------------------------------------------------------

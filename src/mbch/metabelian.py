@@ -24,6 +24,7 @@ import io
 from fractions import Fraction
 
 from .series import BiSeries, format_rational, parse_rational
+from .assoc import _as_fraction
 from .freelie import (
     LieElement,
     LieSeries,
@@ -43,14 +44,6 @@ __all__ = [
     "kv_solve",
     "kv_verify",
 ]
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
 
 
 class MetabelianElement:

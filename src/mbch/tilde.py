@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .series import bernoulli, format_rational, parse_rational
+from .assoc import _as_fraction
 from .freelie import LieElement, bracket, long_commutator
 
 __all__ = [
@@ -42,14 +43,6 @@ __all__ = [
 ]
 
 Pair = tuple[int, int]
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
 
 
 def _ordered(a: Pair, b: Pair) -> bool:

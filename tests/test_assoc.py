@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbch.assoc import (
     NCSeries,
@@ -33,6 +35,49 @@ def test_generator_product_and_truncation():
     assert (x * y).coefficient("XY") == 1
     assert (x * y).coefficient("YX") == 0
     assert ((x * y) * x).is_zero()  # degree 3 beyond truncation 2
+
+
+_words = st.text("XY", max_size=5)
+# Mixed coprime denominators, given with either sign.
+_coeffs = st.builds(
+    Fraction,
+    st.integers(-30, 30),
+    st.sampled_from([1, 2, -3, 5, -7, 11, 13, 1001]),
+)
+_series = st.builds(
+    lambda n, terms: NCSeries.from_strings({w: c for w, c in terms.items() if len(w) <= n}, n),
+    st.integers(0, 5),
+    st.dictionaries(_words, _coeffs, max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_series, _series, _coeffs, st.integers(-5, 5))
+def test_products_match_naive_fraction_loop(a, b, q, k):
+    n = min(a.truncation, b.truncation)
+    expected = {}
+    for u, x in a.terms():
+        for v, y in b.terms():
+            if len(u) + len(v) <= n:
+                expected[u + v] = expected.get(u + v, 0) + x * y
+    product = a * b
+    assert product.truncation == n
+    assert dict(product.terms()) == {w: c for w, c in expected.items() if c}
+    for scalar in (q, k):
+        scaled = {w: scalar * c for w, c in a.terms() if scalar * c}
+        assert dict((scalar * a).terms()) == scaled
+        assert dict((a * scalar).terms()) == scaled
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: NCSeries(2, {(1, 0): 0.5}),
+    lambda: 0.5 * NCSeries.generator("X", 2),
+    lambda: NCSeries.generator("X", 2) * 0.5,
+    lambda: NCSeries.generator("X", 2) + 0.5,
+])
+def test_rejects_floats(bad):
+    with pytest.raises(TypeError, match="rational scalar"):
+        bad()
 
 
 def test_exp_coefficients_and_guard():

@@ -1,11 +1,15 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mbch.bch import bch_recursive
-from mbch.cli import main
+from mbch.cli import entry, main
 from mbch.freelie import LieSeries
 from mbch.series import InexactDivision
 from mbch.tilde import TildeElement, hausdorff_tilde
@@ -228,3 +232,23 @@ def test_inexact_division_exits_3(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert "divisibility" in err
+
+
+def test_python_m_mbch_cli_matches_entry(capsys, monkeypatch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["bch", "--degree", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbch.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    monkeypatch.setattr(sys, "argv", ["mbch", *args])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbch.assoc import bch_log_oracle
+from mbch.assoc import NCSeries, bch_log_oracle
+from mbch.bch import bch_recursive
 from mbch.freelie import (
     Derivation,
     LieElement,
@@ -28,6 +31,7 @@ from mbch.freelie import (
     standard_factorization,
     to_assoc,
     to_lyndon_coords,
+    tree_degree,
     tree_word,
 )
 
@@ -182,6 +186,99 @@ def test_lyndon_coords_of_assoc_rejects_non_lie():
     x = to_assoc(X, 4)
     with pytest.raises(ValueError, match="not a Lie element"):
         lyndon_coords_of_assoc(x * x)
+
+
+def test_non_lie_residual_raises_under_a_large_common_denominator():
+    # X Y / 7 + [X,Y] / 3 is not a Lie element; its degree-2 residual must
+    # survive scaling by the common denominator lcm(7, 3, 1001) = 3003.
+    xy = NCSeries.from_strings({"XY": F(1, 7)}, 3)
+    lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY")
+    with pytest.raises(ValueError, match="nonzero associative residual"):
+        lyndon_coords_of_assoc(xy + to_assoc(lie, 3))
+    assert lyndon_coords_of_assoc(to_assoc(lie, 3)) == {"XY": F(1, 3), "XXY": F(-5, 1001)}
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: LieElement({"X": 0.1}),
+    lambda: 0.1 * X,
+    lambda: X * 0.5,
+])
+def test_lie_element_rejects_floats(bad):
+    with pytest.raises(TypeError, match="rational scalar"):
+        bad()
+
+
+def _tree_of_degree(draw, d):
+    if d == 1:
+        return draw(st.sampled_from("XY"))
+    k = draw(st.integers(1, d - 1))
+    return (_tree_of_degree(draw, k), _tree_of_degree(draw, d - k))
+
+
+@st.composite
+def _trees(draw, max_degree=7):
+    return _tree_of_degree(draw, draw(st.integers(1, max_degree)))
+
+
+# Mixed coprime denominators, given with either sign.
+_coeffs = st.builds(
+    Fraction,
+    st.integers(-30, 30).filter(bool),
+    st.sampled_from([1, 2, -3, 4, 5, -7, 9, 11, -13, 49, 1001]),
+)
+
+
+@st.composite
+def _elements_with_cancellation(draw):
+    """(element, same element plus terms that cancel exactly)."""
+    base = LieElement(draw(st.dictionaries(_trees(), _coeffs, min_size=1, max_size=5)))
+    a = draw(_trees(5))
+    b = draw(_trees(6 - tree_degree(a)))
+    c = draw(_trees(7 - tree_degree(a) - tree_degree(b)))
+    k = draw(_coeffs)
+    zero = (
+        LieElement({(a, b): k}) + LieElement({(b, a): k})  # antisymmetry
+        + LieElement({(a, (b, c)): k, (b, (c, a)): k, (c, (a, b)): k})  # Jacobi
+    )
+    return base, base + zero
+
+
+def _word_expansion(e):
+    """Fraction word coefficients of a tree combination, by plain recursion."""
+
+    def words(t):
+        if isinstance(t, str):
+            return {t: 1}
+        out = {}
+        for u, x in words(t[0]).items():
+            for v, y in words(t[1]).items():
+                out[u + v] = out.get(u + v, 0) + x * y
+                out[v + u] = out.get(v + u, 0) - x * y
+        return out
+
+    total = {}
+    for t, c in e.term_dict().items():
+        for w, k in words(t).items():
+            total[w] = total.get(w, 0) + c * k
+    return {w: c for w, c in total.items() if c}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_elements_with_cancellation())
+def test_integer_core_identities_on_random_trees(pair):
+    base, e = pair
+    n = e.max_degree()
+    nc = to_assoc(e, n)
+    assert dict(nc.terms()) == _word_expansion(e)
+    coords = to_lyndon_coords(e)
+    assert coords == lyndon_coords_of_assoc(nc)
+    assert to_assoc(from_lyndon_coords(coords), n) == nc
+    assert coords == to_lyndon_coords(base)
+    assert to_lyndon_coords(right_normed(e)) == coords
+
+
+def test_recursive_and_oracle_coordinates_agree_at_degree_12():
+    assert to_lyndon_coords(bch_recursive(12)) == lyndon_coords_of_assoc(bch_log_oracle(12))
 
 
 def test_friedrichs_on_oracle_components():
