@@ -25,7 +25,6 @@ from .freelie import (
     Derivation,
     LieElement,
     LieSeries,
-    apply_derivation,
     bracket,
     from_lyndon_coords,
     ideal_membership,
@@ -89,7 +88,6 @@ __all__ = [
     "Derivation",
     "LieElement",
     "LieSeries",
-    "apply_derivation",
     "bracket",
     "from_lyndon_coords",
     "ideal_membership",

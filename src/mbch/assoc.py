@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .series import format_rational, parse_rational
+from .series import _as_fraction, format_rational, format_terms, parse_rational
 
 __all__ = [
     "NCSeries",
@@ -40,15 +40,6 @@ def word_from_str(s: str) -> Word:
 def word_to_str(w: Word) -> str:
     length, bits = w
     return "".join("Y" if bits >> i & 1 else "X" for i in range(length))
-
-
-def _as_fraction(v) -> Fraction:
-    """The exactness rule for coefficients: Fraction or int, never float."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
 
 
 def _scaled(coeffs: dict) -> tuple[int, dict]:
@@ -220,23 +211,7 @@ class NCSeries:
         return cls(int(data["truncation"]), coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for w, c in self.terms():
-            word = _compress_word(w) if w else "1"
-            if w == "":
-                parts.append(format_rational(c))
-            elif c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append(f"-{word}")
-            else:
-                parts.append(f"{format_rational(c)} {word}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((c, _compress_word(w)) for w, c in self.terms())
 
     def __repr__(self) -> str:
         return f"NCSeries(truncation={self.truncation}, {len(self._coeffs)} terms)"

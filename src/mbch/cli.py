@@ -15,8 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import BiSeries, InexactDivision, format_rational, parse_rational
 from .assoc import bch_log_oracle
@@ -34,7 +32,7 @@ from .metabelian import (
 from .tilde import TildeElement, hausdorff_tilde
 from .verify import run_suite
 
-__all__ = ["CliConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 CAP_ENV = "MBCH_DEGREE_CAP"
 
@@ -62,21 +60,6 @@ MIN_DEGREES = {
     "deeper": 2,
     "verify": 4,
 }
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: one command plus its rendering options."""
-
-    command: str
-    degree: int
-    method: str = "recursive"
-    fmt: str = "text"
-    output: str | None = None
-    suite: str = "all"
-    per_degree: bool = False
-    a: Fraction = Fraction(0)
-    g: BiSeries | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,22 +165,8 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _config_from_args(ns: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=ns.command,
-        degree=ns.degree,
-        method=getattr(ns, "method", "recursive"),
-        fmt=ns.fmt,
-        output=ns.output,
-        suite=getattr(ns, "suite", "all"),
-        per_degree=getattr(ns, "per_degree", False),
-        a=getattr(ns, "a", Fraction(0)),
-        g=getattr(ns, "g", None),
-    )
-
-
-def _degree_cap(cfg: CliConfig) -> int:
-    key = (cfg.command, cfg.method) if cfg.command == "bch" else cfg.command
+def _degree_cap(ns: argparse.Namespace) -> int:
+    key = (ns.command, ns.method) if ns.command == "bch" else ns.command
     return DEGREE_CAPS[key]
 
 
@@ -257,41 +226,41 @@ def _render_tilde(e: TildeElement, fmt: str) -> str:
     return str(e)
 
 
-def _cmd_bch(cfg: CliConfig) -> tuple[str, int]:
-    n = cfg.degree
-    if cfg.method == "recursive":
+def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
+    n = ns.degree
+    if ns.method == "recursive":
         series = bch_recursive(n)
-    elif cfg.method == "dynkin":
+    elif ns.method == "dynkin":
         series = bch_dynkin(n)
     else:
         coords = lyndon_coords_of_assoc(bch_log_oracle(n))
         series = LieSeries.from_element(from_lyndon_coords(coords), n)
-    return _render_lie_series(series, cfg.fmt), 0
+    return _render_lie_series(series, ns.fmt), 0
 
 
-def _cmd_metabelian(cfg: CliConfig) -> tuple[str, int]:
-    element = hausdorff_closed(cfg.degree)
-    h = h_series(cfg.degree - 2)
-    if cfg.fmt == "json":
+def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:
+    element = hausdorff_closed(ns.degree)
+    h = h_series(ns.degree - 2)
+    if ns.fmt == "json":
         payload = {"element": element.to_json_dict(), "h": h.to_json_dict()}
         return json.dumps(payload, indent=2), 0
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         return element.to_csv(), 0
     return f"{element}\nh(x,y) = {h}", 0
 
 
-def _cmd_goldberg(cfg: CliConfig) -> tuple[str, int]:
-    return _render_biseries(goldberg_c(cfg.degree), cfg.fmt), 0
+def _cmd_goldberg(ns: argparse.Namespace) -> tuple[str, int]:
+    return _render_biseries(goldberg_c(ns.degree), ns.fmt), 0
 
 
-def _cmd_zassenhaus(cfg: CliConfig) -> tuple[str, int]:
-    element = zassenhaus_closed(cfg.degree)
-    if not cfg.per_degree:
-        return _render_metabelian(element, cfg.fmt), 0
-    factors = [(d, element.degree_part(d)) for d in range(2, cfg.degree + 1)]
-    if cfg.fmt == "json":
+def _cmd_zassenhaus(ns: argparse.Namespace) -> tuple[str, int]:
+    element = zassenhaus_closed(ns.degree)
+    if not ns.per_degree:
+        return _render_metabelian(element, ns.fmt), 0
+    factors = [(d, element.degree_part(d)) for d in range(2, ns.degree + 1)]
+    if ns.fmt == "json":
         payload = {
-            "truncation": cfg.degree,
+            "truncation": ns.degree,
             "factors": [
                 {
                     "degree": d,
@@ -304,7 +273,7 @@ def _cmd_zassenhaus(cfg: CliConfig) -> tuple[str, int]:
             ],
         }
         return json.dumps(payload, indent=2), 0
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         rows = [
             [d, k, l, format_rational(c)]
             for d, part in factors
@@ -315,38 +284,38 @@ def _cmd_zassenhaus(cfg: CliConfig) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-def _cmd_kv_solve(cfg: CliConfig) -> tuple[str, int]:
-    solution = kv_solve(cfg.degree, cfg.a, cfg.g)
-    verified = kv_verify(solution, cfg.degree)
+def _cmd_kv_solve(ns: argparse.Namespace) -> tuple[str, int]:
+    solution = kv_solve(ns.degree, ns.a, ns.g)
+    verified = kv_verify(solution, ns.degree)
     rc = 0 if verified else 1
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         payload = {"element": solution.to_json_dict(), "verified": verified}
         return json.dumps(payload, indent=2), rc
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         return solution.to_csv(), rc
     status = "yes" if verified else "NO"
     return f"{solution}\nverified: {status}", rc
 
 
-def _cmd_deeper(cfg: CliConfig) -> tuple[str, int]:
-    return _render_tilde(hausdorff_tilde(cfg.degree), cfg.fmt), 0
+def _cmd_deeper(ns: argparse.Namespace) -> tuple[str, int]:
+    return _render_tilde(hausdorff_tilde(ns.degree), ns.fmt), 0
 
 
-def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
-    checks = run_suite(cfg.suite, cfg.degree)
+def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
+    checks = run_suite(ns.suite, ns.degree)
     passed = all(p for _, p, _ in checks)
     rc = 0 if passed else 1
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         payload = {
-            "suite": cfg.suite,
-            "degree": cfg.degree,
+            "suite": ns.suite,
+            "degree": ns.degree,
             "passed": passed,
             "checks": [
                 {"name": n, "passed": p, "detail": d} for n, p, d in checks
             ],
         }
         return json.dumps(payload, indent=2), rc
-    if cfg.fmt == "csv":
+    if ns.fmt == "csv":
         rows = [[n, "pass" if p else "fail", d] for n, p, d in checks]
         return _csv_text(["name", "result", "detail"], rows), rc
     lines = []
@@ -391,44 +360,46 @@ def main(argv=None) -> int:
         else:
             try:
                 ns.g = BiSeries.from_json_dict(json.loads(ns.g))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                # json.JSONDecodeError is a ValueError
                 return _usage_error("malformed --g: expected 'zero' or series JSON")
 
-    cfg = _config_from_args(ns)
-
-    cap = _degree_cap(cfg)
+    cap = _degree_cap(ns)
     env_cap = os.environ.get(CAP_ENV)
     if env_cap is not None:
         try:
             cap = int(env_cap)
         except ValueError:
             return _usage_error(f"invalid {CAP_ENV}: {env_cap!r}")
-    low = MIN_DEGREES[cfg.command]
-    if cfg.degree < low:
-        return _usage_error(f"degree must be at least {low} for {cfg.command}")
-    if cfg.degree > cap:
+    low = MIN_DEGREES[ns.command]
+    if ns.degree < low:
+        return _usage_error(f"degree must be at least {low} for {ns.command}")
+    if ns.degree > cap:
         return _usage_error(
-            f"degree {cfg.degree} exceeds the cap {cap} for this command "
+            f"degree {ns.degree} exceeds the cap {cap} for this command "
             f"(override with {CAP_ENV})"
         )
 
     try:
-        text, rc = _COMMANDS[cfg.command](cfg)
+        text, rc = _COMMANDS[ns.command](ns)
     except InexactDivision as exc:
         print(f"mbch: internal divisibility violation: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # Only kv-solve takes free-form mathematical input whose
         # validation happens inside the library call.
-        if cfg.command == "kv-solve":
+        if ns.command == "kv-solve":
             return _usage_error(str(exc))
         raise
 
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if ns.output:
+        try:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"cannot write {ns.output!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return rc

@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .assoc import NCSeries, _as_fraction, _compress_word, _scaled, word_from_str
-from .series import format_rational, parse_rational
+from .assoc import NCSeries, _compress_word, _scaled, word_from_str
+from .series import _as_fraction, format_rational, format_terms, parse_rational
 
 __all__ = [
     "BracketTree",
@@ -50,10 +50,8 @@ __all__ = [
     "lyndon_coords_of_assoc",
     "right_normed",
     "Derivation",
-    "apply_derivation",
     "ideal_membership",
     "span_rank",
-    "in_span",
 ]
 
 BracketTree = Union[str, tuple]
@@ -167,9 +165,6 @@ class LieElement:
             parts.setdefault(tree_degree(t), {})[t] = c
         return {d: LieElement(m) for d, m in sorted(parts.items())}
 
-    def max_degree(self) -> int:
-        return max((tree_degree(t) for t in self._terms), default=0)
-
     def __add__(self, other) -> "LieElement":
         out = dict(self._terms)
         for t, c in other._terms.items():
@@ -195,21 +190,7 @@ class LieElement:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for t, c in self.terms():
-            r = render_tree(t)
-            if c == 1:
-                parts.append(r)
-            elif c == -1:
-                parts.append(f"-{r}")
-            else:
-                parts.append(f"{format_rational(c)} {r}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms((c, render_tree(t)) for t, c in self.terms())
 
     def __repr__(self) -> str:
         return f"LieElement({len(self._terms)} terms)"
@@ -595,6 +576,9 @@ def _image_terms(img, truncation: int) -> list:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
+    Images may be LieElements, LieSeries, or None for zero; they are cut
+    at the truncation before Leibniz expansion.
+
     Extends by the Leibniz rule D[A,B] = [DA,B] + [A,DB]; substitution
     results are memoized per tree so a sequence of applications (as in the
     Hausdorff recursion) shares work.
@@ -656,16 +640,6 @@ class Derivation:
         return self.element(target)
 
 
-def apply_derivation(images, target, truncation: int):
-    """Apply the derivation with ``images = (image_of_X, image_of_Y)``.
-
-    Images may be LieElements, LieSeries, or None for zero; they are cut
-    at the truncation before Leibniz expansion.
-    """
-    image_x, image_y = images
-    return Derivation(image_x, image_y, truncation)(target)
-
-
 # ---------------------------------------------------------------------------
 # Sparse exact linear algebra and ideal membership
 # ---------------------------------------------------------------------------
@@ -705,13 +679,6 @@ class _RowReducer:
 def span_rank(vectors: Iterable[dict]) -> int:
     r = _RowReducer()
     return sum(1 for v in vectors if r.add(dict(v)))
-
-
-def in_span(vectors: Iterable[dict], target: dict) -> bool:
-    r = _RowReducer()
-    for v in vectors:
-        r.add(dict(v))
-    return not r.reduce(dict(target))
 
 
 _IDEALS = ("metabelian", "deeper")

@@ -3,8 +3,9 @@
 In the quotient by [[L,L],[L,L]] every element is a combination of X, Y
 and the chains B(k,l) = [X^k Y^l X Y], and a commutative power series in
 (ad X, ad Y) acting on [XY] is the same data as a table of B(k,l)
-coefficients.  That correspondence makes log(e^X e^Y) computable in
-closed form:
+coefficients.  ``MetabelianElement`` stores its table as exactly that
+series, a ``BiSeries``.  The correspondence makes log(e^X e^Y)
+computable in closed form:
 
     log(e^X e^Y) = X + Y + h(ad X, ad Y) [XY],
     h(x,y) = (1/y) (1 - ((e^x - 1)/x) ((x+y)/(e^{x+y} - 1)))
@@ -23,8 +24,13 @@ import csv
 import io
 from fractions import Fraction
 
-from .series import BiSeries, format_rational, parse_rational
-from .assoc import _as_fraction
+from .series import (
+    BiSeries,
+    _as_fraction,
+    format_rational,
+    format_terms,
+    parse_rational,
+)
 from .freelie import (
     LieElement,
     LieSeries,
@@ -49,28 +55,29 @@ __all__ = [
 class MetabelianElement:
     """An element a X + b Y + sum of c_{kl} B(k,l), cut at a total degree.
 
-    B(k,l) stands for the chain [X^k Y^l X Y] of degree k + l + 2; the
-    table maps (k, l) to the rational coefficient c_{kl}.  Zero
-    coefficients are never stored and indices beyond the truncation are
-    dropped on construction.
+    B(k,l) stands for the chain [X^k Y^l X Y] of degree k + l + 2.  The
+    table of coefficients c_{kl} is stored as the commutative series
+    sum c_{kl} x^k y^l, a BiSeries truncated at degree n - 2 (empty when
+    n = 1), so sums, scalar multiples and the quotient bracket are series
+    arithmetic: ad X and ad Y act on the table as multiplication by x and
+    y.  A table given as a dict or a shorter BiSeries is read as a
+    polynomial; entries beyond the truncation are dropped.
     """
 
     __slots__ = ("truncation", "a", "b", "_table")
 
-    def __init__(self, truncation: int, a=0, b=0, table: dict | None = None):
+    def __init__(
+        self, truncation: int, a=0, b=0, table: dict | BiSeries | None = None
+    ):
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (k, l), c in (table or {}).items():
-            if k < 0 or l < 0:
-                raise ValueError("negative basis index")
-            c = _as_fraction(c)
-            if c and k + l + 2 <= truncation:
-                clean[(k, l)] = c
+        if not isinstance(table, BiSeries):
+            table = BiSeries(max(truncation - 2, 0), table)
+        table = table.padded(truncation - 2) if truncation >= 2 else BiSeries.zero(0)
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "_table", clean)
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):
         raise AttributeError("MetabelianElement is immutable")
@@ -84,33 +91,33 @@ class MetabelianElement:
     @classmethod
     def from_table_series(cls, s: BiSeries, a=0, b=0) -> "MetabelianElement":
         """Read a BiSeries as a B-table: x^k y^l becomes B(k,l)."""
-        return cls(s.truncation + 2, a, b, {(i, j): c for i, j, c in s.terms()})
+        return cls(s.truncation + 2, a, b, s)
 
     # -- access ---------------------------------------------------------------
 
     def coefficient(self, k: int, l: int) -> Fraction:
         if k + l + 2 > self.truncation:
             raise ValueError("term beyond truncation")
-        return self._table.get((k, l), Fraction(0))
+        return self._table.coefficient(k, l)
 
     def terms(self):
         """Table entries as ((k, l), coefficient), sorted by (k+l, k)."""
-        return sorted(self._table.items(), key=lambda kv: (sum(kv[0]), kv[0][0]))
+        return [((k, l), c) for k, l, c in self._table.terms()]
 
     def table_series(self) -> BiSeries:
         """The table as a commutative series, B(k,l) read as x^k y^l."""
         if self.truncation < 2:
             raise ValueError("no table below degree 2")
-        return BiSeries(self.truncation - 2, dict(self._table))
+        return self._table
 
     def degree_part(self, d: int) -> "MetabelianElement":
         if d == 1:
             return MetabelianElement(self.truncation, self.a, self.b)
-        table = {kl: c for kl, c in self._table.items() if sum(kl) + 2 == d}
+        table = self._table.homogeneous_part(d - 2)
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def is_zero(self) -> bool:
-        return not self._table and not self.a and not self.b
+        return self._table.is_zero() and not self.a and not self.b
 
     # -- algebra --------------------------------------------------------------
 
@@ -118,18 +125,11 @@ class MetabelianElement:
         if not isinstance(other, MetabelianElement):
             return NotImplemented
         n = min(self.truncation, other.truncation)
-        table = dict(self._table)
-        for kl, c in other._table.items():
-            table[kl] = table.get(kl, Fraction(0)) + c
+        table = self._table + other._table
         return MetabelianElement(n, self.a + other.a, self.b + other.b, table)
 
     def __neg__(self) -> "MetabelianElement":
-        return MetabelianElement(
-            self.truncation,
-            -self.a,
-            -self.b,
-            {kl: -c for kl, c in self._table.items()},
-        )
+        return MetabelianElement(self.truncation, -self.a, -self.b, -self._table)
 
     def __sub__(self, other: "MetabelianElement") -> "MetabelianElement":
         if not isinstance(other, MetabelianElement):
@@ -138,12 +138,8 @@ class MetabelianElement:
 
     def __rmul__(self, scalar) -> "MetabelianElement":
         s = _as_fraction(scalar)
-        return MetabelianElement(
-            self.truncation,
-            s * self.a,
-            s * self.b,
-            {kl: s * c for kl, c in self._table.items()},
-        )
+        table = self._table * s
+        return MetabelianElement(self.truncation, s * self.a, s * self.b, table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetabelianElement):
@@ -158,33 +154,30 @@ class MetabelianElement:
     # -- the quotient bracket -------------------------------------------------
 
     def ad_x(self) -> "MetabelianElement":
-        """[X, self]: b goes to B(0,0), B(k,l) to B(k+1,l)."""
-        table = {(k + 1, l): c for (k, l), c in self._table.items()}
-        if self.b:
-            table[(0, 0)] = table.get((0, 0), Fraction(0)) + self.b
+        """[X, self]: b goes to B(0,0), B(k,l) to B(k+1,l); the table
+        becomes x * table + b."""
+        table = self._table.shift(1, 0) + self.b
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def ad_y(self) -> "MetabelianElement":
-        """[Y, self]: a goes to -B(0,0), B(k,l) to B(k,l+1).
+        """[Y, self]: a goes to -B(0,0), B(k,l) to B(k,l+1); the table
+        becomes y * table - a.
 
         Prepending Y to the chain sorts into the prefix modulo brackets
         of brackets, which is exactly the quotient relation.
         """
-        table = {(k, l + 1): c for (k, l), c in self._table.items()}
-        if self.a:
-            table[(0, 0)] = table.get((0, 0), Fraction(0)) - self.a
+        table = self._table.shift(0, 1) - self.a
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def subst_negswap(self) -> "MetabelianElement":
-        """The element at (-Y, -X).
+        """The element at (-Y, -X): the table becomes -table(-y, -x).
 
         B(k,l) maps to (-1)^{k+l+1} B(l,k): the k+l+2 letter signs give
         (-1)^{k+l}, the flipped tail [YX] = -[XY] one more.
         """
-        table = {
-            (l, k): ((-1) ** (k + l + 1)) * c for (k, l), c in self._table.items()
-        }
-        return MetabelianElement(self.truncation, -self.b, -self.a, table)
+        return MetabelianElement(
+            self.truncation, -self.b, -self.a, -self._table.subst_negswap()
+        )
 
     # -- serialization --------------------------------------------------------
 
@@ -223,33 +216,17 @@ class MetabelianElement:
         return buf.getvalue()
 
     def __str__(self) -> str:
-        parts = []
-        for name, c in (("X", self.a), ("Y", self.b)):
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            elif c:
-                parts.append(f"{format_rational(c)} {name}")
-        for (k, l), c in self.terms():
-            name = render_tree(chain_tree("X" * k + "Y" * l + "XY"))
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{format_rational(c)} {name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        named = [(self.a, "X"), (self.b, "Y")]
+        named += [
+            (c, render_tree(chain_tree("X" * k + "Y" * l + "XY")))
+            for (k, l), c in self.terms()
+        ]
+        return format_terms(named)
 
     def __repr__(self) -> str:
         return (
             f"MetabelianElement(truncation={self.truncation}, "
-            f"{len(self._table)} table terms)"
+            f"{len(self.terms())} table terms)"
         )
 
 
@@ -420,8 +397,7 @@ def kv_verify(F: MetabelianElement, truncation: int) -> bool:
     dropped, missing ones count as zero).
     """
     n = truncation
-    f = MetabelianElement(n, F.a, F.b, dict(F._table))
+    f = MetabelianElement(n, F.a, F.b, F._table)
     lhs = f.ad_x() + f.subst_negswap().ad_y()
-    h = hausdorff_closed(n)
-    rhs = MetabelianElement(n, 0, 0, dict(h._table))
+    rhs = MetabelianElement(n, 0, 0, hausdorff_closed(n)._table)
     return lhs == rhs

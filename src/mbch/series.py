@@ -6,6 +6,10 @@ and nothing beyond, so binary operations truncate at the smaller bound.
 Division is *exact* division: if the divisor does not divide the dividend
 term-for-term the operation raises ``InexactDivision`` instead of silently
 producing a Laurent-style object (negative powers never exist here).
+
+This module also holds what every container in the package shares: the
+coefficient rule ``_as_fraction`` (Fraction or int, never float), the
+JSON/CLI reader ``parse_rational`` and the term printer ``format_terms``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,13 @@ from math import comb
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Rational",
     "InexactDivision",
     "bernoulli",
     "BiSeries",
     "format_rational",
+    "format_terms",
     "parse_rational",
 ]
-
-Rational = Fraction
 
 
 class InexactDivision(ArithmeticError):
@@ -37,7 +39,48 @@ def format_rational(c: Fraction) -> str:
 
 
 def parse_rational(s: str | int) -> Fraction:
-    return Fraction(s)
+    """Read a rational from text such as ``"-3/4"`` or from an integer.
+
+    This is the JSON and command-line boundary.  A float is refused: its
+    binary value is not the decimal that was written.
+    """
+    if isinstance(s, str):
+        return Fraction(s)
+    return _as_fraction(s)
+
+
+def _as_fraction(v) -> Fraction:
+    """The exactness rule for coefficients: Fraction or int, never float."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
+
+
+def format_terms(pairs: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, name) pairs as ``c name + ... - ...``.
+
+    Zero coefficients are skipped, a coefficient of 1 or -1 prints as the
+    bare name or its negation, an empty name prints the scalar alone, and
+    an empty sum prints as ``0``.
+    """
+    out = []
+    for c, name in pairs:
+        if not c:
+            continue
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        mag = abs(c)
+        if not name:
+            out.append(format_rational(mag))
+        elif mag == 1:
+            out.append(name)
+        else:
+            out.append(f"{format_rational(mag)} {name}")
+    return "".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +157,6 @@ def _parse_linear_form(arg: str | tuple[int, int]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # BiSeries
 # ---------------------------------------------------------------------------
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    raise TypeError(f"not an exact scalar: {v!r}")
-
 
 class BiSeries:
     """Commutative power series in x, y truncated at a total degree."""
@@ -285,6 +320,8 @@ class BiSeries:
 
     def padded(self, n: int) -> "BiSeries":
         """Reinterpret as a polynomial known to all degrees <= ``n``."""
+        if n == self.truncation:
+            return self
         if n < self.truncation:
             return self.truncate(n)
         return BiSeries(n, self._coeffs)
@@ -401,9 +438,7 @@ class BiSeries:
         return cls(int(data["truncation"]), coeffs)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
+        pairs = []
         for i, j, c in self.terms():
             factors = []
             for name, e in (("x", i), ("y", j)):
@@ -411,19 +446,8 @@ class BiSeries:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mono = " ".join(factors)
-            if not mono:
-                parts.append(format_rational(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{format_rational(c)} {mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            pairs.append((c, " ".join(factors)))
+        return format_terms(pairs)
 
     def __repr__(self) -> str:
         return f"BiSeries(truncation={self.truncation}, {len(self._coeffs)} terms)"

@@ -29,13 +29,17 @@ import threading
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import bernoulli, format_rational, parse_rational
-from .assoc import _as_fraction
+from .series import (
+    _as_fraction,
+    bernoulli,
+    format_rational,
+    format_terms,
+    parse_rational,
+)
 from .freelie import LieElement, bracket, long_commutator
 
 __all__ = [
     "TildeElement",
-    "tilde_normalize",
     "tilde_act",
     "tilde_dy",
     "hausdorff_tilde",
@@ -236,53 +240,19 @@ class TildeElement:
         )
 
     def __str__(self) -> str:
-        parts = []
-        for name, c in (("X", self.a), ("Y", self.b)):
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            elif c:
-                parts.append(f"{format_rational(c)} {name}")
-        named = [(f"{{{m},{n}}}", c) for (m, n), c in self.linear_terms()]
+        named = [(self.a, "X"), (self.b, "Y")]
+        named += [(c, f"{{{m},{n}}}") for (m, n), c in self.linear_terms()]
         named += [
-            (f"[{{{k},{l}}},{{{m},{n}}}]", c)
+            (c, f"[{{{k},{l}}},{{{m},{n}}}]")
             for ((k, l), (m, n)), c in self.quadratic_terms()
         ]
-        for name, c in named:
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{format_rational(c)} {name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms(named)
 
     def __repr__(self) -> str:
         return (
             f"TildeElement(truncation={self.truncation}, "
             f"{len(self._linear)} linear, {len(self._quadratic)} quadratic)"
         )
-
-
-def tilde_normalize(
-    truncation: int,
-    a=0,
-    b=0,
-    linear: dict | None = None,
-    quadratic: dict | None = None,
-) -> TildeElement:
-    """Build an element from raw data, normalizing quadratic keys.
-
-    Pairs [A,A] vanish; a key with its two indices out of order is
-    swapped with a sign flip.
-    """
-    return TildeElement(truncation, a, b, linear, quadratic)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from fractions import Fraction
 from .series import BiSeries
 from .assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
 from .freelie import (
+    Derivation,
     LieElement,
-    apply_derivation,
     bracket,
     from_lyndon_coords,
     ideal_membership,
@@ -224,7 +224,7 @@ def check_deeper(degree: int) -> list[Check]:
         for n in range(cap - 1 - m):
             e = TildeElement(work, linear={(m, n): Fraction(1)})
             lhs = expand_to_free(tilde_dy(e, work))
-            rhs = apply_derivation((None, h1), expand_to_free(e), work)
+            rhs = Derivation(None, h1, work)(expand_to_free(e))
             if to_lyndon_coords(lhs) != to_lyndon_coords(rhs):
                 ok = False
     out.append(_check(f"derivation formulas exact through degree {cap}", ok))

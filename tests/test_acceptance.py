@@ -14,8 +14,8 @@ import pytest
 from mbch.series import BiSeries, bernoulli
 from mbch.assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
 from mbch.freelie import (
+    Derivation,
     LieElement,
-    apply_derivation,
     bracket,
     from_lyndon_coords,
     ideal_membership,
@@ -221,7 +221,7 @@ def test_09_deeper_quotient(criterion):
                     )
                 )
                 lhs = expand_to_free(tilde_dy(e, 8))
-                rhs = apply_derivation((None, hausdorff_h1(8)), expand_to_free(e), 8)
+                rhs = Derivation(None, hausdorff_h1(8), 8)(expand_to_free(e))
                 assert to_lyndon_coords(lhs) == to_lyndon_coords(rhs)
 
     criterion(9, "deeper-quotient recursion: exact to degree 5, deviation in ideal",

@@ -1,13 +1,16 @@
 """End-to-end tests for the command line interface."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mbch
 from mbch.bch import bch_recursive
 from mbch.cli import entry, main
 from mbch.freelie import LieSeries
@@ -194,6 +197,24 @@ def test_usage_errors_exit_2(capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("c", ["1/0", 0.1])
+def test_kv_solve_bad_g_coefficient_is_usage_error(capsys, c):
+    g = json.dumps(
+        {"truncation": 3,
+         "terms": [{"i": 0, "j": 1, "c": c}, {"i": 1, "j": 0, "c": c}]}
+    )
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
+    assert (rc, out) == (2, "")
+    assert "malformed --g" in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, "bch", "--degree", "3", "--output", str(target))
+    assert (rc, out) == (2, "")
+    assert str(target) in err
+
+
 def test_antisymmetry_violation_is_usage_error(capsys):
     g = json.dumps({"truncation": 2, "terms": [{"i": 0, "j": 1, "c": "1"}]})
     rc, _, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
@@ -252,3 +273,13 @@ def test_python_m_mbch_cli_matches_entry(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["mbch"] + [f"mbch.{m.name}" for m in pkgutil.iter_modules(mbch.__path__)],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -16,6 +16,7 @@ from mbch.freelie import (
     lyndon_coords_of_assoc,
     span_rank,
     to_assoc,
+    tree_degree,
 )
 from mbch.metabelian import (
     MetabelianElement,
@@ -97,6 +98,59 @@ def test_element_str():
         "X + Y + 1/2 [XY] - 1/12 [YXY] + 1/12 [X^2Y] - 1/24 [XYXY]"
     )
     assert str(MetabelianElement.zero(3)) == "0"
+
+
+def test_element_truncations_one_and_two():
+    e = MetabelianElement(1, 2, -1, {(0, 0): F(5)})
+    assert (e.a, e.b, e.terms()) == (2, -1, [])
+    with pytest.raises(ValueError, match="beyond truncation"):
+        e.coefficient(0, 0)
+    with pytest.raises(ValueError, match="no table"):
+        e.table_series()
+    assert e.ad_x().is_zero() and e.ad_y().is_zero()  # degree 2 is cut
+    assert e.subst_negswap() == MetabelianElement(1, 1, -2)
+    assert e + hausdorff_closed(4) == MetabelianElement(1, 3, 0)
+    assert e.degree_part(1) == e and e.degree_part(2).is_zero()
+    assert str(e) == "2 X - Y"
+
+    f = MetabelianElement(2, 2, -1, {(0, 0): F(5), (0, 1): F(1)})
+    assert f.terms() == [((0, 0), F(5))]
+    assert f.table_series() == BiSeries(0, {(0, 0): F(5)})
+    assert f.ad_x() == MetabelianElement(2, 0, 0, {(0, 0): F(-1)})
+    assert f.ad_y() == MetabelianElement(2, 0, 0, {(0, 0): F(-2)})
+    assert f.subst_negswap() == MetabelianElement(2, 1, -2, {(0, 0): F(-5)})
+    assert f.degree_part(2) == MetabelianElement(2, 0, 0, {(0, 0): F(5)})
+    assert F(1, 5) * f == MetabelianElement(2, F(2, 5), F(-1, 5), {(0, 0): 1})
+    assert (f - f).is_zero()
+    assert str(f) == "2 X - Y + 5 [XY]"
+    assert hausdorff_closed(2) == MetabelianElement(2, 1, 1, {(0, 0): F(1, 2)})
+
+
+def _swap_letters(e: LieElement) -> LieElement:
+    """The free-algebra substitution X -> -Y, Y -> -X, tree by tree."""
+    def swap(t):
+        if isinstance(t, str):
+            return "Y" if t == "X" else "X"
+        return (swap(t[0]), swap(t[1]))
+
+    return LieElement(
+        {swap(t): (-1) ** tree_degree(t) * c for t, c in e.term_dict().items()}
+    )
+
+
+def test_quotient_bracket_matches_free_algebra():
+    rng = random.Random(5)
+    n = 7
+    for _ in range(30):
+        e = F(rng.randint(-3, 3)) * X + F(rng.randint(-3, 3)) * Y
+        for _ in range(rng.randint(1, 6)):
+            word = "".join(rng.choice("XY") for _ in range(rng.randint(2, n)))
+            c = F(rng.randint(-5, 5), rng.randint(1, 4))
+            e = e + c * long_commutator(word)
+        p = project(e, n)
+        assert project(bracket(X, e), n) == p.ad_x()
+        assert project(bracket(Y, e), n) == p.ad_y()
+        assert project(_swap_letters(e), n) == p.subst_negswap()
 
 
 # ---------------------------------------------------------------------------

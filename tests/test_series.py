@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbch.series import BiSeries, InexactDivision, bernoulli
+from mbch.assoc import NCSeries, word_from_str
+from mbch.freelie import LieElement, LieSeries
+from mbch.metabelian import MetabelianElement
+from mbch.series import BiSeries, InexactDivision, bernoulli, parse_rational
+from mbch.tilde import TildeElement
 
 F = Fraction
 
@@ -299,3 +303,86 @@ def test_exact_division_roundtrip(q):
     ):
         v = d.min_degree()
         assert (q * d).divide_exact(d) == q.truncate(6 - v)
+
+
+# ---------------------------------------------------------------------------
+# One term printer and one exactness rule across the containers
+# ---------------------------------------------------------------------------
+
+def _nc(coeffs, n=4):
+    return NCSeries(n, {word_from_str(w): c for w, c in coeffs.items()})
+
+
+@pytest.mark.parametrize("element, text", [
+    (BiSeries(3, {(0, 0): -1, (1, 0): 1, (0, 1): -1, (1, 1): F(-3, 2),
+                  (2, 1): F(5, 7)}),
+     "-1 - y + x - 3/2 x y + 5/7 x^2 y"),
+    (BiSeries(2, {(0, 0): 1, (0, 2): -1}), "1 - y^2"),
+    (BiSeries.zero(2), "0"),
+    (_nc({"": -1, "X": -1, "XY": 1, "XXY": F(-2, 3), "YYX": 4}),
+     "-1 - X + XY - 2/3 X^2Y + 4 Y^2X"),
+    (_nc({"": 1, "X": F(1, 2)}), "1 + 1/2 X"),
+    (NCSeries.zero(2), "0"),
+    (LieElement({"X": -1, "Y": 1, ("X", "Y"): F(-1, 2), ("X", ("X", "Y")): -1,
+                 (("X", "Y"), ("X", ("X", "Y"))): 3}),
+     "-X + Y - 1/2 [XY] - [X^2Y] + 3 [[XY],[X^2Y]]"),
+    (LieElement.zero(), "0"),
+    (MetabelianElement(5, -1, 1, {(0, 0): -1, (1, 0): F(1, 2), (0, 1): 1,
+                                  (1, 1): F(-2, 3)}),
+     "-X + Y - [XY] + [YXY] + 1/2 [X^2Y] - 2/3 [XYXY]"),
+    (MetabelianElement(4, 0, F(-1, 3), {(0, 0): 1}), "-1/3 Y + [XY]"),
+    (MetabelianElement.zero(3), "0"),
+    (TildeElement(8, -2, 0, linear={(0, 0): -1, (0, 1): F(1, 3)},
+                  quadratic={((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): F(-5, 2)}),
+     "-2 X - {0,0} + 1/3 {0,1} - 5/2 [{0,1},{0,0}] + [{1,0},{0,0}]"),
+    (TildeElement(6, 1, -1), "X - Y"),
+    (TildeElement.zero(4), "0"),
+], ids=[
+    "BiSeries-mixed", "BiSeries-constant-1", "BiSeries-zero",
+    "NCSeries-mixed", "NCSeries-constant-1", "NCSeries-zero",
+    "LieElement-mixed", "LieElement-zero",
+    "Metabelian-mixed", "Metabelian-no-X", "Metabelian-zero",
+    "Tilde-mixed", "Tilde-generators", "Tilde-zero",
+])
+def test_str_is_byte_exact_for_every_container(element, text):
+    assert str(element) == text
+
+
+@pytest.mark.parametrize("bad", ["1/2", 0.5])
+def test_biseries_rejects_text_and_float_coefficients(bad):
+    one = BiSeries.one(2)
+    for build in (
+        lambda: BiSeries(2, {(0, 0): bad}),
+        lambda: BiSeries.constant(bad, 2),
+        lambda: one * bad,
+        lambda: bad * one,
+        lambda: one + bad,
+        lambda: one - bad,
+    ):
+        with pytest.raises(TypeError, match="rational scalar"):
+            build()
+
+
+def test_parse_rational_reads_text_and_integers_only():
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("0.1") == F(1, 10)
+    assert parse_rational(7) == 7
+    with pytest.raises(TypeError, match="rational scalar"):
+        parse_rational(0.1)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
+
+
+@pytest.mark.parametrize("cls, data", [
+    (BiSeries, {"truncation": 2, "terms": [{"i": 0, "j": 1, "c": 0.1}]}),
+    (NCSeries, {"truncation": 2, "terms": [{"word": "X", "c": 0.1}]}),
+    (LieSeries,
+     {"truncation": 2, "basis": "lyndon", "terms": [{"word": "X", "c": 0.1}]}),
+    (MetabelianElement,
+     {"truncation": 3, "X": 0.5, "terms": []}),
+    (TildeElement,
+     {"truncation": 4, "linear": [{"m": 0, "n": 0, "c": 0.1}]}),
+], ids=["BiSeries", "NCSeries", "LieSeries", "MetabelianElement", "TildeElement"])
+def test_from_json_dict_rejects_float_coefficients(cls, data):
+    with pytest.raises(TypeError, match="rational scalar"):
+        cls.from_json_dict(data)

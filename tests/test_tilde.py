@@ -7,8 +7,8 @@ import pytest
 
 from mbch.bch import bch_recursive, bch_recursive_steps, hausdorff_h1
 from mbch.freelie import (
+    Derivation,
     LieElement,
-    apply_derivation,
     bracket,
     ideal_membership,
     long_commutator,
@@ -22,7 +22,6 @@ from mbch.tilde import (
     hausdorff_tilde,
     tilde_act,
     tilde_dy,
-    tilde_normalize,
 )
 
 
@@ -35,23 +34,23 @@ def _coords(e: LieElement) -> dict:
 # ---------------------------------------------------------------------------
 
 def test_normalize_orders_pairs():
-    e = tilde_normalize(8, quadratic={((0, 0), (1, 0)): F(1)})
+    e = TildeElement(8, quadratic={((0, 0), (1, 0)): F(1)})
     assert e.quadratic_coefficient((1, 0), (0, 0)) == -1
     assert e.quadratic_coefficient((0, 0), (1, 0)) == 1
     assert [k for k, _ in e.quadratic_terms()] == [((1, 0), (0, 0))]
 
 
 def test_normalize_kills_equal_pairs():
-    assert tilde_normalize(10, quadratic={((1, 2), (1, 2)): F(5)}).is_zero()
+    assert TildeElement(10, quadratic={((1, 2), (1, 2)): F(5)}).is_zero()
 
 
 def test_normalize_keeps_ordered_pairs():
-    e = tilde_normalize(16, quadratic={((2, 0), (1, 5)): F(3)})
+    e = TildeElement(16, quadratic={((2, 0), (1, 5)): F(3)})
     assert e.quadratic_coefficient((2, 0), (1, 5)) == 3
 
 
 def test_normalize_merges_mirrored_keys():
-    e = tilde_normalize(
+    e = TildeElement(
         8, quadratic={((0, 0), (1, 0)): F(2), ((1, 0), (0, 0)): F(5)}
     )
     assert e.quadratic_coefficient((1, 0), (0, 0)) == 3
@@ -172,7 +171,7 @@ def test_dy_exactness_through_degree_six():
                 continue
             e = TildeElement(n_work, linear={(m, n): F(1)})
             lhs = expand_to_free(tilde_dy(e, n_work))
-            rhs = apply_derivation((None, h1), expand_to_free(e), n_work)
+            rhs = Derivation(None, h1, n_work)(expand_to_free(e))
             assert _coords(lhs) == _coords(rhs), (m, n)
 
 
@@ -252,5 +251,5 @@ def test_expand_projects_to_negative_table_entry():
 
 
 def test_expand_equal_pair_is_zero():
-    e = tilde_normalize(8, quadratic={((0, 0), (0, 0)): F(1)})
+    e = TildeElement(8, quadratic={((0, 0), (0, 0)): F(1)})
     assert expand_to_free(e).is_zero()
