@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .series import _as_fraction, format_rational, format_terms, parse_rational
+from .series import _as_fraction, format_rational, format_terms, parse_int, parse_rational
 
 __all__ = [
     "NCSeries",
@@ -208,7 +208,7 @@ class NCSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "NCSeries":
         coeffs = {word_from_str(t["word"]): parse_rational(t["c"]) for t in data["terms"]}
-        return cls(int(data["truncation"]), coeffs)
+        return cls(parse_int(data["truncation"]), coeffs)
 
     def __str__(self) -> str:
         return format_terms((c, _compress_word(w)) for w, c in self.terms())
@@ -240,19 +240,24 @@ def nc_exp(a: NCSeries) -> NCSeries:
         raise ValueError("nonzero constant term")
     n = a.truncation
     s = NCSeries.one(n)
-    for k in range(n, 0, -1):
+    if a.is_zero():
+        return s
+    # a^k vanishes under the truncation once k * min_degree > n.
+    for k in range(n // a.min_degree(), 0, -1):
         s = NCSeries.one(n) + (a * s) * Fraction(1, k)
     return s
 
 
 def nc_log(a: NCSeries) -> NCSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1, bounded as in ``nc_exp``."""
     if a.coefficient((0, 0)) != 1:
         raise ValueError("constant term must be 1")
     n = a.truncation
     z = a - NCSeries.one(n)
     s = NCSeries.zero(n)
-    for k in range(n, 0, -1):
+    if z.is_zero():
+        return s
+    for k in range(n // z.min_degree(), 0, -1):
         s = z * (NCSeries.one(n) * Fraction(1, k) - s)
     return s
 

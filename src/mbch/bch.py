@@ -5,16 +5,16 @@ derivation recursion: with D the derivation sending X to 0 and Y to the
 series ``hausdorff_h1``, the pieces H_0 = Y, H_m = D(H_{m-1})/m sum to
 the full series, and H_m collects exactly the terms of degree m in X.
 ``bch_dynkin`` evaluates the explicit double sum over tuples of block
-exponents.  Both agree, word for word, with the noncommutative oracle
-``assoc.bch_log_oracle``; the test suite checks all three against each
-other.
+exponents, as a dynamic program over words.  Both agree, word for word,
+with the noncommutative oracle ``assoc.bch_log_oracle``; the test suite
+checks all three against each other.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Iterator
 
 from .series import bernoulli
@@ -90,45 +90,41 @@ def bch_recursive(truncation: int) -> LieSeries:
 def bch_dynkin(truncation: int) -> LieSeries:
     """log(e^X e^Y) through the given degree, by the explicit tuple sum.
 
-    Enumerates every tuple (p_1, q_1, ..., p_m, q_m) with p_i + q_i > 0
-    and total degree d = sum(p_i + q_i) at most the truncation, and
-    accumulates
+    Sums, over every tuple (p_1, q_1, ..., p_m, q_m) with p_i + q_i > 0
+    and total degree d = sum(p_i + q_i) at most the truncation,
 
         (-1)^(m-1) / m * [X^{p_1} Y^{q_1} ... X^{p_m} Y^{q_m}]
             / (d * p_1! q_1! ... p_m! q_m!)
 
-    No tuple is filtered out in advance; words whose long commutator
-    vanishes (trailing repeated letter) simply contribute zero.
+    as a dynamic program over words that appends the last block.  For
+    the m-block tuples spelling w, layer_m[w] = |w|! sum 1/(p_1! ... q_m!)
+    is a sum of multinomials, an integer, and word w carries
+    sum_m (-1)^(m-1) layer_m[w] / (m |w| |w|!).  No tuple is filtered out;
+    a word whose long commutator vanishes simply contributes zero.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    totals: dict[str, Fraction] = {}
-
-    def extend(word: str, degree: int, m: int, denom: int) -> None:
-        if m:
-            sign = 1 if m % 2 else -1
-            c = Fraction(sign, m * degree * denom)
-            totals[word] = totals.get(word, Fraction(0)) + c
-        for size in range(1, truncation - degree + 1):
-            for p in range(size + 1):
-                q = size - p
-                extend(
-                    word + "X" * p + "Y" * q,
-                    degree + size,
-                    m + 1,
-                    denom * factorial(p) * factorial(q),
-                )
-
-    extend("", 0, 0, 1)
+    n = truncation
+    scale = lcm(*range(1, n + 1))
+    totals: dict[str, int] = {}
+    layer = {"": 1}
+    for m in range(1, n + 1):
+        nxt: dict[str, int] = {}
+        for word, c in layer.items():
+            for size in range(1, n - len(word) + 1):
+                # (|w|+p+q)! / (|w|! p! q!) = C(|w|+size, size) C(size, p)
+                grow = c * comb(len(word) + size, size)
+                for p in range(size + 1):
+                    w = word + "X" * p + "Y" * (size - p)
+                    nxt[w] = nxt.get(w, 0) + grow * comb(size, p)
+        for word, c in nxt.items():
+            totals[word] = totals.get(word, 0) + (-1) ** (m - 1) * (scale // m) * c
+        layer = nxt
 
     terms: dict = {}
     for word, c in totals.items():
-        if not c:
-            continue
-        for t, tc in long_commutator(word).term_dict().items():
-            v = terms.get(t, Fraction(0)) + c * tc
-            if v:
-                terms[t] = v
-            else:
-                terms.pop(t, None)
+        if c:
+            c = Fraction(c, scale * len(word) * factorial(len(word)))
+            for t, tc in long_commutator(word).term_dict().items():
+                terms[t] = terms.get(t, 0) + c * tc
     return LieSeries.from_element(LieElement(terms), truncation)

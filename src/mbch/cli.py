@@ -370,6 +370,8 @@ def main(argv=None) -> int:
         try:
             cap = int(env_cap)
         except ValueError:
+            cap = 0
+        if cap < 1:
             return _usage_error(f"invalid {CAP_ENV}: {env_cap!r}")
     low = MIN_DEGREES[ns.command]
     if ns.degree < low:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .assoc import NCSeries, _compress_word, _scaled, word_from_str
-from .series import _as_fraction, format_rational, format_terms, parse_rational
+from .series import _as_fraction, format_rational, format_terms, parse_int, parse_rational
 
 __all__ = [
     "BracketTree",
@@ -329,7 +329,7 @@ class LieSeries:
         e = from_lyndon_coords(
             {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
         )
-        return cls.from_element(e, int(data["truncation"]))
+        return cls.from_element(e, parse_int(data["truncation"]))
 
     def __str__(self) -> str:
         coords = to_lyndon_coords(self)

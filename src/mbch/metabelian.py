@@ -29,6 +29,7 @@ from .series import (
     _as_fraction,
     format_rational,
     format_terms,
+    parse_int,
     parse_rational,
 )
 from .freelie import (
@@ -196,11 +197,11 @@ class MetabelianElement:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetabelianElement":
         table = {
-            (int(t["k"]), int(t["l"])): parse_rational(t["c"])
+            (parse_int(t["k"]), parse_int(t["l"])): parse_rational(t["c"])
             for t in data["terms"]
         }
         return cls(
-            int(data["truncation"]),
+            parse_int(data["truncation"]),
             parse_rational(data.get("X", 0)),
             parse_rational(data.get("Y", 0)),
             table,

@@ -8,8 +8,9 @@ term-for-term the operation raises ``InexactDivision`` instead of silently
 producing a Laurent-style object (negative powers never exist here).
 
 This module also holds what every container in the package shares: the
-coefficient rule ``_as_fraction`` (Fraction or int, never float), the
-JSON/CLI reader ``parse_rational`` and the term printer ``format_terms``.
+coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
+the JSON/CLI readers ``parse_rational`` and ``parse_int`` and the term
+printer ``format_terms``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "BiSeries",
     "format_rational",
     "format_terms",
+    "parse_int",
     "parse_rational",
 ]
 
@@ -42,18 +44,25 @@ def parse_rational(s: str | int) -> Fraction:
     """Read a rational from text such as ``"-3/4"`` or from an integer.
 
     This is the JSON and command-line boundary.  A float is refused: its
-    binary value is not the decimal that was written.
+    binary value is not the decimal that was written.  So is a bool.
     """
     if isinstance(s, str):
         return Fraction(s)
     return _as_fraction(s)
 
 
+def parse_int(v: int) -> int:
+    """Read a JSON index or truncation: an ``int``, never float, bool or str."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise TypeError(f"expected an integer, got {type(v).__name__}")
+
+
 def _as_fraction(v) -> Fraction:
-    """The exactness rule for coefficients: Fraction or int, never float."""
+    """The exactness rule for coefficients: Fraction or int, never float or bool."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     raise TypeError(f"expected a rational scalar, got {type(v).__name__}")
 
@@ -433,9 +442,10 @@ class BiSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiSeries":
         coeffs = {
-            (int(t["i"]), int(t["j"])): parse_rational(t["c"]) for t in data["terms"]
+            (parse_int(t["i"]), parse_int(t["j"])): parse_rational(t["c"])
+            for t in data["terms"]
         }
-        return cls(int(data["truncation"]), coeffs)
+        return cls(parse_int(data["truncation"]), coeffs)
 
     def __str__(self) -> str:
         pairs = []

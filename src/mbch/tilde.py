@@ -34,6 +34,7 @@ from .series import (
     bernoulli,
     format_rational,
     format_terms,
+    parse_int,
     parse_rational,
 )
 from .freelie import LieElement, bracket, long_commutator
@@ -221,18 +222,18 @@ class TildeElement:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TildeElement":
         lin = {
-            (int(t["m"]), int(t["n"])): parse_rational(t["c"])
+            (parse_int(t["m"]), parse_int(t["n"])): parse_rational(t["c"])
             for t in data.get("linear", [])
         }
         quad = {
             (
-                (int(t["k"]), int(t["l"])),
-                (int(t["m"]), int(t["n"])),
+                (parse_int(t["k"]), parse_int(t["l"])),
+                (parse_int(t["m"]), parse_int(t["n"])),
             ): parse_rational(t["c"])
             for t in data.get("quadratic", [])
         }
         return cls(
-            int(data["truncation"]),
+            parse_int(data["truncation"]),
             parse_rational(data.get("X", 0)),
             parse_rational(data.get("Y", 0)),
             lin,

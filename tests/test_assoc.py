@@ -100,6 +100,39 @@ def test_log_guard_and_inverse_laws():
     assert nc_exp(nc_log(u)) == u
 
 
+def _exp_unbounded(a):
+    n = a.truncation
+    s = NCSeries.one(n)
+    for k in range(n, 0, -1):
+        s = NCSeries.one(n) + (a * s) * F(1, k)
+    return s
+
+
+def _log_unbounded(a):
+    n = a.truncation
+    z = a - NCSeries.one(n)
+    s = NCSeries.zero(n)
+    for k in range(n, 0, -1):
+        s = z * (NCSeries.one(n) * F(1, k) - s)
+    return s
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7])
+@pytest.mark.parametrize("terms", [
+    {"X": 1, "Y": F(-2, 3)},
+    {"XY": 1, "YX": -1},
+    {"XXY": F(1, 2), "YYX": F(3, 5), "XYX": -1},
+    {"X": F(1, 3), "XY": 2, "YYY": F(-1, 7), "XYXY": 1},
+    {"XY": F(2, 3), "XXY": -1, "XYYXY": F(1, 11)},
+    {},
+], ids=["valuation1", "valuation2", "valuation3", "mixed1", "mixed2", "zero"])
+def test_bounded_exp_log_equal_unbounded_horner(n, terms):
+    a = NCSeries.from_strings(terms, n)
+    assert nc_exp(a) == _exp_unbounded(a)
+    u = NCSeries.one(n) + a
+    assert nc_log(u) == _log_unbounded(u)
+
+
 def test_coefficient_beyond_truncation():
     s = NCSeries.generator("X", 3)
     with pytest.raises(ValueError, match="word beyond truncation"):
@@ -152,6 +185,17 @@ def test_zassenhaus_oracle_first_factor_and_reconstruction():
     y = NCSeries.generator("Y", n)
     prod = nc_exp(x) * nc_exp(y)
     for c in factors:
+        prod = prod * nc_exp(to_assoc(c, n))
+    assert prod == nc_exp(x + y)
+
+
+def test_zassenhaus_oracle_degree_nine_reconstructs_exp_of_sum():
+    n = 9
+    x = NCSeries.generator("X", n)
+    y = NCSeries.generator("Y", n)
+    prod = nc_exp(x) * nc_exp(y)
+    for d, c in enumerate(zassenhaus_oracle(n), start=2):
+        assert all(len(w) == d for w, _ in to_assoc(c, n).terms())
         prod = prod * nc_exp(to_assoc(c, n))
     assert prod == nc_exp(x + y)
 

@@ -1,6 +1,7 @@
 """Tests for the two free Lie algebra constructions of log(e^X e^Y)."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from mbch.bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h
 from mbch.freelie import (
     LieSeries,
     from_lyndon_coords,
+    long_commutator,
     right_normed,
     to_assoc,
     to_lyndon_coords,
@@ -98,6 +100,33 @@ def test_dynkin_degree_two_by_hand():
 def test_dynkin_rejects_bad_truncation():
     with pytest.raises(ValueError, match="truncation"):
         bch_dynkin(0)
+
+
+def _dynkin_by_tuples(truncation):
+    """Term dict of the tuple sum, visiting every block tuple one at a time."""
+    totals = {}
+
+    def extend(word, degree, m, denom):
+        if m:
+            c = F(1 if m % 2 else -1, m * degree * denom)
+            totals[word] = totals.get(word, F(0)) + c
+        for size in range(1, truncation - degree + 1):
+            for p in range(size + 1):
+                q = size - p
+                extend(word + "X" * p + "Y" * q, degree + size, m + 1,
+                       denom * factorial(p) * factorial(q))
+
+    extend("", 0, 0, 1)
+    terms = {}
+    for word, c in totals.items():
+        for t, tc in long_commutator(word).term_dict().items():
+            terms[t] = terms.get(t, F(0)) + c * tc
+    return {t: c for t, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dynkin_word_dp_equals_tuple_enumeration(n):
+    assert bch_dynkin(n).as_element().term_dict() == _dynkin_by_tuples(n)
 
 
 # ---------------------------------------------------------------------------

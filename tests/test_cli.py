@@ -208,6 +208,18 @@ def test_kv_solve_bad_g_coefficient_is_usage_error(capsys, c):
     assert "malformed --g" in err
 
 
+@pytest.mark.parametrize("g", [
+    '{"truncation": 1e400, "terms": []}',
+    '{"truncation": 3, "terms": [{"i": 1e400, "j": 1, "c": "1"}]}',
+    '{"truncation": 3, "terms": [{"i": 0.5, "j": 1, "c": "1"}]}',
+    '{"truncation": 3, "terms": [{"i": 0, "j": 1, "c": true}]}',
+], ids=["overflow-truncation", "overflow-index", "float-index", "bool-coefficient"])
+def test_kv_solve_non_integer_g_field_is_usage_error(capsys, g):
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
+    assert (rc, out) == (2, "")
+    assert "malformed --g" in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, "bch", "--degree", "3", "--output", str(target))
@@ -242,6 +254,12 @@ def test_env_var_overrides_cap(capsys, monkeypatch):
     rc, _, err = run(capsys, "bch", "--degree", "6")
     assert rc == 2
     assert "MBCH_DEGREE_CAP" in err
+    # A cap below 1 is malformed too, not a cap every degree exceeds.
+    for cap in ("-5", "0"):
+        monkeypatch.setenv("MBCH_DEGREE_CAP", cap)
+        rc, out, err = run(capsys, "bch", "--degree", "3")
+        assert (rc, out) == (2, "")
+        assert f"invalid MBCH_DEGREE_CAP: '{cap}'" in err
 
 
 def test_inexact_division_exits_3(capsys, monkeypatch):

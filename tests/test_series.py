@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mbch.assoc import NCSeries, word_from_str
 from mbch.freelie import LieElement, LieSeries
 from mbch.metabelian import MetabelianElement
-from mbch.series import BiSeries, InexactDivision, bernoulli, parse_rational
+from mbch.series import BiSeries, InexactDivision, bernoulli, parse_int, parse_rational
 from mbch.tilde import TildeElement
 
 F = Fraction
@@ -369,8 +369,18 @@ def test_parse_rational_reads_text_and_integers_only():
     assert parse_rational(7) == 7
     with pytest.raises(TypeError, match="rational scalar"):
         parse_rational(0.1)
+    with pytest.raises(TypeError, match="rational scalar"):
+        parse_rational(True)
     with pytest.raises(ZeroDivisionError):
         parse_rational("1/0")
+
+
+def test_parse_int_reads_json_integers_only():
+    assert parse_int(3) == 3
+    assert parse_int(-2) == -2
+    for bad in (0.5, 2.0, float("inf"), True, False, "3", None):
+        with pytest.raises(TypeError, match="expected an integer"):
+            parse_int(bad)
 
 
 @pytest.mark.parametrize("cls, data", [
@@ -385,4 +395,18 @@ def test_parse_rational_reads_text_and_integers_only():
 ], ids=["BiSeries", "NCSeries", "LieSeries", "MetabelianElement", "TildeElement"])
 def test_from_json_dict_rejects_float_coefficients(cls, data):
     with pytest.raises(TypeError, match="rational scalar"):
+        cls.from_json_dict(data)
+
+
+@pytest.mark.parametrize("cls, data", [
+    (BiSeries, {"truncation": 3, "terms": [{"i": 0.5, "j": 1, "c": "1"}]}),
+    (NCSeries, {"truncation": 1e400, "terms": []}),
+    (LieSeries, {"truncation": 2.0, "basis": "lyndon", "terms": []}),
+    (MetabelianElement,
+     {"truncation": 4, "terms": [{"k": True, "l": 0, "c": "1"}]}),
+    (TildeElement,
+     {"truncation": 6, "quadratic": [{"k": 0, "l": 1, "m": "1", "n": 0, "c": "1"}]}),
+], ids=["BiSeries", "NCSeries", "LieSeries", "MetabelianElement", "TildeElement"])
+def test_from_json_dict_rejects_non_integer_indices(cls, data):
+    with pytest.raises(TypeError, match="expected an integer"):
         cls.from_json_dict(data)
