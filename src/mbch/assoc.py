@@ -8,11 +8,19 @@ bit i = 1 when position i holds Y, so keys hash fast and stay tiny.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-from .series import _as_fraction, format_rational, format_terms, parse_int, parse_rational
+from .series import (
+    _as_fraction,
+    _refuse_beyond,
+    format_rational,
+    format_terms,
+    parse_int,
+    parse_rational,
+)
 
 __all__ = [
     "NCSeries",
@@ -207,8 +215,10 @@ class NCSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NCSeries":
+        n = parse_int(data["truncation"])
         coeffs = {word_from_str(t["word"]): parse_rational(t["c"]) for t in data["terms"]}
-        return cls(parse_int(data["truncation"]), coeffs)
+        _refuse_beyond(n, (length for length, _ in coeffs))
+        return cls(n, coeffs)
 
     def __str__(self) -> str:
         return format_terms((c, _compress_word(w)) for w, c in self.terms())
@@ -262,16 +272,12 @@ def nc_log(a: NCSeries) -> NCSeries:
     return s
 
 
-_BCH_ORACLE_CACHE: dict[int, NCSeries] = {}
-
-
+@functools.cache
 def bch_log_oracle(truncation: int) -> NCSeries:
     """log(e^X e^Y) computed purely on words."""
-    if truncation not in _BCH_ORACLE_CACHE:
-        x = NCSeries.generator("X", truncation)
-        y = NCSeries.generator("Y", truncation)
-        _BCH_ORACLE_CACHE[truncation] = nc_log(nc_exp(x) * nc_exp(y))
-    return _BCH_ORACLE_CACHE[truncation]
+    x = NCSeries.generator("X", truncation)
+    y = NCSeries.generator("Y", truncation)
+    return nc_log(nc_exp(x) * nc_exp(y))
 
 
 def zassenhaus_oracle(truncation: int) -> list:

@@ -12,7 +12,7 @@ checks all three against each other.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator
@@ -68,23 +68,13 @@ def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
         yield h
 
 
-_RECURSIVE_LOCK = threading.Lock()
-_RECURSIVE_CACHE: dict[int, LieSeries] = {}
-
-
+@functools.cache
 def bch_recursive(truncation: int) -> LieSeries:
     """log(e^X e^Y) through the given degree, by the derivation recursion."""
-    with _RECURSIVE_LOCK:
-        cached = _RECURSIVE_CACHE.get(truncation)
-    if cached is not None:
-        return cached
     total = LieElement.zero()
     for h in bch_recursive_steps(truncation):
         total = total + h
-    out = LieSeries.from_element(total, truncation)
-    with _RECURSIVE_LOCK:
-        _RECURSIVE_CACHE[truncation] = out
-    return out
+    return LieSeries.from_element(total, truncation)
 
 
 def bch_dynkin(truncation: int) -> LieSeries:

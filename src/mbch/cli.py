@@ -360,8 +360,9 @@ def main(argv=None) -> int:
         else:
             try:
                 ns.g = BiSeries.from_json_dict(json.loads(ns.g))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                # json.JSONDecodeError is a ValueError
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError):
+                # json.JSONDecodeError is a ValueError; deep nesting
+                # exhausts the decoder's recursion
                 return _usage_error("malformed --g: expected 'zero' or series JSON")
 
     cap = _degree_cap(ns)

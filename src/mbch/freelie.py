@@ -24,11 +24,19 @@ element into a combination of such chains via [[A,B],C] = [A,[B,C]] -
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .assoc import NCSeries, _compress_word, _scaled, word_from_str
-from .series import _as_fraction, format_rational, format_terms, parse_int, parse_rational
+from .series import (
+    _as_fraction,
+    _refuse_beyond,
+    format_rational,
+    format_terms,
+    parse_int,
+    parse_rational,
+)
 
 __all__ = [
     "BracketTree",
@@ -63,26 +71,15 @@ _GENERATORS = ("X", "Y")
 # Trees
 # ---------------------------------------------------------------------------
 
-_DEGREE_CACHE: dict[BracketTree, int] = {"X": 1, "Y": 1}
-_VALID_TREES: set = {"X", "Y"}
-
-
-def _check_tree(t: BracketTree) -> None:
-    if t in _VALID_TREES:
-        return
+@functools.cache
+def tree_degree(t: BracketTree) -> int:
+    """Number of letters of a bracket tree; raises on anything else, so
+    ``LieElement`` validates its trees through this one table."""
+    if t in _GENERATORS:
+        return 1
     if not (isinstance(t, tuple) and len(t) == 2):
         raise ValueError(f"not a bracket tree: {t!r}")
-    _check_tree(t[0])
-    _check_tree(t[1])
-    _VALID_TREES.add(t)
-
-
-def tree_degree(t: BracketTree) -> int:
-    d = _DEGREE_CACHE.get(t)
-    if d is None:
-        d = tree_degree(t[0]) + tree_degree(t[1])
-        _DEGREE_CACHE[t] = d
-    return d
+    return tree_degree(t[0]) + tree_degree(t[1])
 
 
 def chain_tree(word: str) -> BracketTree:
@@ -130,7 +127,7 @@ class LieElement:
         clean: dict[BracketTree, Fraction] = {}
         if terms:
             for t, v in terms.items():
-                _check_tree(t)
+                tree_degree(t)
                 c = _as_fraction(v)
                 if c:
                     clean[t] = c
@@ -326,10 +323,10 @@ class LieSeries:
     def from_json_dict(cls, data: dict) -> "LieSeries":
         if data.get("basis") != "lyndon":
             raise ValueError("expected lyndon basis")
-        e = from_lyndon_coords(
-            {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
-        )
-        return cls.from_element(e, parse_int(data["truncation"]))
+        n = parse_int(data["truncation"])
+        coords = {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
+        _refuse_beyond(n, map(len, coords))
+        return cls.from_element(from_lyndon_coords(coords), n)
 
     def __str__(self) -> str:
         coords = to_lyndon_coords(self)
@@ -348,28 +345,23 @@ class LieSeries:
 # Lyndon words and their standard bracketings
 # ---------------------------------------------------------------------------
 
-_LYNDON_CACHE: dict[int, list[str]] = {}
-
-
 def lyndon_words(degree: int) -> list[str]:
     """All Lyndon words of the given length over X < Y, in lexicographic
     order (Duval's algorithm)."""
     if degree < 1:
         raise ValueError("degree must be positive")
-    if degree not in _LYNDON_CACHE:
-        found = []
-        w = [-1]
-        while w:
-            w[-1] += 1
-            if len(w) == degree:
-                found.append("".join(_GENERATORS[i] for i in w))
-            m = len(w)
-            while len(w) < degree:
-                w.append(w[len(w) - m])
-            while w and w[-1] == 1:
-                w.pop()
-        _LYNDON_CACHE[degree] = found
-    return list(_LYNDON_CACHE[degree])
+    found = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == degree:
+            found.append("".join(_GENERATORS[i] for i in w))
+        m = len(w)
+        while len(w) < degree:
+            w.append(w[len(w) - m])
+        while w and w[-1] == 1:
+            w.pop()
+    return found
 
 
 def is_lyndon(word: str) -> bool:
@@ -387,16 +379,12 @@ def standard_factorization(word: str) -> tuple[str, str]:
     return word[: len(word) - len(v)], v
 
 
-_SB_CACHE: dict[str, BracketTree] = {"X": "X", "Y": "Y"}
-
-
+@functools.cache
 def standard_bracketing(word: str) -> BracketTree:
-    t = _SB_CACHE.get(word)
-    if t is None:
-        u, v = standard_factorization(word)
-        t = (standard_bracketing(u), standard_bracketing(v))
-        _SB_CACHE[word] = t
-    return t
+    if word in _GENERATORS:
+        return word
+    u, v = standard_factorization(word)
+    return (standard_bracketing(u), standard_bracketing(v))
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +432,13 @@ def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
     )
 
 
-_SB_EXPANSION_CACHE: dict[int, list] = {}
-
-
+@functools.cache
 def _sb_expansions(degree: int) -> list:
     """(word, packed key, expansion) for each Lyndon word of the degree."""
-    if degree not in _SB_EXPANSION_CACHE:
-        rows = []
-        for w in lyndon_words(degree):
-            rows.append((w, word_from_str(w), _expand({standard_bracketing(w): 1})))
-        _SB_EXPANSION_CACHE[degree] = rows
-    return _SB_EXPANSION_CACHE[degree]
+    return [
+        (w, word_from_str(w), _expand({standard_bracketing(w): 1}))
+        for w in lyndon_words(degree)
+    ]
 
 
 def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
@@ -513,9 +497,6 @@ def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
 # Right-normed rewriting
 # ---------------------------------------------------------------------------
 
-_RN_CACHE: dict[BracketTree, dict] = {"X": {"X": 1}, "Y": {"Y": 1}}
-
-
 def _rn_ad(t: BracketTree, vmap: dict) -> dict:
     """Apply ad(t) to a word-keyed map, staying in right-normed form.
 
@@ -541,12 +522,11 @@ def _rn_ad(t: BracketTree, vmap: dict) -> dict:
     return first
 
 
+@functools.cache
 def _rn_tree(t: BracketTree) -> dict:
-    e = _RN_CACHE.get(t)
-    if e is None:
-        e = _rn_ad(t[0], _rn_tree(t[1]))
-        _RN_CACHE[t] = e
-    return e
+    if isinstance(t, str):
+        return {t: 1}
+    return _rn_ad(t[0], _rn_tree(t[1]))
 
 
 def right_normed(a: LieElement) -> LieElement:
@@ -682,7 +662,6 @@ def span_rank(vectors: Iterable[dict]) -> int:
 
 
 _IDEALS = ("metabelian", "deeper")
-_IDEAL_REDUCERS: dict[tuple[str, int], _RowReducer] = {}
 
 
 def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
@@ -731,14 +710,12 @@ def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
     return out
 
 
+@functools.cache
 def _ideal_reducer(ideal: str, degree: int) -> _RowReducer:
-    key = (ideal, degree)
-    if key not in _IDEAL_REDUCERS:
-        r = _RowReducer()
-        for e in ideal_spanning_elements(ideal, degree):
-            r.add(to_lyndon_coords(e))
-        _IDEAL_REDUCERS[key] = r
-    return _IDEAL_REDUCERS[key]
+    r = _RowReducer()
+    for e in ideal_spanning_elements(ideal, degree):
+        r.add(to_lyndon_coords(e))
+    return r
 
 
 def ideal_membership(a: LieElement | LieSeries, ideal: str) -> bool:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .series import (
     BiSeries,
     _as_fraction,
+    _refuse_beyond,
     format_rational,
     format_terms,
     parse_int,
@@ -196,12 +197,14 @@ class MetabelianElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetabelianElement":
+        n = parse_int(data["truncation"])
         table = {
             (parse_int(t["k"]), parse_int(t["l"])): parse_rational(t["c"])
             for t in data["terms"]
         }
+        _refuse_beyond(n, (k + l + 2 for k, l in table))
         return cls(
-            parse_int(data["truncation"]),
+            n,
             parse_rational(data.get("X", 0)),
             parse_rational(data.get("Y", 0)),
             table,

@@ -15,7 +15,7 @@ printer ``format_terms``.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
@@ -58,6 +58,16 @@ def parse_int(v: int) -> int:
     raise TypeError(f"expected an integer, got {type(v).__name__}")
 
 
+def _refuse_beyond(truncation: int, degrees: Iterable[int]) -> None:
+    """JSON input: a term above its declared truncation contradicts it.
+
+    The constructors drop such terms, as truncation requires; a reader
+    must not, or input that says two things would be half ignored.
+    """
+    if max(degrees, default=0) > truncation:
+        raise ValueError(f"term beyond the declared truncation {truncation}")
+
+
 def _as_fraction(v) -> Fraction:
     """The exactness rule for coefficients: Fraction or int, never float or bool."""
     if isinstance(v, Fraction):
@@ -96,26 +106,17 @@ def format_terms(pairs: Iterable[tuple[Fraction, str]]) -> str:
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
+@functools.cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n in the B_1 = -1/2 convention.
 
-    Computed from sum_{k=1}^{m} C(m+1, k) B_k = -1 (m >= 1) and cached.
+    From sum_{k<n} C(n+1, k) B_k = -(n+1) B_n (n >= 1), cached per n.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if n >= len(_BERNOULLI):
-        with _BERNOULLI_LOCK:
-            while len(_BERNOULLI) <= n:
-                m = len(_BERNOULLI)
-                acc = Fraction(-1)
-                for k in range(1, m):
-                    acc -= comb(m + 1, k) * _BERNOULLI[k]
-                _BERNOULLI.append(acc / (m + 1))
-    return _BERNOULLI[n]
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, k) * bernoulli(k) for k in range(n)) / (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +442,13 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiSeries":
+        n = parse_int(data["truncation"])
         coeffs = {
             (parse_int(t["i"]), parse_int(t["j"])): parse_rational(t["c"])
             for t in data["terms"]
         }
-        return cls(parse_int(data["truncation"]), coeffs)
+        _refuse_beyond(n, (i + j for i, j in coeffs))
+        return cls(n, coeffs)
 
     def __str__(self) -> str:
         pairs = []

@@ -25,12 +25,13 @@ long commutators are dropped, which is exactly the quotient relation.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import comb, factorial
 
 from .series import (
     _as_fraction,
+    _refuse_beyond,
     bernoulli,
     format_rational,
     format_terms,
@@ -221,6 +222,7 @@ class TildeElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TildeElement":
+        n = parse_int(data["truncation"])
         lin = {
             (parse_int(t["m"]), parse_int(t["n"])): parse_rational(t["c"])
             for t in data.get("linear", [])
@@ -232,8 +234,10 @@ class TildeElement:
             ): parse_rational(t["c"])
             for t in data.get("quadratic", [])
         }
+        _refuse_beyond(n, (sum(k) + 2 for k in lin))
+        _refuse_beyond(n, (sum(u) + sum(v) + 4 for u, v in quad))
         return cls(
-            parse_int(data["truncation"]),
+            n,
             parse_rational(data.get("X", 0)),
             parse_rational(data.get("Y", 0)),
             lin,
@@ -294,10 +298,6 @@ def tilde_act(gen: str, e: TildeElement) -> TildeElement:
     return TildeElement(e.truncation, 0, 0, lin, quad)
 
 
-_DY_LOCK = threading.Lock()
-_DY_CACHE: dict[tuple[int, int, int], TildeElement] = {}
-
-
 def _h1_tail(first: int, truncation: int) -> dict[Pair, Fraction]:
     """Coefficients of sum (B_l / l!) {first, l-1}, cut at the truncation."""
     out = {}
@@ -308,39 +308,25 @@ def _h1_tail(first: int, truncation: int) -> dict[Pair, Fraction]:
     return out
 
 
+@functools.cache
 def _dy_linear(m: int, n: int, truncation: int) -> TildeElement:
-    """D {m,n} by the explicit formulas, memoized per truncation."""
-    key = (m, n, truncation)
-    with _DY_LOCK:
-        out = _DY_CACHE.get(key)
-    if out is not None:
-        return out
+    """D {m,n}: the explicit formulas of the module docstring, one letter
+    at a time.
+
+    D kills X, so it commutes with ad X and D {m,n} = x D {m-1,n}; then
+    D {0,0} = -sum (B_l/l!) {1,l-1} and
+    D {0,n} = y D {0,n-1} + {1,n-1} + sum (B_l/l!) [{0,l-1},{0,n-1}].
+    """
+    if m:
+        return tilde_act("X", _dy_linear(m - 1, n, truncation))
     if n == 0:
-        out = Fraction(-1) * TildeElement(
-            truncation, linear=_h1_tail(m + 1, truncation)
-        )
-    else:
-        t = TildeElement(truncation, linear=_h1_tail(1, truncation))
-        for _ in range(n):
-            t = tilde_act("Y", t)
-        acc = Fraction(-1) * t
-        for k in range(n):
-            s = n - k - 1
-            quad = {}
-            for l in range(1, truncation):
-                c = bernoulli(l)
-                if c:
-                    quad[((0, l - 1), (0, s))] = c / factorial(l)
-            piece = TildeElement(truncation, linear={(1, s): 1}, quadratic=quad)
-            for _ in range(k):
-                piece = tilde_act("Y", piece)
-            acc = acc + piece
-        for _ in range(m):
-            acc = tilde_act("X", acc)
-        out = acc
-    with _DY_LOCK:
-        _DY_CACHE[key] = out
-    return out
+        return -TildeElement(truncation, linear=_h1_tail(1, truncation))
+    piece = TildeElement(
+        truncation,
+        linear={(1, n - 1): 1},
+        quadratic={(u, (0, n - 1)): c for u, c in _h1_tail(0, truncation).items()},
+    )
+    return tilde_act("Y", _dy_linear(0, n - 1, truncation)) + piece
 
 
 def tilde_dy(e: TildeElement, truncation: int) -> TildeElement:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mbch
 from mbch.bch import bch_recursive
@@ -220,6 +222,16 @@ def test_kv_solve_non_integer_g_field_is_usage_error(capsys, g):
     assert "malformed --g" in err
 
 
+@pytest.mark.parametrize("g", [
+    '{"truncation": 3, "terms": [{"i": 3, "j": 1, "c": "1"}]}',
+    "[" * 50000 + "]" * 50000,
+], ids=["term-beyond-truncation", "deep-nesting"])
+def test_kv_solve_contradictory_or_deep_g_is_usage_error(capsys, g):
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
+    assert (rc, out) == (2, "")
+    assert "malformed --g" in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, "bch", "--degree", "3", "--output", str(target))
@@ -301,3 +313,95 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every argv and --g JSON ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_INDEX = st.integers(-2, 8) | st.sampled_from([10**30, 0.5, 1e400, True, "1", None])
+_COEFFICIENT = (
+    st.fractions(max_denominator=50).map(str)
+    | st.integers()
+    | st.sampled_from(["1/0", "x", "", 0.1, True, None, []])
+)
+_SERIES = st.fixed_dictionaries({
+    "truncation": _INDEX,
+    "terms": st.lists(
+        st.fixed_dictionaries({"i": _INDEX, "j": _INDEX, "c": _COEFFICIENT}),
+        max_size=4,
+    ),
+})
+_G = st.just("zero") | _SERIES.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=12)
+_TOKEN = st.text(max_size=6)
+_COMMANDS = {
+    "bch": [("--method", st.sampled_from(["recursive", "dynkin", "oracle", "closed"]))],
+    "metabelian": [],
+    "goldberg": [],
+    "zassenhaus": [("--per-degree", st.none())],
+    "kv-solve": [
+        ("--a", st.fractions(max_denominator=20).map(str) | _TOKEN),
+        ("--g", _G),
+    ],
+    "deeper": [],
+    "verify": [
+        ("--suite", st.sampled_from(["all", "bch", "metabelian", "zassenhaus", "kv", "deeper"]))
+    ],
+}
+# Every flag with free-form values, for any subcommand: argparse's own
+# rejections are fuzzed too.
+_ANY_OPTION = [
+    ("--degree", _TOKEN),
+    ("--format", _TOKEN),
+    ("--method", _TOKEN),
+    ("--suite", _TOKEN),
+    ("--a", _TOKEN),
+    ("--g", _G),
+    ("--per-degree", st.none()),
+]
+
+
+@st.composite
+def _options(draw, options):
+    argv = []
+    for flag, value in options:
+        if draw(st.booleans()):
+            v = draw(value)
+            if v is None:
+                argv.append(flag)
+            elif draw(st.booleans()):
+                argv.append(f"{flag}={v}")
+            else:
+                argv += [flag, v]
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    if draw(st.integers(0, 3)):
+        degree = str(draw(st.sampled_from(range(8))))
+        options = [("--format", st.sampled_from(["json", "csv", "text"]))] + _COMMANDS[command]
+        return [command, "--degree", degree, *draw(_options(options))]
+    words = [command if draw(st.booleans()) else draw(_TOKEN)]
+    return words + draw(_options(_ANY_OPTION)) + draw(st.lists(_TOKEN, max_size=2))
+
+
+# The environment variable is set once for every example, so sharing the
+# function-scoped monkeypatch across them is safe.
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argv())
+def test_cli_fuzz_exits_with_a_documented_code(monkeypatch, argv):
+    monkeypatch.setenv("MBCH_DEGREE_CAP", "6")
+    assert main(argv) in (0, 1, 2, 3)

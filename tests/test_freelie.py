@@ -206,6 +206,14 @@ def test_lie_element_rejects_floats(bad):
         bad()
 
 
+@pytest.mark.parametrize("tree", ["Z", ("X",), ("X", "Y", "X"), ("X", ("Y",))])
+def test_lie_element_rejects_non_trees(tree):
+    # Twice: the cached degree table must not remember a failed tree.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a bracket tree"):
+            LieElement({tree: 1})
+
+
 def _tree_of_degree(draw, d):
     if d == 1:
         return draw(st.sampled_from("XY"))

@@ -410,3 +410,21 @@ def test_from_json_dict_rejects_float_coefficients(cls, data):
 def test_from_json_dict_rejects_non_integer_indices(cls, data):
     with pytest.raises(TypeError, match="expected an integer"):
         cls.from_json_dict(data)
+
+
+@pytest.mark.parametrize("cls, data", [
+    (BiSeries, {"truncation": 3, "terms": [{"i": 3, "j": 1, "c": "1"}]}),
+    (NCSeries, {"truncation": 2, "terms": [{"word": "XYX", "c": "1"}]}),
+    (LieSeries,
+     {"truncation": 2, "basis": "lyndon", "terms": [{"word": "XXY", "c": "1"}]}),
+    (MetabelianElement,
+     {"truncation": 4, "terms": [{"k": 2, "l": 1, "c": "1"}]}),
+    (TildeElement, {"truncation": 4, "linear": [{"m": 1, "n": 2, "c": "1"}]}),
+    (TildeElement,
+     {"truncation": 6, "quadratic": [{"k": 1, "l": 0, "m": 0, "n": 2, "c": "1"}]}),
+], ids=["BiSeries", "NCSeries", "LieSeries", "MetabelianElement", "TildeElement-linear",
+        "TildeElement-quadratic"])
+def test_from_json_dict_rejects_terms_beyond_truncation(cls, data):
+    # The constructors drop such terms; JSON that contradicts itself is refused.
+    with pytest.raises(ValueError, match="beyond the declared truncation"):
+        cls.from_json_dict(data)

@@ -175,6 +175,44 @@ def test_dy_exactness_through_degree_six():
             assert _coords(lhs) == _coords(rhs), (m, n)
 
 
+def _explicit_dy_linear(m, n, truncation):
+    """D {m,n} straight from the explicit formulas of the module docstring,
+    every letter of x^m y^k applied afresh: a reference that shares no
+    memo with the recursion in ``tilde``."""
+
+    def tail(first):
+        return {
+            (first, l - 1): bernoulli(l) / factorial(l)
+            for l in range(1, truncation - first)
+            if bernoulli(l)
+        }
+
+    if n == 0:
+        return F(-1) * TildeElement(truncation, linear=tail(m + 1))
+    t = TildeElement(truncation, linear=tail(1))
+    for _ in range(n):
+        t = tilde_act("Y", t)
+    acc = F(-1) * t
+    for k in range(n):
+        s = n - k - 1
+        quad = {(u, (0, s)): c for u, c in tail(0).items()}
+        piece = TildeElement(truncation, linear={(1, s): 1}, quadratic=quad)
+        for _ in range(k):
+            piece = tilde_act("Y", piece)
+        acc = acc + piece
+    for _ in range(m):
+        acc = tilde_act("X", acc)
+    return acc
+
+
+def test_dy_recursion_equals_explicit_formula_through_degree_14():
+    n_work = 14
+    for m in range(n_work - 1):
+        for n in range(n_work - 1 - m):
+            e = TildeElement(n_work, linear={(m, n): F(1)})
+            assert tilde_dy(e, n_work) == _explicit_dy_linear(m, n, n_work), (m, n)
+
+
 # ---------------------------------------------------------------------------
 # The full series
 # ---------------------------------------------------------------------------
