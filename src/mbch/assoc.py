@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterator
 
 from .series import (
-    _as_fraction,
+    TruncatedSeries,
     _refuse_beyond,
     format_rational,
     format_terms,
@@ -57,37 +58,17 @@ def _scaled(coeffs: dict) -> tuple[int, dict]:
     return scale, {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}
 
 
-class NCSeries:
-    """Noncommutative series truncated at a total word length."""
+class NCSeries(TruncatedSeries):
+    """Noncommutative series truncated at a total word length.
 
-    __slots__ = ("truncation", "_coeffs")
+    A key is a packed word ``(length, bits)``; the empty word ``(0, 0)``
+    is the constant term.
+    """
 
-    def __init__(self, truncation: int, coeffs: dict | None = None):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        object.__setattr__(self, "truncation", int(truncation))
-        clean: dict[Word, Fraction] = {}
-        if coeffs:
-            for w, v in coeffs.items():
-                if w[0] > truncation:
-                    continue
-                c = _as_fraction(v)
-                if c:
-                    clean[w] = c
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCSeries is immutable")
+    __slots__ = ()
+    _degree = staticmethod(itemgetter(0))
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation: int) -> "NCSeries":
-        return cls(truncation)
-
-    @classmethod
-    def one(cls, truncation: int) -> "NCSeries":
-        return cls(truncation, {(0, 0): 1})
 
     @classmethod
     def generator(cls, letter: str, truncation: int) -> "NCSeries":
@@ -115,47 +96,14 @@ class NCSeries:
         for (_, s), c in keyed:
             yield s, c
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_degree(self) -> int | None:
-        return min((w[0] for w in self._coeffs), default=None)
-
-    def degree_part(self, d: int) -> "NCSeries":
-        return NCSeries(self.truncation, {w: c for w, c in self._coeffs.items() if w[0] == d})
-
     def word_dict(self) -> dict[Word, Fraction]:
         return dict(self._coeffs)
 
     # -- algebra -------------------------------------------------------------
 
-    def __add__(self, other) -> "NCSeries":
-        if not isinstance(other, NCSeries):
-            other = NCSeries(self.truncation, {(0, 0): _as_fraction(other)})
-        n = min(self.truncation, other.truncation)
-        out = {w: c for w, c in self._coeffs.items() if w[0] <= n}
-        for w, c in other._coeffs.items():
-            if w[0] <= n:
-                out[w] = out.get(w, Fraction(0)) + c
-        return NCSeries(n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "NCSeries":
-        return NCSeries(self.truncation, {w: -c for w, c in self._coeffs.items()})
-
-    def __sub__(self, other) -> "NCSeries":
-        if not isinstance(other, NCSeries):
-            other = NCSeries(self.truncation, {(0, 0): _as_fraction(other)})
-        return self + (-other)
-
-    def __rsub__(self, other) -> "NCSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "NCSeries":
         if not isinstance(other, NCSeries):
-            c = _as_fraction(other)
-            return NCSeries(self.truncation, {w: c * v for w, v in self._coeffs.items()})
+            return self._scaled_by(other)
         n = min(self.truncation, other.truncation)
         s1, left = _scaled(self._coeffs)
         s2, right = _scaled(other._coeffs)
@@ -172,29 +120,6 @@ class NCSeries:
         return NCSeries(n, {w: Fraction(c, scale) for w, c in out.items() if c})
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCSeries)
-            and self.truncation == other.truncation
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def agrees_with(self, other: "NCSeries", through: int | None = None) -> bool:
-        n = min(self.truncation, other.truncation)
-        if through is not None:
-            n = min(n, through)
-        for w in set(self._coeffs) | set(other._coeffs):
-            if w[0] <= n and self._coeffs.get(w, 0) != other._coeffs.get(w, 0):
-                return False
-        return True
-
-    def truncate(self, n: int) -> "NCSeries":
-        if n > self.truncation:
-            raise ValueError("cannot raise truncation")
-        return NCSeries(n, self._coeffs)
 
     def subst_negswap(self) -> "NCSeries":
         """Substitute X -> -Y, Y -> -X letterwise (word keeps its positions)."""
@@ -217,14 +142,11 @@ class NCSeries:
     def from_json_dict(cls, data: dict) -> "NCSeries":
         n = parse_int(data["truncation"])
         coeffs = {word_from_str(t["word"]): parse_rational(t["c"]) for t in data["terms"]}
-        _refuse_beyond(n, (length for length, _ in coeffs))
+        _refuse_beyond(n, map(cls._degree, coeffs))
         return cls(n, coeffs)
 
     def __str__(self) -> str:
         return format_terms((c, _compress_word(w)) for w, c in self.terms())
-
-    def __repr__(self) -> str:
-        return f"NCSeries(truncation={self.truncation}, {len(self._coeffs)} terms)"
 
 
 def _compress_word(s: str) -> str:

@@ -133,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--a",
         default="0",
-        help="free rational coefficient of X in the solution (default 0)",
+        help="free rational coefficient of X in the solution, such as 1/3 or "
+        "0.25 (default 0); write a negative value as --a=-113/3",
     )
     p.add_argument(
         "--g",

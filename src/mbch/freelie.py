@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Union
 
 from .assoc import NCSeries, _compress_word, _scaled, word_from_str
 from .series import (
+    TruncatedSeries,
     _as_fraction,
     _refuse_beyond,
     format_rational,
@@ -181,8 +182,11 @@ class LieElement:
     __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
-        """Equality of tree representations (not of Lie elements)."""
-        return isinstance(other, LieElement) and self._terms == other._terms
+        """Equality of Lie elements: the same Lyndon coordinates, however
+        the trees are written, so [X,Y] == -[Y,X]."""
+        return isinstance(other, LieElement) and (
+            to_lyndon_coords(self) == to_lyndon_coords(other)
+        )
 
     __hash__ = None
 
@@ -225,88 +229,35 @@ def long_commutator(word: str) -> LieElement:
 # Graded series
 # ---------------------------------------------------------------------------
 
-class LieSeries:
-    """Graded collection of homogeneous LieElements up to a truncation."""
+class LieSeries(TruncatedSeries):
+    """A Lie series cut at a total degree: a map from bracket tree to
+    coefficient, graded by ``tree_degree``."""
 
-    __slots__ = ("truncation", "_parts")
-
-    def __init__(self, truncation: int, parts: dict | None = None):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        object.__setattr__(self, "truncation", int(truncation))
-        clean: dict[int, LieElement] = {}
-        if parts:
-            for d, e in parts.items():
-                if d > truncation or e.is_zero():
-                    continue
-                for t in e._terms:
-                    if tree_degree(t) != d:
-                        raise ValueError("component not homogeneous of its degree")
-                clean[d] = e
-        object.__setattr__(self, "_parts", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieSeries is immutable")
-
-    @classmethod
-    def zero(cls, truncation: int) -> "LieSeries":
-        return cls(truncation)
+    __slots__ = ()
+    _degree = staticmethod(tree_degree)
 
     @classmethod
     def from_element(cls, e: LieElement, truncation: int) -> "LieSeries":
-        return cls(truncation, e.degree_components())
+        return cls(truncation, e._terms)
 
     def part(self, d: int) -> LieElement:
         if d > self.truncation:
             raise ValueError("degree beyond truncation")
-        return self._parts.get(d, LieElement.zero())
+        return self.degree_part(d).as_element()
 
     def parts(self) -> Iterator[tuple[int, LieElement]]:
-        for d in sorted(self._parts):
-            yield d, self._parts[d]
+        return iter(self.as_element().degree_components().items())
 
     def as_element(self) -> LieElement:
-        out: dict = {}
-        for e in self._parts.values():
-            for t, c in e._terms.items():
-                out[t] = c
-        return LieElement(out)
-
-    def is_zero(self) -> bool:
-        return not self._parts
-
-    def __add__(self, other: "LieSeries") -> "LieSeries":
-        n = min(self.truncation, other.truncation)
-        out: dict[int, LieElement] = {}
-        for d in set(self._parts) | set(other._parts):
-            if d <= n:
-                out[d] = self.part(d) + other.part(d)
-        return LieSeries(n, out)
-
-    def __sub__(self, other: "LieSeries") -> "LieSeries":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "LieSeries":
-        return LieSeries(
-            self.truncation, {d: scalar * e for d, e in self._parts.items()}
-        )
-
-    __mul__ = __rmul__
-
-    def truncate(self, n: int) -> "LieSeries":
-        if n > self.truncation:
-            raise ValueError("cannot raise truncation")
-        return LieSeries(n, {d: e for d, e in self._parts.items() if d <= n})
+        return LieElement(self._coeffs)
 
     def __eq__(self, other) -> bool:
-        """Mathematical equality: same truncation, same Lyndon coordinates."""
+        """Mathematical equality: same truncation, equal Lie elements."""
         return (
             isinstance(other, LieSeries)
             and self.truncation == other.truncation
-            and to_lyndon_coords(self) == to_lyndon_coords(other)
+            and self.as_element() == other.as_element()
         )
-
-    __hash__ = None
 
     def to_json_dict(self) -> dict:
         coords = to_lyndon_coords(self)
@@ -329,16 +280,7 @@ class LieSeries:
         return cls.from_element(from_lyndon_coords(coords), n)
 
     def __str__(self) -> str:
-        coords = to_lyndon_coords(self)
-        if not coords:
-            return "0"
-        e = LieElement(
-            {standard_bracketing(w): c for w, c in coords.items()}
-        )
-        return str(e)
-
-    def __repr__(self) -> str:
-        return f"LieSeries(truncation={self.truncation}, degrees={sorted(self._parts)})"
+        return str(from_lyndon_coords(to_lyndon_coords(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +551,7 @@ class Derivation:
 
     def series(self, s: LieSeries) -> LieSeries:
         n = min(self.truncation, s.truncation)
-        acc = LieElement.zero()
-        for _, e in s.parts():
-            acc = acc + self.element(e)
-        return LieSeries.from_element(acc, n)
+        return LieSeries.from_element(self.element(s.as_element()), n)
 
     def __call__(self, target):
         if isinstance(target, LieSeries):

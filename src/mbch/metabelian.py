@@ -115,7 +115,7 @@ class MetabelianElement:
     def degree_part(self, d: int) -> "MetabelianElement":
         if d == 1:
             return MetabelianElement(self.truncation, self.a, self.b)
-        table = self._table.homogeneous_part(d - 2)
+        table = self._table.degree_part(d - 2)
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def is_zero(self) -> bool:

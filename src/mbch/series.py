@@ -9,13 +9,15 @@ producing a Laurent-style object (negative powers never exist here).
 
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
-the JSON/CLI readers ``parse_rational`` and ``parse_int`` and the term
-printer ``format_terms``.
+the JSON/CLI readers ``parse_rational`` and ``parse_int``, the term
+printer ``format_terms`` and ``TruncatedSeries``, the sparse exact series
+that ``BiSeries``, ``assoc.NCSeries`` and ``freelie.LieSeries`` extend.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
@@ -24,6 +26,7 @@ __all__ = [
     "InexactDivision",
     "bernoulli",
     "BiSeries",
+    "TruncatedSeries",
     "format_rational",
     "format_terms",
     "parse_int",
@@ -40,13 +43,22 @@ def format_rational(c: Fraction) -> str:
     return str(Fraction(c))
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(s: str | int) -> Fraction:
     """Read a rational from text such as ``"-3/4"`` or from an integer.
 
-    This is the JSON and command-line boundary.  A float is refused: its
-    binary value is not the decimal that was written.  So is a bool.
+    This is the JSON and command-line boundary.  Text is an optional sign
+    and ASCII digits, then optionally ``/digits`` or ``.digits``; nothing
+    else, so no exponent (``1e100000000`` would be expanded in full), no
+    whitespace and no underscores, even where ``Fraction`` accepts them.
+    A float is refused: its binary value is not the decimal that was
+    written.  So is a bool.
     """
     if isinstance(s, str):
+        if not _RATIONAL_TEXT.fullmatch(s):
+            raise ValueError(f"not a rational: {s!r}")
         return Fraction(s)
     return _as_fraction(s)
 
@@ -165,11 +177,19 @@ def _parse_linear_form(arg: str | tuple[int, int]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# BiSeries
+# The truncated exact-series base
 # ---------------------------------------------------------------------------
 
-class BiSeries:
-    """Commutative power series in x, y truncated at a total degree."""
+class TruncatedSeries:
+    """A sparse map from monomials to ``Fraction``s, cut at a total degree.
+
+    A subclass names the total degree of its monomial keys in the static
+    ``_degree``, which also refuses a malformed key.  Terms beyond the
+    truncation and zero coefficients are dropped on construction, sums
+    truncate at the smaller bound, and the constant monomial is the key
+    ``(0, 0)``.  Instances are immutable and compare equal only to a series
+    of the same type and truncation with the same terms.
+    """
 
     __slots__ = ("truncation", "_coeffs")
 
@@ -177,34 +197,120 @@ class BiSeries:
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
         object.__setattr__(self, "truncation", int(truncation))
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict = {}
         if coeffs:
-            for (i, j), v in coeffs.items():
-                if i < 0 or j < 0:
-                    raise ValueError("exponents must be nonnegative")
-                if i + j > truncation:
+            degree = self._degree
+            for k, v in coeffs.items():
+                if degree(k) > truncation:
                     continue
                 c = _as_fraction(v)
                 if c:
-                    clean[(i, j)] = c
+                    clean[k] = c
         object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    # -- constructors ------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, truncation: int) -> "BiSeries":
+    def zero(cls, truncation: int):
         return cls(truncation)
 
     @classmethod
-    def constant(cls, c, truncation: int) -> "BiSeries":
+    def constant(cls, c, truncation: int):
         return cls(truncation, {(0, 0): _as_fraction(c)})
 
     @classmethod
-    def one(cls, truncation: int) -> "BiSeries":
+    def one(cls, truncation: int):
         return cls.constant(1, truncation)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def min_degree(self) -> int | None:
+        return min(map(self._degree, self._coeffs), default=None)
+
+    def degree_part(self, d: int):
+        """The terms of total degree ``d``, at the same truncation."""
+        degree = self._degree
+        return type(self)(
+            self.truncation, {k: c for k, c in self._coeffs.items() if degree(k) == d}
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            other = self.constant(other, self.truncation)
+        out = dict(self._coeffs)
+        for k, c in other._coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(min(self.truncation, other.truncation), out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.truncation, {k: -c for k, c in self._coeffs.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            other = self.constant(other, self.truncation)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scaled_by(self, scalar):
+        s = _as_fraction(scalar)
+        return type(self)(self.truncation, {k: s * c for k, c in self._coeffs.items()})
+
+    __mul__ = __rmul__ = _scaled_by
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.truncation == other.truncation
+            and self._coeffs == other._coeffs
+        )
+
+    __hash__ = None
+
+    def agrees_with(self, other, through: int | None = None) -> bool:
+        """Equality up to the smaller truncation (or ``through``)."""
+        n = min(self.truncation, other.truncation)
+        if through is not None:
+            n = min(n, through)
+        return self.truncate(n) == other.truncate(n)
+
+    def truncate(self, n: int):
+        if n > self.truncation:
+            raise ValueError("cannot raise truncation")
+        return type(self)(n, self._coeffs)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(truncation={self.truncation}, "
+            f"{len(self._coeffs)} terms)"
+        )
+
+
+# ---------------------------------------------------------------------------
+# BiSeries
+# ---------------------------------------------------------------------------
+
+class BiSeries(TruncatedSeries):
+    """Commutative power series in x, y truncated at a total degree.
+
+    A key (i, j) stands for the monomial x^i y^j.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _degree(key: tuple[int, int]) -> int:
+        i, j = key
+        if i < 0 or j < 0:
+            raise ValueError("exponents must be nonnegative")
+        return i + j
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def monomial(cls, i: int, j: int, truncation: int, c=1) -> "BiSeries":
@@ -244,50 +350,12 @@ class BiSeries:
         for (i, j) in sorted(self._coeffs, key=lambda k: (k[0] + k[1], k[0])):
             yield i, j, self._coeffs[(i, j)]
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_degree(self) -> int | None:
-        if not self._coeffs:
-            return None
-        return min(i + j for i, j in self._coeffs)
-
-    def homogeneous_part(self, d: int) -> dict[tuple[int, int], Fraction]:
-        return {k: v for k, v in self._coeffs.items() if k[0] + k[1] == d}
-
     # -- ring operations ---------------------------------------------------
-
-    def _binary_truncation(self, other: "BiSeries") -> int:
-        return min(self.truncation, other.truncation)
-
-    def __add__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            other = BiSeries.constant(_as_fraction(other), self.truncation)
-        n = self._binary_truncation(other)
-        out = {k: v for k, v in self._coeffs.items() if k[0] + k[1] <= n}
-        for k, v in other._coeffs.items():
-            if k[0] + k[1] <= n:
-                out[k] = out.get(k, Fraction(0)) + v
-        return BiSeries(n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.truncation, {k: -v for k, v in self._coeffs.items()})
-
-    def __sub__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            other = BiSeries.constant(_as_fraction(other), self.truncation)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiSeries":
-        return (-self) + other
 
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
-            c = _as_fraction(other)
-            return BiSeries(self.truncation, {k: c * v for k, v in self._coeffs.items()})
-        n = self._binary_truncation(other)
+            return self._scaled_by(other)
+        n = min(self.truncation, other.truncation)
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), c1 in self._coeffs.items():
             d1 = i1 + j1
@@ -302,38 +370,12 @@ class BiSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSeries)
-            and self.truncation == other.truncation
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def agrees_with(self, other: "BiSeries", through: int | None = None) -> bool:
-        """Coefficientwise equality up to min truncation (or ``through``)."""
-        n = self._binary_truncation(other)
-        if through is not None:
-            n = min(n, through)
-        for k in set(self._coeffs) | set(other._coeffs):
-            if k[0] + k[1] <= n and self._coeffs.get(k, 0) != other._coeffs.get(k, 0):
-                return False
-        return True
-
     # -- truncation management ---------------------------------------------
-
-    def truncate(self, n: int) -> "BiSeries":
-        if n > self.truncation:
-            raise ValueError("cannot raise truncation; use padded()")
-        return BiSeries(n, self._coeffs)
 
     def padded(self, n: int) -> "BiSeries":
         """Reinterpret as a polynomial known to all degrees <= ``n``."""
         if n == self.truncation:
             return self
-        if n < self.truncation:
-            return self.truncate(n)
         return BiSeries(n, self._coeffs)
 
     def shift(self, di: int, dj: int) -> "BiSeries":
@@ -447,7 +489,7 @@ class BiSeries:
             (parse_int(t["i"]), parse_int(t["j"])): parse_rational(t["c"])
             for t in data["terms"]
         }
-        _refuse_beyond(n, (i + j for i, j in coeffs))
+        _refuse_beyond(n, map(cls._degree, coeffs))
         return cls(n, coeffs)
 
     def __str__(self) -> str:
@@ -461,9 +503,6 @@ class BiSeries:
                     factors.append(f"{name}^{e}")
             pairs.append((c, " ".join(factors)))
         return format_terms(pairs)
-
-    def __repr__(self) -> str:
-        return f"BiSeries(truncation={self.truncation}, {len(self._coeffs)} terms)"
 
 
 def _divide_homogeneous(

@@ -232,6 +232,29 @@ def test_kv_solve_contradictory_or_deep_g_is_usage_error(capsys, g):
     assert "malformed --g" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--a", "1e100000000"),
+    ("--g", json.dumps({"truncation": 3, "terms": [
+        {"i": 0, "j": 1, "c": "1e100000000"}, {"i": 1, "j": 0, "c": "1e100000000"}]})),
+    ("--a", "1 /2"),
+    ("--a", "1_000"),
+], ids=["a-exponent", "g-exponent", "a-space", "a-underscore"])
+def test_kv_solve_rational_outside_the_grammar_is_usage_error(capsys, argv):
+    # Fraction would expand 1e100000000 in full; the grammar refuses it at once.
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", *argv)
+    assert (rc, out) == (2, "")
+    assert "error" in err
+
+
+def test_kv_solve_negative_a_needs_the_equals_form(capsys):
+    rc, out, _ = run(capsys, "kv-solve", "--degree", "4", "--a=-113/3")
+    assert rc == 0
+    assert out.startswith("-113/3 X + 1/4 Y")
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--a", "-113/3")
+    assert (rc, out) == (2, "")
+    assert "expected one argument" in err
+
+
 def test_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, "bch", "--degree", "3", "--output", str(target))
@@ -326,10 +349,17 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _INDEX = st.integers(-2, 8) | st.sampled_from([10**30, 0.5, 1e400, True, "1", None])
+# Text that Fraction reads on some Python version but the rational
+# grammar refuses; an exponent would be expanded in full, so exponents
+# are their own branch and drawn as often as the other kinds together.
+_OFF_GRAMMAR = st.sampled_from(["1e100000000", "7E99999999", "1.5e3"]) | st.sampled_from(
+    ["1_000", "1 / 2", " 3"]
+)
 _COEFFICIENT = (
     st.fractions(max_denominator=50).map(str)
     | st.integers()
     | st.sampled_from(["1/0", "x", "", 0.1, True, None, []])
+    | _OFF_GRAMMAR
 )
 _SERIES = st.fixed_dictionaries({
     "truncation": _INDEX,
@@ -346,7 +376,7 @@ _COMMANDS = {
     "goldberg": [],
     "zassenhaus": [("--per-degree", st.none())],
     "kv-solve": [
-        ("--a", st.fractions(max_denominator=20).map(str) | _TOKEN),
+        ("--a", st.fractions(max_denominator=20).map(str) | _TOKEN | _OFF_GRAMMAR),
         ("--g", _G),
     ],
     "deeper": [],

@@ -91,6 +91,20 @@ def test_bracket_drops_syntactically_equal_pairs():
     assert to_lyndon_coords(bracket(a, a)) == {}
 
 
+def test_element_equality_is_mathematical_as_for_series():
+    # Antisymmetry and Jacobi hold under ==, as they do for LieSeries.
+    assert bracket(X, Y) == -bracket(Y, X)
+    assert LieSeries.from_element(bracket(X, Y), 2) == LieSeries.from_element(
+        -bracket(Y, X), 2
+    )
+    a, b, c = X, Y, bracket(X, Y)
+    jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
+    assert jacobi == LieElement.zero()
+    assert bracket(X, Y) != bracket(Y, X)
+    assert bracket(X, Y) != LieSeries.from_element(bracket(X, Y), 2)
+    assert X != "X"
+
+
 def test_render_and_tree_word():
     t = chain_tree("XXY")
     assert tree_word(t) == "XXY"
@@ -391,7 +405,9 @@ def test_ideal_spanning_degrees():
 # ---------------------------------------------------------------------------
 
 def test_series_enforces_homogeneity():
-    with pytest.raises(ValueError, match="homogeneous"):
+    # A LieSeries is keyed by bracket trees, each graded by its own degree,
+    # so the old {degree: element} shape is refused as a malformed key.
+    with pytest.raises(ValueError, match="not a bracket tree"):
         LieSeries(4, {2: X + bracket(X, Y)})
 
 

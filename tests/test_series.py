@@ -366,7 +366,14 @@ def test_biseries_rejects_text_and_float_coefficients(bad):
 def test_parse_rational_reads_text_and_integers_only():
     assert parse_rational("-3/4") == F(-3, 4)
     assert parse_rational("0.1") == F(1, 10)
+    assert parse_rational("+12") == 12
     assert parse_rational(7) == 7
+    # One grammar on every Python version: sign, digits, then /digits or
+    # .digits.  An exponent would be expanded in full by Fraction.
+    for bad in ("1e100000000", "1E5", "2.5e-3", "1_000", " 1/2", "1 / 2", "1/2 ",
+                "1/-2", ".5", "5.", "1/2/3", "", "\u0661", "inf", "nan"):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(bad)
     with pytest.raises(TypeError, match="rational scalar"):
         parse_rational(0.1)
     with pytest.raises(TypeError, match="rational scalar"):
@@ -428,3 +435,110 @@ def test_from_json_dict_rejects_terms_beyond_truncation(cls, data):
     # The constructors drop such terms; JSON that contradicts itself is refused.
     with pytest.raises(ValueError, match="beyond the declared truncation"):
         cls.from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# The truncated-series base, once for each of its three subclasses
+# ---------------------------------------------------------------------------
+
+# Four keys of total degrees 1, 1, 2 and 3 in each key language.
+_KEYS = {
+    BiSeries: [(1, 0), (0, 1), (1, 1), (2, 1)],
+    NCSeries: [word_from_str(w) for w in ("X", "Y", "XY", "XXY")],
+    LieSeries: ["X", "Y", ("X", "Y"), ("X", ("X", "Y"))],
+}
+_MALFORMED_KEY = {BiSeries: (-1, 2), NCSeries: "XY", LieSeries: "Z"}
+_SERIES_TYPES = pytest.mark.parametrize(
+    "cls", list(_KEYS), ids=[cls.__name__ for cls in _KEYS]
+)
+
+
+def _make(cls, n, coeffs):
+    return cls(n, dict(zip(_KEYS[cls], coeffs)))
+
+
+@_SERIES_TYPES
+def test_sum_truncates_at_the_smaller_bound(cls):
+    a = _make(cls, 3, [1, 2, 3, 4])
+    b = _make(cls, 2, [F(1, 2), 0, -3, 0])
+    for total in (a + b, b + a):
+        assert total.truncation == 2
+        assert total == _make(cls, 2, [F(3, 2), 2, 0, 0])
+    assert (a - a).is_zero() and (a - a).truncation == 3
+    assert a.agrees_with(_make(cls, 2, [1, 2, 3]))
+    assert not a.agrees_with(_make(cls, 2, [1, 2, 0]))
+    assert a.agrees_with(_make(cls, 2, [1, 2, 0]), through=1)
+
+
+@_SERIES_TYPES
+@pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+def test_scalar_must_be_rational(cls, bad):
+    a = _make(cls, 3, [1, 2, 3, 4])
+    for build in (lambda: a * bad, lambda: bad * a, lambda: a + bad, lambda: a - bad,
+                  lambda: cls(3, {_KEYS[cls][0]: bad})):
+        with pytest.raises(TypeError, match="rational scalar"):
+            build()
+    assert F(-3, 2) * a == _make(cls, 3, [F(-3, 2), -3, F(-9, 2), -6]) == a * F(-3, 2)
+
+
+def test_equality_is_false_across_container_types():
+    series = [_make(cls, 3, [1, 0, 0, 0]) for cls in _KEYS]
+    series += [cls.zero(3) for cls in _KEYS]
+    for i, a in enumerate(series):
+        for j, b in enumerate(series):
+            assert (a == b) is (i == j), (a, b)
+    # The bivariate x and the packed word X share the key (1, 0).
+    assert BiSeries(2, {(1, 0): 1})._coeffs == NCSeries(2, {(1, 0): 1})._coeffs
+
+
+@_SERIES_TYPES
+def test_degree_part_and_min_degree(cls):
+    a = _make(cls, 3, [1, 2, 3, 4])
+    assert a.min_degree() == 1
+    assert cls.zero(3).min_degree() is None
+    part = a.degree_part(2)
+    assert type(part) is cls and part.truncation == 3
+    assert part == _make(cls, 3, [0, 0, 3, 0])
+    assert part.min_degree() == 2
+    assert a.degree_part(3).min_degree() == 3
+    assert a.degree_part(5).is_zero()
+
+
+@_SERIES_TYPES
+def test_truncate_refuses_to_raise_the_truncation(cls):
+    a = _make(cls, 3, [1, 2, 3, 4])
+    assert a.truncate(2) == _make(cls, 2, [1, 2, 3])
+    assert a.truncate(3) == a
+    with pytest.raises(ValueError, match="cannot raise truncation"):
+        a.truncate(4)
+
+
+@_SERIES_TYPES
+def test_immutability_error_names_the_class(cls):
+    a = _make(cls, 3, [1, 2, 3, 4])
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        a.truncation = 5
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        a._coeffs = {}
+    assert a.truncation == 3
+    assert repr(a) == f"{cls.__name__}(truncation=3, 4 terms)"
+
+
+@_SERIES_TYPES
+def test_malformed_keys_are_refused(cls):
+    with pytest.raises((ValueError, TypeError)):
+        cls(3, {_MALFORMED_KEY[cls]: 1})
+    with pytest.raises(ValueError, match="truncation must be nonnegative"):
+        cls(-1)
+
+
+@_SERIES_TYPES
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_frac, min_size=4, max_size=4), min_size=3, max_size=3), _frac)
+def test_additive_laws(cls, rows, k):
+    a, b, c = (_make(cls, 3, row) for row in rows)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a - b == a + (-b) == -(b - a)
+    assert k * (a + b) == k * a + k * b
+    assert (a + cls.zero(3)) == a
