@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .series import (
     BiSeries,
+    _QuotientElement,
     _as_fraction,
     _refuse_beyond,
     format_rational,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 
-class MetabelianElement:
+class MetabelianElement(_QuotientElement):
     """An element a X + b Y + sum of c_{kl} B(k,l), cut at a total degree.
 
     B(k,l) stands for the chain [X^k Y^l X Y] of degree k + l + 2.  The
@@ -66,29 +67,15 @@ class MetabelianElement:
     polynomial; entries beyond the truncation are dropped.
     """
 
-    __slots__ = ("truncation", "a", "b", "_table")
+    __slots__ = ("_table",)
+    _TABLES = (("_table", BiSeries, 2),)
 
     def __init__(
         self, truncation: int, a=0, b=0, table: dict | BiSeries | None = None
     ):
-        if truncation < 1:
-            raise ValueError("truncation must be at least 1")
-        if not isinstance(table, BiSeries):
-            table = BiSeries(max(truncation - 2, 0), table)
-        table = table.padded(truncation - 2) if truncation >= 2 else BiSeries.zero(0)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "_table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetabelianElement is immutable")
+        super().__init__(truncation, a, b, table)
 
     # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation: int) -> "MetabelianElement":
-        return cls(truncation)
 
     @classmethod
     def from_table_series(cls, s: BiSeries, a=0, b=0) -> "MetabelianElement":
@@ -111,47 +98,6 @@ class MetabelianElement:
         if self.truncation < 2:
             raise ValueError("no table below degree 2")
         return self._table
-
-    def degree_part(self, d: int) -> "MetabelianElement":
-        if d == 1:
-            return MetabelianElement(self.truncation, self.a, self.b)
-        table = self._table.degree_part(d - 2)
-        return MetabelianElement(self.truncation, 0, 0, table)
-
-    def is_zero(self) -> bool:
-        return self._table.is_zero() and not self.a and not self.b
-
-    # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other: "MetabelianElement") -> "MetabelianElement":
-        if not isinstance(other, MetabelianElement):
-            return NotImplemented
-        n = min(self.truncation, other.truncation)
-        table = self._table + other._table
-        return MetabelianElement(n, self.a + other.a, self.b + other.b, table)
-
-    def __neg__(self) -> "MetabelianElement":
-        return MetabelianElement(self.truncation, -self.a, -self.b, -self._table)
-
-    def __sub__(self, other: "MetabelianElement") -> "MetabelianElement":
-        if not isinstance(other, MetabelianElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "MetabelianElement":
-        s = _as_fraction(scalar)
-        table = self._table * s
-        return MetabelianElement(self.truncation, s * self.a, s * self.b, table)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetabelianElement):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.a == other.a
-            and self.b == other.b
-            and self._table == other._table
-        )
 
     # -- the quotient bracket -------------------------------------------------
 

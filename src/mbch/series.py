@@ -11,7 +11,10 @@ This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
 the JSON/CLI readers ``parse_rational`` and ``parse_int``, the term
 printer ``format_terms`` and ``TruncatedSeries``, the sparse exact series
-that ``BiSeries``, ``assoc.NCSeries`` and ``freelie.LieSeries`` extend.
+that ``BiSeries``, ``PairSeries``, ``assoc.NCSeries`` and
+``freelie.LieSeries`` extend.  ``_QuotientElement`` is the shared shape of
+the two quotient elements, ``metabelian.MetabelianElement`` and
+``tilde.TildeElement``: X and Y coefficients plus tables stored as series.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "InexactDivision",
     "bernoulli",
     "BiSeries",
+    "PairSeries",
     "TruncatedSeries",
     "format_rational",
     "format_terms",
@@ -226,6 +230,10 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def items(self):
+        """The nonzero (key, coefficient) pairs, in no particular order."""
+        return self._coeffs.items()
+
     def min_degree(self) -> int | None:
         return min(map(self._degree, self._coeffs), default=None)
 
@@ -282,6 +290,12 @@ class TruncatedSeries:
     def truncate(self, n: int):
         if n > self.truncation:
             raise ValueError("cannot raise truncation")
+        return type(self)(n, self._coeffs)
+
+    def padded(self, n: int):
+        """Reinterpret as a polynomial known to all degrees <= ``n``."""
+        if n == self.truncation:
+            return self
         return type(self)(n, self._coeffs)
 
     def __repr__(self) -> str:
@@ -371,12 +385,6 @@ class BiSeries(TruncatedSeries):
     __rmul__ = __mul__
 
     # -- truncation management ---------------------------------------------
-
-    def padded(self, n: int) -> "BiSeries":
-        """Reinterpret as a polynomial known to all degrees <= ``n``."""
-        if n == self.truncation:
-            return self
-        return BiSeries(n, self._coeffs)
 
     def shift(self, di: int, dj: int) -> "BiSeries":
         """Multiply by the monomial x^di y^dj; truncation grows by di+dj."""
@@ -543,3 +551,135 @@ def _divide_homogeneous(
     if any(r):
         raise InexactDivision("inexact division")
     return {(i, n - v - i): c for i, c in enumerate(q) if c and i <= qdeg_max}
+
+
+# ---------------------------------------------------------------------------
+# PairSeries
+# ---------------------------------------------------------------------------
+
+class PairSeries(TruncatedSeries):
+    """Brackets of two bivariate monomials, truncated at a total degree.
+
+    A key ((k, l), (m, n)) stands for [x^k y^l, x^m y^n] and has degree
+    k + l + m + n.  Keys are kept in the normal order (k, l) > (m, n):
+    a reversed key flips the sign of its coefficient, so mirrored keys
+    merge, and a bracket [A, A] is dropped.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, truncation: int, coeffs: dict | None = None):
+        normal: dict = {}
+        for key, c in (coeffs or {}).items():
+            c = _as_fraction(c)
+            u, v = key
+            if u == v:
+                self._degree(key)  # zero, but a malformed key is still refused
+                continue
+            if u < v:
+                key, c = (v, u), -c
+            normal[key] = normal.get(key, 0) + c
+        super().__init__(truncation, normal)
+
+    @staticmethod
+    def _degree(key) -> int:
+        (k, l), (m, n) = key
+        if min(k, l, m, n) < 0:
+            raise ValueError("negative basis index")
+        return k + l + m + n
+
+    def coefficient(self, u: tuple[int, int], v: tuple[int, int]) -> Fraction:
+        if self._degree((u, v)) > self.truncation:
+            raise ValueError("coefficient beyond truncation")
+        if u < v:
+            return -self._coeffs.get((v, u), Fraction(0))
+        return self._coeffs.get((u, v), Fraction(0))
+
+    def terms(self) -> list:
+        """Nonzero (key, coefficient) pairs sorted by (total degree, key)."""
+        return sorted(self._coeffs.items(), key=lambda kc: (self._degree(kc[0]), kc[0]))
+
+
+# ---------------------------------------------------------------------------
+# The shape of a quotient element
+# ---------------------------------------------------------------------------
+
+class _QuotientElement:
+    """a X + b Y plus tables of bracket coefficients, cut at a total degree.
+
+    A subclass names its tables in ``_TABLES`` as (slot, series type,
+    offset): a table key of degree d stands for a bracket of degree
+    d + offset, so the table is cut at ``truncation - offset`` and is
+    empty below that.  A table given as a dict or as a series at another
+    truncation is read as a polynomial.  Sums truncate at the smaller
+    bound; instances are immutable and compare equal only to an element
+    of the same type and truncation with the same terms.
+    """
+
+    __slots__ = ("truncation", "a", "b")
+    _TABLES: tuple = ()
+
+    def __init__(self, truncation: int, a=0, b=0, *tables):
+        if truncation < 1:
+            raise ValueError("truncation must be at least 1")
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "a", _as_fraction(a))
+        object.__setattr__(self, "b", _as_fraction(b))
+        for (name, cls, offset), t in zip(self._TABLES, tables):
+            n = truncation - offset
+            if not isinstance(t, cls):
+                t = cls(max(n, 0), t)
+            object.__setattr__(self, name, t.padded(n) if n >= 0 else cls.zero(0))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, truncation: int):
+        return cls(truncation)
+
+    def _tables(self) -> list:
+        return [getattr(self, name) for name, _, _ in self._TABLES]
+
+    def is_zero(self) -> bool:
+        return not self.a and not self.b and all(t.is_zero() for t in self._tables())
+
+    def degree_part(self, d: int):
+        """The terms of degree ``d``, at the same truncation."""
+        ab = (self.a, self.b) if d == 1 else (0, 0)
+        parts = [
+            t.degree_part(d - offset)
+            for t, (_, _, offset) in zip(self._tables(), self._TABLES)
+        ]
+        return type(self)(self.truncation, *ab, *parts)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        tables = [s + o for s, o in zip(self._tables(), other._tables())]
+        n = min(self.truncation, other.truncation)
+        return type(self)(n, self.a + other.a, self.b + other.b, *tables)
+
+    def __neg__(self):
+        return -1 * self
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        s = _as_fraction(scalar)
+        tables = [t * s for t in self._tables()]
+        return type(self)(self.truncation, s * self.a, s * self.b, *tables)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.truncation == other.truncation
+            and self.a == other.a
+            and self.b == other.b
+            and self._tables() == other._tables()
+        )
+
+    __hash__ = None

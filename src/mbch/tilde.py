@@ -18,9 +18,14 @@ H_1 = X + sum of (B_l / l!) {0,l-1} has the explicit description
 
 Iterating D as in the classical recursion produces log(e^X e^Y) out of
 long commutators and single brackets of long commutators; that is
-``hausdorff_tilde``.  On brackets, D and the letter actions distribute
-by the Leibniz rule; correction terms that are brackets of brackets of
-long commutators are dropped, which is exactly the quotient relation.
+``hausdorff_tilde``.  On a pair [u,v], D and the letter actions are
+derivations and give [du,v] + [u,dv]; only the linear part of du and dv
+is kept, since the rest are brackets of brackets of long commutators,
+zero in this quotient.  That rule is written once, in ``_leibniz``.
+
+``TildeElement`` stores {m,n} as x^m y^n in a ``BiSeries``, as
+``MetabelianElement`` stores its table, so x and y act on it by
+multiplication; the pairs are a ``PairSeries``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .series import (
-    _as_fraction,
+    BiSeries,
+    PairSeries,
+    _QuotientElement,
     _refuse_beyond,
     bernoulli,
     format_rational,
@@ -51,157 +58,50 @@ __all__ = [
 Pair = tuple[int, int]
 
 
-def _ordered(a: Pair, b: Pair) -> bool:
-    return a[0] > b[0] or (a[0] == b[0] and a[1] > b[1])
-
-
-def _bump(d: dict, key, c: Fraction) -> None:
-    v = d.get(key, Fraction(0)) + c
-    if v:
-        d[key] = v
-    else:
-        d.pop(key, None)
-
-
-class TildeElement:
+class TildeElement(_QuotientElement):
     """a X + b Y + linear {m,n} terms + quadratic [{k,l},{m,n}] terms.
 
     {m,n} has degree m + n + 2 and a pair has degree k + l + m + n + 4;
-    everything beyond the truncation is dropped.  Quadratic keys are
-    kept in the normal order (k,l) > (m,n); building with keys in the
-    opposite order flips the sign, and [A,A] vanishes.
+    everything beyond the truncation is dropped.  The linear table is
+    the BiSeries sum c_{mn} x^m y^n cut at n - 2, the layout of
+    ``MetabelianElement``'s table; the quadratic table is a PairSeries
+    keyed ((k,l),(m,n)) cut at n - 4, kept in the normal order
+    (k,l) > (m,n): building with keys in the opposite order flips the
+    sign, and [A,A] vanishes.
     """
 
-    __slots__ = ("truncation", "a", "b", "_linear", "_quadratic")
+    __slots__ = ("_linear", "_quadratic")
+    _TABLES = (("_linear", BiSeries, 2), ("_quadratic", PairSeries, 4))
 
     def __init__(
         self,
         truncation: int,
         a=0,
         b=0,
-        linear: dict | None = None,
-        quadratic: dict | None = None,
+        linear: dict | BiSeries | None = None,
+        quadratic: dict | PairSeries | None = None,
     ):
-        if truncation < 1:
-            raise ValueError("truncation must be at least 1")
-        lin: dict[Pair, Fraction] = {}
-        for (m, n), c in (linear or {}).items():
-            if m < 0 or n < 0:
-                raise ValueError("negative basis index")
-            c = _as_fraction(c)
-            if c and m + n + 2 <= truncation:
-                _bump(lin, (m, n), c)
-        quad: dict[tuple[Pair, Pair], Fraction] = {}
-        for (u, v), c in (quadratic or {}).items():
-            ku, lu = u
-            kv, lv = v
-            if min(ku, lu, kv, lv) < 0:
-                raise ValueError("negative basis index")
-            if u == v:
-                continue
-            c = _as_fraction(c)
-            if not c or ku + lu + kv + lv + 4 > truncation:
-                continue
-            if _ordered(u, v):
-                _bump(quad, (u, v), c)
-            else:
-                _bump(quad, (v, u), -c)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "_linear", lin)
-        object.__setattr__(self, "_quadratic", quad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TildeElement is immutable")
-
-    @classmethod
-    def zero(cls, truncation: int) -> "TildeElement":
-        return cls(truncation)
+        super().__init__(truncation, a, b, linear, quadratic)
 
     # -- access ---------------------------------------------------------------
 
     def linear_terms(self):
         """((m, n), coefficient) sorted by degree then indices."""
-        return sorted(self._linear.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [((m, n), c) for m, n, c in self._linear.terms()]
 
     def quadratic_terms(self):
         """(((k,l), (m,n)), coefficient) sorted by degree then indices."""
-        return sorted(
-            self._quadratic.items(),
-            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]),
-        )
+        return self._quadratic.terms()
 
     def linear_coefficient(self, m: int, n: int) -> Fraction:
         if m + n + 2 > self.truncation:
             raise ValueError("term beyond truncation")
-        return self._linear.get((m, n), Fraction(0))
+        return self._linear.coefficient(m, n)
 
     def quadratic_coefficient(self, u: Pair, v: Pair) -> Fraction:
         if sum(u) + sum(v) + 4 > self.truncation:
             raise ValueError("term beyond truncation")
-        if u == v:
-            return Fraction(0)
-        if _ordered(u, v):
-            return self._quadratic.get((u, v), Fraction(0))
-        return -self._quadratic.get((v, u), Fraction(0))
-
-    def degree_part(self, d: int) -> "TildeElement":
-        lin = {k: c for k, c in self._linear.items() if sum(k) + 2 == d}
-        quad = {
-            k: c
-            for k, c in self._quadratic.items()
-            if sum(k[0]) + sum(k[1]) + 4 == d
-        }
-        a = self.a if d == 1 else 0
-        b = self.b if d == 1 else 0
-        return TildeElement(self.truncation, a, b, lin, quad)
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b and not self._linear and not self._quadratic
-
-    # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other: "TildeElement") -> "TildeElement":
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        n = min(self.truncation, other.truncation)
-        lin = dict(self._linear)
-        for k, c in other._linear.items():
-            _bump(lin, k, c)
-        quad = dict(self._quadratic)
-        for k, c in other._quadratic.items():
-            _bump(quad, k, c)
-        return TildeElement(n, self.a + other.a, self.b + other.b, lin, quad)
-
-    def __neg__(self) -> "TildeElement":
-        return Fraction(-1) * self
-
-    def __sub__(self, other: "TildeElement") -> "TildeElement":
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "TildeElement":
-        s = _as_fraction(scalar)
-        return TildeElement(
-            self.truncation,
-            s * self.a,
-            s * self.b,
-            {k: s * c for k, c in self._linear.items()},
-            {k: s * c for k, c in self._quadratic.items()},
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TildeElement):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.a == other.a
-            and self.b == other.b
-            and self._linear == other._linear
-            and self._quadratic == other._quadratic
-        )
+        return self._quadratic.coefficient(u, v)
 
     # -- serialization --------------------------------------------------------
 
@@ -256,7 +156,8 @@ class TildeElement:
     def __repr__(self) -> str:
         return (
             f"TildeElement(truncation={self.truncation}, "
-            f"{len(self._linear)} linear, {len(self._quadratic)} quadratic)"
+            f"{len(self._linear.items())} linear, "
+            f"{len(self._quadratic.items())} quadratic)"
         )
 
 
@@ -264,38 +165,44 @@ class TildeElement:
 # Letter actions and the derivation
 # ---------------------------------------------------------------------------
 
+def _leibniz(pairs: PairSeries, linear_part) -> dict:
+    """A derivation d on brackets: [u,v] goes to [du,v] + [u,dv].
+
+    ``linear_part(u)`` gives the linear terms of d{u} as ((m,n), c)
+    pairs; the rest of du and dv would bracket into brackets of
+    brackets of long commutators, zero in this quotient.
+    """
+    out: dict = {}
+    for (u, v), c in pairs.items():
+        for p, cp in linear_part(u):
+            out[p, v] = out.get((p, v), 0) + c * cp
+        for p, cp in linear_part(v):
+            out[u, p] = out.get((u, p), 0) + c * cp
+    return out
+
+
 def tilde_act(gen: str, e: TildeElement) -> TildeElement:
     """Apply ad X or ad Y.
 
-    Linear terms follow the exact rewriting rules; on quadratic terms
-    the letter distributes over the bracket, keeping only the linear
-    part of each inner action (the corrections are brackets of brackets
-    of long commutators, zero in this quotient).
+    On the linear table ad X is x * table - b and ad Y is
+    y * table + a; ad Y also sorts Y into {m,n} past the X's, which
+    leaves the brackets sum C(m,k) [{k-1,0},{m-k,n}].  On quadratic
+    terms the letter acts by the Leibniz rule.
     """
     g = gen.upper()
-    if g not in ("X", "Y"):
-        raise ValueError("generator must be X or Y")
-    lin: dict[Pair, Fraction] = {}
-    quad: dict[tuple[Pair, Pair], Fraction] = {}
     if g == "X":
-        if e.b:
-            _bump(lin, (0, 0), -e.b)
+        linear = e._linear.shift(1, 0) - e.b
+        quad = _leibniz(e._quadratic, lambda u: [((u[0] + 1, u[1]), 1)])
+    elif g == "Y":
+        linear = e._linear.shift(0, 1) + e.a
+        quad = _leibniz(e._quadratic, lambda u: [((u[0], u[1] + 1), 1)])
         for (m, n), c in e._linear.items():
-            _bump(lin, (m + 1, n), c)
-        for ((k, l), (m, n)), c in e._quadratic.items():
-            _bump(quad, ((k + 1, l), (m, n)), c)
-            _bump(quad, ((k, l), (m + 1, n)), c)
-    else:
-        if e.a:
-            _bump(lin, (0, 0), e.a)
-        for (m, n), c in e._linear.items():
-            _bump(lin, (m, n + 1), c)
             for k in range(1, m + 1):
-                _bump(quad, ((k - 1, 0), (m - k, n)), comb(m, k) * c)
-        for ((k, l), (m, n)), c in e._quadratic.items():
-            _bump(quad, ((k, l + 1), (m, n)), c)
-            _bump(quad, ((k, l), (m, n + 1)), c)
-    return TildeElement(e.truncation, 0, 0, lin, quad)
+                key = ((k - 1, 0), (m - k, n))
+                quad[key] = quad.get(key, 0) + comb(m, k) * c
+    else:
+        raise ValueError("generator must be X or Y")
+    return TildeElement(e.truncation, 0, 0, linear, quad)
 
 
 def _h1_tail(first: int, truncation: int) -> dict[Pair, Fraction]:
@@ -332,22 +239,16 @@ def _dy_linear(m: int, n: int, truncation: int) -> TildeElement:
 def tilde_dy(e: TildeElement, truncation: int) -> TildeElement:
     """The derivation sending X to 0 and Y to X + sum (B_l/l!) {0,l-1}.
 
-    On quadratic terms the Leibniz rule applies and only the linear
-    part of each inner derivative survives the quotient.
+    On quadratic terms it acts by the Leibniz rule.
     """
     out = TildeElement.zero(truncation)
     if e.b:
         out = e.b * TildeElement(truncation, 1, 0, _h1_tail(0, truncation))
     for (m, n), c in e._linear.items():
         out = out + c * _dy_linear(m, n, truncation)
-    quad: dict[tuple[Pair, Pair], Fraction] = {}
-    for (u, v), c in e._quadratic.items():
-        du = _dy_linear(*u, truncation)
-        dv = _dy_linear(*v, truncation)
-        for p, cc in du._linear.items():
-            _bump(quad, (p, v), c * cc)
-        for p, cc in dv._linear.items():
-            _bump(quad, (u, p), c * cc)
+    quad = _leibniz(
+        e._quadratic, lambda u: _dy_linear(*u, truncation)._linear.items()
+    )
     return out + TildeElement(truncation, quadratic=quad)
 
 

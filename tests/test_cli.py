@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -180,6 +181,29 @@ def test_byte_identical_reruns(capsys):
     first = run(capsys, "deeper", "--degree", "6", "--format", "json")
     second = run(capsys, "deeper", "--degree", "6", "--format", "json")
     assert first == second
+
+
+# Every byte of the quotient printers (text, json and csv of both element
+# types, and the kv-solve report) at degree 12, pinned by sha256.
+@pytest.mark.parametrize("argv, digest", [
+    ("deeper --degree 12",
+     "900b70c4cd1cc4d9936d8cab8cb39ff461aa6d453466d16877b050e301569f5a"),
+    ("deeper --degree 12 --format json",
+     "c2ed90c5bac5a6e15a736b28db6261c9f1cb62b57f37ef39969fc144ddbb5188"),
+    ("deeper --degree 12 --format csv",
+     "f8aea7bf106f67712d37a9e306c3ede7b5a389c4378a5123e1bfe128a01fbd06"),
+    ("metabelian --degree 12",
+     "60340c8a12ddbbda1e2c0d52b8786f4ee574c5f256e3a38948322823772568f7"),
+    ("metabelian --degree 12 --format csv",
+     "02647278b25ee68d2c4e75460f99af10e04a9701a5d1a08fc6919f52730768f0"),
+    ("kv-solve --degree 12 --format json",
+     "b4b617fca26431687cff4aed61fe919626641830aac592cbfbbd1643f19ce90d"),
+], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text", "metabelian-csv",
+        "kv-solve-json"])
+def test_quotient_outputs_are_byte_exact(capsys, argv, digest):
+    rc, out, err = run(capsys, *argv.split())
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from mbch.assoc import NCSeries, word_from_str
 from mbch.freelie import LieElement, LieSeries
 from mbch.metabelian import MetabelianElement
-from mbch.series import BiSeries, InexactDivision, bernoulli, parse_int, parse_rational
+from mbch.series import (
+    BiSeries,
+    InexactDivision,
+    PairSeries,
+    bernoulli,
+    parse_int,
+    parse_rational,
+)
 from mbch.tilde import TildeElement
 
 F = Fraction
@@ -438,7 +445,7 @@ def test_from_json_dict_rejects_terms_beyond_truncation(cls, data):
 
 
 # ---------------------------------------------------------------------------
-# The truncated-series base, once for each of its three subclasses
+# The truncated-series base, once for each of its four subclasses
 # ---------------------------------------------------------------------------
 
 # Four keys of total degrees 1, 1, 2 and 3 in each key language.
@@ -446,8 +453,11 @@ _KEYS = {
     BiSeries: [(1, 0), (0, 1), (1, 1), (2, 1)],
     NCSeries: [word_from_str(w) for w in ("X", "Y", "XY", "XXY")],
     LieSeries: ["X", "Y", ("X", "Y"), ("X", ("X", "Y"))],
+    PairSeries: [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (0, 0)), ((2, 1), (0, 0))],
 }
-_MALFORMED_KEY = {BiSeries: (-1, 2), NCSeries: "XY", LieSeries: "Z"}
+_MALFORMED_KEY = {
+    BiSeries: (-1, 2), NCSeries: "XY", LieSeries: "Z", PairSeries: ((-1, 0), (0, 0)),
+}
 _SERIES_TYPES = pytest.mark.parametrize(
     "cls", list(_KEYS), ids=[cls.__name__ for cls in _KEYS]
 )
@@ -542,3 +552,64 @@ def test_additive_laws(cls, rows, k):
     assert a - b == a + (-b) == -(b - a)
     assert k * (a + b) == k * a + k * b
     assert (a + cls.zero(3)) == a
+
+
+def test_pair_series_keeps_keys_in_normal_order():
+    hi, lo = (1, 0), (0, 2)
+    reversed_key = PairSeries(4, {(lo, hi): F(2, 3)})
+    assert list(reversed_key.items()) == [((hi, lo), F(-2, 3))]
+    assert reversed_key.coefficient(hi, lo) == F(-2, 3)
+    assert reversed_key.coefficient(lo, hi) == F(2, 3)
+    assert reversed_key == PairSeries(4, {(hi, lo): F(-2, 3)})
+    assert PairSeries(4, {(hi, hi): 5}).is_zero()
+    assert reversed_key.coefficient(hi, hi) == 0
+    with pytest.raises(ValueError, match="negative basis index"):
+        PairSeries(4, {((-1, 0), (-1, 0)): 1})
+    merged = PairSeries(4, {(hi, lo): 5}) + PairSeries(4, {(lo, hi): 2})
+    assert merged == PairSeries(4, {(hi, lo): 3})
+    assert PairSeries(4, {(hi, lo): 5, (lo, hi): 5}).is_zero()
+    # The sign flip never sees an unchecked coefficient: -True would be -1.
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="rational scalar"):
+            PairSeries(4, {(lo, hi): bad})
+
+
+# ---------------------------------------------------------------------------
+# The quotient-element shape, once for each of its two subclasses
+# ---------------------------------------------------------------------------
+
+# Table terms of degrees 2, 3 and 5, each a multiple of one coefficient.
+_QUOTIENT_TABLES = {
+    MetabelianElement: lambda c: {"table": {(0, 0): c, (1, 0): 2 * c, (2, 1): -c}},
+    TildeElement: lambda c: {
+        "linear": {(0, 0): c, (1, 0): 2 * c},
+        "quadratic": {((1, 0), (0, 0)): -c},
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(_QUOTIENT_TABLES), ids=lambda cls: cls.__name__)
+def test_quotient_elements_share_one_algebra(cls):
+    def make(n, a, b, c):
+        return cls(n, a, b, **_QUOTIENT_TABLES[cls](c))
+
+    e = make(5, 1, -2, F(1, 3))
+    short = make(3, F(1, 2), 1, 1)
+    for total in (e + short, short + e):
+        assert total.truncation == 3
+        assert total == make(3, F(3, 2), -1, F(4, 3))
+    parts = [e.degree_part(d) for d in range(1, 7)]
+    assert [p.is_zero() for p in parts] == [False, False, False, True, False, True]
+    assert all(p.truncation == 5 for p in parts)
+    assert sum(parts, cls.zero(5)) == e
+    assert (e - e).is_zero() and e - e == cls.zero(5)
+    assert F(-2) * e == make(5, -2, 4, F(-2, 3)) == -(2 * e)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="rational scalar"):
+            bad * e
+    for name in ("a", "truncation"):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(e, name, 0)
+    other = next(t for t in _QUOTIENT_TABLES if t is not cls)
+    assert (cls.zero(5) == other.zero(5)) is False
+    assert (cls(5, 1, 2) == other(5, 1, 2)) is False
