@@ -18,13 +18,7 @@ from math import comb, factorial, lcm
 from typing import Iterator
 
 from .series import bernoulli
-from .freelie import (
-    Derivation,
-    LieElement,
-    LieSeries,
-    long_commutator,
-    right_normed,
-)
+from .freelie import Derivation, LieElement, LieSeries, long_commutator
 
 __all__ = ["hausdorff_h1", "bch_recursive", "bch_recursive_steps", "bch_dynkin"]
 
@@ -51,10 +45,11 @@ def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
     """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation.
 
     H_m is homogeneous of degree m in X (each substitution of the image
-    of Y consumes one Y and introduces exactly one X).  Every yielded
-    element is rewritten into right-nested chain form between steps,
-    which keeps the term count bounded by the number of words of each
-    degree instead of growing with the Leibniz expansion tree.
+    of Y consumes one Y and introduces exactly one X).  ``Derivation``
+    acts on right-nested chains and returns chains, so every yielded
+    element is in chain form and the term count stays bounded by the
+    number of words of each degree instead of growing with the Leibniz
+    expansion tree.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -62,7 +57,7 @@ def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
     h = LieElement.generator("Y")
     yield h
     for m in range(1, truncation + 1):
-        h = Fraction(1, m) * right_normed(d(h))
+        h = Fraction(1, m) * d(h)
         if h.is_zero():
             return
         yield h

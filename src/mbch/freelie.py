@@ -19,7 +19,9 @@ coordinates.  ``to_assoc`` and ``right_normed`` scale the same way.
 Right-nested trees ("long commutators") play a special role throughout:
 ``long_commutator("XXY")`` is [X,[X,Y]], and ``right_normed`` rewrites any
 element into a combination of such chains via [[A,B],C] = [A,[B,C]] -
-[B,[A,C]].
+[B,[A,C]].  That rewriting is the one bracket engine of the module:
+``Derivation`` applies it inside the Leibniz rule, so a derivation takes
+chains to chains and never builds an unnormalized tree.
 """
 
 from __future__ import annotations
@@ -197,15 +199,12 @@ class LieElement:
         return f"LieElement({len(self._terms)} terms)"
 
 
-def bracket(a: LieElement, b: LieElement, truncation: int | None = None) -> LieElement:
+def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bilinear bracket; syntactically equal tree pairs drop out ([t,t]=0)."""
     out: dict[BracketTree, Fraction] = {}
     for t1, c1 in a._terms.items():
-        d1 = tree_degree(t1)
         for t2, c2 in b._terms.items():
             if t1 == t2:
-                continue
-            if truncation is not None and d1 + tree_degree(t2) > truncation:
                 continue
             key = (t1, t2)
             out[key] = out.get(key, Fraction(0)) + c1 * c2
@@ -471,92 +470,83 @@ def _rn_tree(t: BracketTree) -> dict:
     return _rn_ad(t[0], _rn_tree(t[1]))
 
 
-def right_normed(a: LieElement) -> LieElement:
-    """The same element written with right-nested chain trees only."""
+def _chain_words(a: LieElement | LieSeries) -> dict[str, Fraction]:
+    """The chain words of an element or series with their coefficients:
+    {w: c} stands for the sum of c [w] over right-nested chains."""
+    if isinstance(a, LieSeries):
+        a = a.as_element()
     scale, ints = _scaled(a._terms)
     words: dict[str, int] = {}
     for t, c in ints.items():
         for w, ic in _rn_tree(t).items():
             words[w] = words.get(w, 0) + c * ic
-    return LieElement({chain_tree(w): Fraction(c, scale) for w, c in words.items()})
+    return {w: Fraction(c, scale) for w, c in words.items() if c}
+
+
+def right_normed(a: LieElement) -> LieElement:
+    """The same element written with right-nested chain trees only."""
+    return LieElement({chain_tree(w): c for w, c in _chain_words(a).items()})
 
 
 # ---------------------------------------------------------------------------
 # Derivations
 # ---------------------------------------------------------------------------
 
-def _image_terms(img, truncation: int) -> list:
-    if img is None:
-        return []
-    if isinstance(img, LieSeries):
-        img = img.as_element()
-    return [
-        (t, c) for t, c in img._terms.items() if tree_degree(t) <= truncation
-    ]
-
-
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images may be LieElements, LieSeries, or None for zero; they are cut
-    at the truncation before Leibniz expansion.
+    Images may be LieElements, LieSeries, or None for zero; they are
+    rewritten into chain words, scaled to integers over one common
+    denominator, and cut at the truncation.
 
-    Extends by the Leibniz rule D[A,B] = [DA,B] + [A,DB]; substitution
-    results are memoized per tree so a sequence of applications (as in the
-    Hausdorff recursion) shares work.
+    D acts on right-normed chains: a chain word w = a v (a its first
+    letter) goes to [a, D v] + [D a, v], both brackets rewritten back into
+    chains by ``_rn_ad``.  Results are memoized per chain word, so a
+    sequence of applications (as in the Hausdorff recursion) shares work,
+    and the result is always a combination of chain trees.
     """
 
     def __init__(self, image_x, image_y, truncation: int):
         self.truncation = truncation
-        self._images = {
-            "X": _image_terms(image_x, truncation),
-            "Y": _image_terms(image_y, truncation),
-        }
-        self._memo: dict[BracketTree, dict] = {}
+        self._scale, ints = _scaled({
+            (g, w): c
+            for g, img in (("X", image_x), ("Y", image_y)) if img is not None
+            for w, c in _chain_words(img).items() if len(w) <= truncation
+        })
+        self._images: dict[str, dict[str, int]] = {"X": {}, "Y": {}}
+        for (g, w), c in ints.items():
+            self._images[g][w] = c
+        self._derive = functools.cache(self._derive_word)
 
-    def _derive_tree(self, t: BracketTree) -> dict:
-        out = self._memo.get(t)
-        if out is not None:
-            return out
+    def _derive_word(self, w: str) -> dict[str, int]:
+        """D of the chain [w], as chain words times ``self._scale``."""
         n = self.truncation
-        if isinstance(t, str):
-            out = {it: c for it, c in self._images[t]}
-        else:
-            a, b = t
-            da, db = self._derive_tree(a), self._derive_tree(b)
-            deg_a, deg_b = tree_degree(a), tree_degree(b)
-            out = {}
-            for ta, ca in da.items():
-                if ta != b and tree_degree(ta) + deg_b <= n:
-                    key = (ta, b)
-                    out[key] = out.get(key, Fraction(0)) + ca
-            for tb, cb in db.items():
-                if a != tb and deg_a + tree_degree(tb) <= n:
-                    key = (a, tb)
-                    out[key] = out.get(key, Fraction(0)) + cb
-            out = {k: v for k, v in out.items() if v}
-        self._memo[t] = out
-        return out
-
-    def element(self, e: LieElement) -> LieElement:
-        out: dict = {}
-        for t, c in e._terms.items():
-            for rt, rc in self._derive_tree(t).items():
-                v = out.get(rt, Fraction(0)) + c * rc
-                if v:
-                    out[rt] = v
-                else:
-                    out.pop(rt, None)
-        return LieElement(out)
-
-    def series(self, s: LieSeries) -> LieSeries:
-        n = min(self.truncation, s.truncation)
-        return LieSeries.from_element(self.element(s.as_element()), n)
+        a, v = w[0], w[1:]
+        if not v:
+            return self._images[a]
+        out = _rn_ad(a, {u: c for u, c in self._derive(v).items() if len(u) < n})
+        for image, c in self._images[a].items():
+            if image == v or len(image) + len(v) > n:
+                continue  # [v, v] = 0, skipped where the tree rule skipped it
+            for u, ic in _rn_ad(chain_tree(image), {v: 1}).items():
+                out[u] = out.get(u, 0) + c * ic
+        return {u: c for u, c in out.items() if c}
 
     def __call__(self, target):
+        """D of an element (a LieElement) or of a series (a LieSeries cut
+        at the smaller truncation), written with chain trees."""
+        scale, ints = _scaled(_chain_words(target))
+        out: dict[str, int] = {}
+        for w, c in ints.items():
+            if len(w) > self.truncation:
+                continue
+            for u, ic in self._derive(w).items():
+                out[u] = out.get(u, 0) + c * ic
+        scale *= self._scale
+        terms = {chain_tree(u): Fraction(c, scale) for u, c in out.items()}
         if isinstance(target, LieSeries):
-            return self.series(target)
-        return self.element(target)
+            return LieSeries(min(self.truncation, target.truncation), terms)
+        return LieElement(terms)
 
 
 # ---------------------------------------------------------------------------

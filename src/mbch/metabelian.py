@@ -34,14 +34,7 @@ from .series import (
     parse_int,
     parse_rational,
 )
-from .freelie import (
-    LieElement,
-    LieSeries,
-    chain_tree,
-    render_tree,
-    right_normed,
-    tree_word,
-)
+from .freelie import LieElement, LieSeries, _chain_words, chain_tree, render_tree
 
 __all__ = [
     "MetabelianElement",
@@ -193,13 +186,10 @@ def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
     commute modulo brackets of brackets and are sorted into X^k Y^l,
     landing in B(k,l).
     """
-    if isinstance(e, LieSeries):
-        e = e.as_element()
     a = Fraction(0)
     b = Fraction(0)
     table: dict[tuple[int, int], Fraction] = {}
-    for t, c in right_normed(e).term_dict().items():
-        w = tree_word(t)
+    for w, c in _chain_words(e).items():
         if len(w) > truncation:
             continue
         if len(w) == 1:

@@ -355,7 +355,7 @@ class BiSeries(TruncatedSeries):
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        if i + j > self.truncation:
+        if self._degree((i, j)) > self.truncation:
             raise ValueError("coefficient beyond truncation")
         return self._coeffs.get((i, j), Fraction(0))
 
@@ -429,23 +429,9 @@ class BiSeries(TruncatedSeries):
 
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self._coeffs.get((0, 0), Fraction(0))
-        if not a0:
+        if not self._coeffs.get((0, 0)):
             raise ValueError("non-unit series")
-        n = self.truncation
-        a = self._by_degree()
-        b: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(n + 1)]
-        b[0][(0, 0)] = 1 / a0
-        for m in range(1, n + 1):
-            acc: dict[tuple[int, int], Fraction] = {}
-            for k in range(1, m + 1):
-                for (i1, j1), c1 in a[k].items():
-                    for (i2, j2), c2 in b[m - k].items():
-                        key = (i1 + i2, j1 + j2)
-                        acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-            b[m] = {k2: -v / a0 for k2, v in acc.items() if v}
-        coeffs = {k: v for part in b for k, v in part.items()}
-        return BiSeries(n, coeffs)
+        return BiSeries.one(self.truncation).divide_exact(self)
 
     def divide_exact(self, divisor: "BiSeries") -> "BiSeries":
         """Exact quotient q with q * divisor == self (up to truncation).

@@ -1,5 +1,6 @@
 """Tests for the two free Lie algebra constructions of log(e^X e^Y)."""
 
+import functools
 from fractions import Fraction as F
 from math import factorial
 
@@ -8,12 +9,14 @@ import pytest
 from mbch.assoc import bch_log_oracle
 from mbch.bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h1
 from mbch.freelie import (
+    LieElement,
     LieSeries,
     from_lyndon_coords,
     long_commutator,
     right_normed,
     to_assoc,
     to_lyndon_coords,
+    tree_degree,
     tree_word,
 )
 
@@ -78,6 +81,45 @@ def test_recursive_sum_matches_steps():
         LieSeries.zero(5),
     )
     assert total == bch_recursive(5)
+
+
+def _tree_route(n):
+    """Reference recursion: the Leibniz rule on bracket trees, memoized per
+    tree, then ``right_normed`` after every step."""
+    image = {t: c for t, c in hausdorff_h1(n).items()}
+
+    @functools.cache
+    def derive(t):
+        if t == "X":
+            return {}
+        if t == "Y":
+            return image
+        a, b = t
+        out = {}
+        for ta, ca in derive(a).items():
+            if ta != b and tree_degree(ta) + tree_degree(b) <= n:
+                out[ta, b] = out.get((ta, b), 0) + ca
+        for tb, cb in derive(b).items():
+            if a != tb and tree_degree(a) + tree_degree(tb) <= n:
+                out[a, tb] = out.get((a, tb), 0) + cb
+        return out
+
+    h = total = LieElement.generator("Y")
+    for m in range(1, n + 1):
+        out = {}
+        for t, c in h.term_dict().items():
+            for rt, rc in derive(t).items():
+                out[rt] = out.get(rt, 0) + c * rc
+        h = F(1, m) * right_normed(LieElement(out))
+        total = total + h
+    return LieSeries.from_element(total, n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_recursive_term_dict_matches_tree_route(n):
+    # The same chain terms, not only the same coordinates: equal pairs
+    # [A,A] are skipped exactly where the tree-level rule skipped them.
+    assert dict(bch_recursive(n).items()) == dict(_tree_route(n).items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the free Lie algebra machinery."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -357,6 +358,73 @@ def test_derivation_leibniz_property():
 def test_derivation_respects_truncation():
     d = Derivation(None, long_commutator("XY"), 2)
     assert d(bracket(X, Y)).is_zero()  # image would be degree 3
+
+
+def _tree_derivation(image_x, image_y, n):
+    """Reference: the Leibniz rule D[A,B] = [DA,B] + [A,DB] on unnormalized
+    bracket trees, memoized per tree, equal pairs dropped, cut at n."""
+    images = {}
+    for g, img in (("X", image_x), ("Y", image_y)):
+        terms = {} if img is None else img.term_dict()
+        images[g] = {t: c for t, c in terms.items() if tree_degree(t) <= n}
+
+    @functools.cache
+    def derive(t):
+        if isinstance(t, str):
+            return images[t]
+        a, b = t
+        out = {}
+        for ta, ca in derive(a).items():
+            if ta != b and tree_degree(ta) + tree_degree(b) <= n:
+                out[ta, b] = out.get((ta, b), 0) + ca
+        for tb, cb in derive(b).items():
+            if a != tb and tree_degree(a) + tree_degree(tb) <= n:
+                out[a, tb] = out.get((a, tb), 0) + cb
+        return out
+
+    def apply(e):
+        out = {}
+        for t, c in e.term_dict().items():
+            for rt, rc in derive(t).items():
+                out[rt] = out.get(rt, 0) + c * rc
+        return LieElement(out)
+
+    return apply
+
+
+def _random_image(rng):
+    if rng.random() < 0.2:
+        return None
+    e = _random_element(rng, 3, rng.randint(1, 3))
+    if rng.random() < 0.5:
+        e = e + F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice([X, Y])
+    return e
+
+
+def test_derivation_on_chains_matches_tree_leibniz_rule():
+    rng = random.Random(67)
+    nonzero = 0
+    for n in range(2, 10):
+        for _ in range(20):
+            ix, iy = _random_image(rng), _random_image(rng)
+            target = _random_element(rng, 3, 3)
+            out = Derivation(ix, iy, n)(target)
+            assert all(tree_word(t) is not None for t, _ in out.terms())
+            coords = to_lyndon_coords(out)
+            assert coords == to_lyndon_coords(_tree_derivation(ix, iy, n)(target))
+            nonzero += bool(coords)
+    assert nonzero >= 90
+
+
+def test_derivation_of_series_is_series_at_smaller_truncation():
+    rng = random.Random(71)
+    for n, m in ((4, 6), (6, 4), (5, 5)):
+        ix, iy = _random_element(rng, 2, 2) + Y, _random_element(rng, 2, 2) + X
+        target = _random_element(rng, 3, 4)
+        out = Derivation(ix, iy, n)(LieSeries.from_element(target, m))
+        assert isinstance(out, LieSeries) and out.truncation == min(n, m)
+        ref = _tree_derivation(ix, iy, n)(LieSeries.from_element(target, m).as_element())
+        assert out == LieSeries.from_element(ref, min(n, m))
 
 
 # ---------------------------------------------------------------------------

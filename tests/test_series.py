@@ -113,6 +113,17 @@ def test_coefficient_beyond_truncation_raises():
         s.coefficient(2, 2)
 
 
+def test_negative_exponent_lookup_raises():
+    lookups = (
+        lambda: BiSeries.one(3).coefficient(-2, 1),
+        lambda: MetabelianElement(4).coefficient(-1, 0),
+        lambda: TildeElement(6).linear_coefficient(-1, 2),
+    )
+    for lookup in lookups:
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            lookup()
+
+
 # ---------------------------------------------------------------------------
 # Inverse and exact division
 # ---------------------------------------------------------------------------
