@@ -2,8 +2,9 @@
 
 This is the universal-enveloping side of the package: an independent
 word-by-word model used as the oracle that every closed Lie-side formula
-is checked against.  Words are stored packed as ``(length, bits)`` with
-bit i = 1 when position i holds Y, so keys hash fast and stay tiny.
+is checked against.  A word is a ``str`` over the letters X and Y, as
+everywhere else in the package; a ``str`` caches its hash, so dict
+lookups on word keys stay cheap.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 from typing import Iterator
 
 from .series import (
@@ -25,30 +25,13 @@ from .series import (
 
 __all__ = [
     "NCSeries",
-    "word_from_str",
-    "word_to_str",
     "nc_exp",
     "nc_log",
     "bch_log_oracle",
     "zassenhaus_oracle",
 ]
 
-Word = tuple[int, int]
-
-
-def word_from_str(s: str) -> Word:
-    bits = 0
-    for i, ch in enumerate(s):
-        if ch == "Y":
-            bits |= 1 << i
-        elif ch != "X":
-            raise ValueError(f"bad letter {ch!r} in word")
-    return (len(s), bits)
-
-
-def word_to_str(w: Word) -> str:
-    length, bits = w
-    return "".join("Y" if bits >> i & 1 else "X" for i in range(length))
+_NEGSWAP = str.maketrans("XY", "YX")
 
 
 def _scaled(coeffs: dict) -> tuple[int, dict]:
@@ -61,12 +44,21 @@ def _scaled(coeffs: dict) -> tuple[int, dict]:
 class NCSeries(TruncatedSeries):
     """Noncommutative series truncated at a total word length.
 
-    A key is a packed word ``(length, bits)``; the empty word ``(0, 0)``
-    is the constant term.
+    A key is a word, a ``str`` over X and Y; the empty word ``""`` is the
+    constant term.  A key of another type or with another letter is
+    refused on construction.
     """
 
     __slots__ = ()
-    _degree = staticmethod(itemgetter(0))
+    _degree = staticmethod(len)
+    _constant_key = ""
+
+    def __init__(self, truncation: int, coeffs: dict | None = None):
+        # One C-level pass over all keys: join raises on a non-str key,
+        # and strip leaves a bad letter behind.
+        if coeffs and "".join(coeffs).strip("XY"):
+            raise ValueError("a word is a string over X and Y")
+        super().__init__(truncation, coeffs)
 
     # -- constructors --------------------------------------------------------
 
@@ -74,29 +66,23 @@ class NCSeries(TruncatedSeries):
     def generator(cls, letter: str, truncation: int) -> "NCSeries":
         if letter not in ("X", "Y"):
             raise ValueError("generator must be X or Y")
-        return cls(truncation, {(1, 1 if letter == "Y" else 0): 1})
-
-    @classmethod
-    def from_strings(cls, coeffs: dict, truncation: int) -> "NCSeries":
-        return cls(truncation, {word_from_str(w): c for w, c in coeffs.items()})
+        return cls(truncation, {letter: 1})
 
     # -- inspection ----------------------------------------------------------
 
-    def coefficient(self, word: str | Word) -> Fraction:
-        w = word_from_str(word) if isinstance(word, str) else word
-        if w[0] > self.truncation:
+    def coefficient(self, word: str) -> Fraction:
+        if not isinstance(word, str) or word.strip("XY"):
+            raise ValueError(f"not a word over X and Y: {word!r}")
+        if len(word) > self.truncation:
             raise ValueError("word beyond truncation")
-        return self._coeffs.get(w, Fraction(0))
+        return self._coeffs.get(word, Fraction(0))
 
     def terms(self) -> Iterator[tuple[str, Fraction]]:
-        """Nonzero terms sorted by (length, word string)."""
-        keyed = sorted(
-            ((w[0], word_to_str(w)), c) for w, c in self._coeffs.items()
-        )
-        for (_, s), c in keyed:
-            yield s, c
+        """Nonzero terms sorted by (length, word)."""
+        for w in sorted(self._coeffs, key=lambda w: (len(w), w)):
+            yield w, self._coeffs[w]
 
-    def word_dict(self) -> dict[Word, Fraction]:
+    def word_dict(self) -> dict[str, Fraction]:
         return dict(self._coeffs)
 
     # -- algebra -------------------------------------------------------------
@@ -107,14 +93,14 @@ class NCSeries(TruncatedSeries):
         n = min(self.truncation, other.truncation)
         s1, left = _scaled(self._coeffs)
         s2, right = _scaled(other._coeffs)
-        right_by_length = sorted(right.items())
-        out: dict[Word, int] = {}
-        for (l1, b1), c1 in left.items():
-            rest = n - l1
-            for (l2, b2), c2 in right_by_length:
-                if l2 > rest:
+        right_by_length = sorted(right.items(), key=lambda wc: len(wc[0]))
+        out: dict[str, int] = {}
+        for w1, c1 in left.items():
+            rest = n - len(w1)
+            for w2, c2 in right_by_length:
+                if len(w2) > rest:
                     break
-                w = (l1 + l2, b1 | b2 << l1)
+                w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
         scale = s1 * s2
         return NCSeries(n, {w: Fraction(c, scale) for w, c in out.items() if c})
@@ -123,11 +109,10 @@ class NCSeries(TruncatedSeries):
 
     def subst_negswap(self) -> "NCSeries":
         """Substitute X -> -Y, Y -> -X letterwise (word keeps its positions)."""
-        out = {}
-        for (l, b), c in self._coeffs.items():
-            mask = (1 << l) - 1
-            out[(l, b ^ mask)] = c if l % 2 == 0 else -c
-        return NCSeries(self.truncation, out)
+        return NCSeries(
+            self.truncation,
+            {w.translate(_NEGSWAP): -c if len(w) % 2 else c for w, c in self._coeffs.items()},
+        )
 
     # -- serialization ---------------------------------------------------------
 
@@ -141,7 +126,7 @@ class NCSeries(TruncatedSeries):
     @classmethod
     def from_json_dict(cls, data: dict) -> "NCSeries":
         n = parse_int(data["truncation"])
-        coeffs = {word_from_str(t["word"]): parse_rational(t["c"]) for t in data["terms"]}
+        coeffs = {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
         _refuse_beyond(n, map(cls._degree, coeffs))
         return cls(n, coeffs)
 
@@ -168,7 +153,7 @@ def _compress_word(s: str) -> str:
 
 def nc_exp(a: NCSeries) -> NCSeries:
     """exp of a series with zero constant term."""
-    if a.coefficient((0, 0)):
+    if a.coefficient(""):
         raise ValueError("nonzero constant term")
     n = a.truncation
     s = NCSeries.one(n)
@@ -182,7 +167,7 @@ def nc_exp(a: NCSeries) -> NCSeries:
 
 def nc_log(a: NCSeries) -> NCSeries:
     """log of a series with constant term 1, bounded as in ``nc_exp``."""
-    if a.coefficient((0, 0)) != 1:
+    if a.coefficient("") != 1:
         raise ValueError("constant term must be 1")
     n = a.truncation
     z = a - NCSeries.one(n)

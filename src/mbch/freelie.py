@@ -30,7 +30,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .assoc import NCSeries, _compress_word, _scaled, word_from_str
+from .assoc import NCSeries, _compress_word, _scaled
 from .series import (
     TruncatedSeries,
     _as_fraction,
@@ -344,19 +344,18 @@ def _expand(terms: dict) -> dict:
     by_left: dict = {}
     for t, c in terms.items():
         if isinstance(t, str):
-            w = word_from_str(t)
-            out[w] = out.get(w, 0) + c
+            out[t] = out.get(t, 0) + c
         else:
             rest = by_left.setdefault(t[0], {})
             rest[t[1]] = rest.get(t[1], 0) + c
     for a, rest in by_left.items():
         ea, eb = _expand({a: 1}), _expand(rest)
-        for (l1, b1), c1 in ea.items():
-            for (l2, b2), c2 in eb.items():
+        for w1, c1 in ea.items():
+            for w2, c2 in eb.items():
                 c = c1 * c2
-                w = (l1 + l2, b1 | b2 << l1)
+                w = w1 + w2
                 out[w] = out.get(w, 0) + c
-                w = (l1 + l2, b2 | b1 << l2)
+                w = w2 + w1
                 out[w] = out.get(w, 0) - c
     return {w: c for w, c in out.items() if c}
 
@@ -375,11 +374,8 @@ def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
 
 @functools.cache
 def _sb_expansions(degree: int) -> list:
-    """(word, packed key, expansion) for each Lyndon word of the degree."""
-    return [
-        (w, word_from_str(w), _expand({standard_bracketing(w): 1}))
-        for w in lyndon_words(degree)
-    ]
+    """(word, expansion) for each Lyndon word of the degree."""
+    return [(w, _expand({standard_bracketing(w): 1})) for w in lyndon_words(degree)]
 
 
 def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
@@ -392,15 +388,15 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     """
     by_degree: dict[int, dict] = {}
     for w, c in words.items():
-        by_degree.setdefault(w[0], {})[w] = c
+        by_degree.setdefault(len(w), {})[w] = c
     coords: dict[str, Fraction] = {}
     for d in sorted(by_degree):
         acc = by_degree[d]
-        for wstr, key, expansion in _sb_expansions(d):
-            c = acc.get(key)
+        for word, expansion in _sb_expansions(d):
+            c = acc.get(word)
             if not c:
                 continue
-            coords[wstr] = Fraction(c, scale)
+            coords[word] = Fraction(c, scale)
             for w, ic in expansion.items():
                 v = acc.get(w, 0) - c * ic
                 if v:
@@ -423,7 +419,7 @@ def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     """Lyndon coordinates of an NCSeries that lies in the free Lie algebra."""
     words = nc.word_dict()
-    if words.get((0, 0)):
+    if words.get(""):
         raise ValueError("not a Lie element: constant term")
     return _lyndon_reduce(*_scaled(words))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -139,22 +139,15 @@ def bernoulli(n: int) -> Fraction:
 # Named univariate coefficient streams, composed at a linear form
 # ---------------------------------------------------------------------------
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _named_coefficient(kind: str, n: int) -> Fraction:
     if kind == "exp":
-        return Fraction(1, _factorial(n))
+        return Fraction(1, factorial(n))
     if kind == "expm1":
-        return Fraction(0) if n == 0 else Fraction(1, _factorial(n))
+        return Fraction(0) if n == 0 else Fraction(1, factorial(n))
     if kind == "expm1_over_t":
-        return Fraction(1, _factorial(n + 1))
+        return Fraction(1, factorial(n + 1))
     if kind == "t_over_expm1":
-        return bernoulli(n) / _factorial(n)
+        return bernoulli(n) / factorial(n)
     if kind == "log1p":
         return Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), n)
     raise ValueError(f"unknown named series {kind!r}")
@@ -188,14 +181,16 @@ class TruncatedSeries:
     """A sparse map from monomials to ``Fraction``s, cut at a total degree.
 
     A subclass names the total degree of its monomial keys in the static
-    ``_degree``, which also refuses a malformed key.  Terms beyond the
-    truncation and zero coefficients are dropped on construction, sums
-    truncate at the smaller bound, and the constant monomial is the key
-    ``(0, 0)``.  Instances are immutable and compare equal only to a series
-    of the same type and truncation with the same terms.
+    ``_degree``; it, or the subclass constructor, refuses a malformed key.
+    Terms beyond the truncation and zero coefficients are dropped on
+    construction, sums truncate at the smaller bound, and the constant
+    monomial is the key named in ``_constant_key``, ``(0, 0)`` unless a
+    subclass says otherwise.  Instances are immutable and compare equal
+    only to a series of the same type and truncation with the same terms.
     """
 
     __slots__ = ("truncation", "_coeffs")
+    _constant_key = (0, 0)
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         if truncation < 0:
@@ -221,7 +216,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, truncation: int):
-        return cls(truncation, {(0, 0): _as_fraction(c)})
+        return cls(truncation, {cls._constant_key: _as_fraction(c)})
 
     @classmethod
     def one(cls, truncation: int):

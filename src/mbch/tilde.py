@@ -259,27 +259,19 @@ def tilde_dy(e: TildeElement, truncation: int) -> TildeElement:
 def hausdorff_tilde(truncation: int) -> TildeElement:
     """log(e^X e^Y) out of long commutators and their single brackets.
 
-    X + Y + sum (B_n/n!) {0,n-1} plus the iterated pieces: the first is
-    (1/2) sum (B_k/k!) D {0,k-1}, and each next one is the derivative of
-    the previous divided by its index.
+    The recursion of ``bch.bch_recursive_steps`` in this quotient: the
+    sum of H_0 = Y, H_1 = D Y = X + sum (B_l/l!) {0,l-1} and each next
+    H_m = D H_{m-1} / m.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     n = truncation
-    total = TildeElement(n, 1, 1, _h1_tail(0, n))
-    h = TildeElement.zero(n)
-    for k in range(1, n):
-        c = bernoulli(k)
-        if c:
-            h = h + (c / factorial(k)) * _dy_linear(0, k - 1, n)
-    h = Fraction(1, 2) * h
-    m = 2
-    while not h.is_zero():
-        total = total + h
-        m += 1
-        if m > n:
-            break
+    h = total = TildeElement(n, 0, 1)
+    for m in range(1, n + 1):
         h = Fraction(1, m) * tilde_dy(h, n)
+        if h.is_zero():
+            break
+        total = total + h
     return total
 
 

@@ -287,7 +287,7 @@ def test_11_property_suites(criterion):
             for _ in range(rng.randint(1, 5)):
                 w = "".join(rng.choice("XY") for _ in range(rng.randint(1, 6)))
                 coeffs[w] = F(rng.randint(-3, 3), rng.randint(1, 3))
-            return NCSeries.from_strings(coeffs, 6)
+            return NCSeries(6, coeffs)
 
         for _ in range(cases):
             a = random_zero_constant_nc()

@@ -11,22 +11,11 @@ from mbch.assoc import (
     bch_log_oracle,
     nc_exp,
     nc_log,
-    word_from_str,
-    word_to_str,
     zassenhaus_oracle,
 )
 from mbch.freelie import to_assoc
 
 F = Fraction
-
-
-def test_word_packing_roundtrip():
-    assert word_from_str("XXY") == (3, 0b100)
-    assert word_to_str((3, 0b100)) == "XXY"
-    for s in ("", "X", "Y", "XYXYYX"):
-        assert word_to_str(word_from_str(s)) == s
-    with pytest.raises(ValueError):
-        word_from_str("XZ")
 
 
 def test_generator_product_and_truncation():
@@ -45,7 +34,7 @@ _coeffs = st.builds(
     st.sampled_from([1, 2, -3, 5, -7, 11, 13, 1001]),
 )
 _series = st.builds(
-    lambda n, terms: NCSeries.from_strings({w: c for w, c in terms.items() if len(w) <= n}, n),
+    lambda n, terms: NCSeries(n, {w: c for w, c in terms.items() if len(w) <= n}),
     st.integers(0, 5),
     st.dictionaries(_words, _coeffs, max_size=8),
 )
@@ -70,7 +59,7 @@ def test_products_match_naive_fraction_loop(a, b, q, k):
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: NCSeries(2, {(1, 0): 0.5}),
+    lambda: NCSeries(2, {"X": 0.5}),
     lambda: 0.5 * NCSeries.generator("X", 2),
     lambda: NCSeries.generator("X", 2) * 0.5,
     lambda: NCSeries.generator("X", 2) + 0.5,
@@ -127,10 +116,28 @@ def _log_unbounded(a):
     {},
 ], ids=["valuation1", "valuation2", "valuation3", "mixed1", "mixed2", "zero"])
 def test_bounded_exp_log_equal_unbounded_horner(n, terms):
-    a = NCSeries.from_strings(terms, n)
+    a = NCSeries(n, terms)
     assert nc_exp(a) == _exp_unbounded(a)
     u = NCSeries.one(n) + a
     assert nc_log(u) == _log_unbounded(u)
+
+
+@pytest.mark.parametrize("key", [(2, 7), (-1, 0), "XZ", 5],
+                         ids=["packed", "negative-packed", "bad-letter", "int"])
+def test_a_key_is_a_word_over_x_and_y(key):
+    with pytest.raises((TypeError, ValueError)):
+        NCSeries(3, {key: 5})
+    with pytest.raises((TypeError, ValueError)):
+        NCSeries(3, {"XY": 1, key: 5})
+
+
+def test_a_word_lookup_or_json_word_must_be_over_x_and_y():
+    s = NCSeries.generator("X", 3)
+    with pytest.raises(ValueError):
+        s.coefficient("XZ")
+    data = {"truncation": 3, "basis": "words", "terms": [{"word": "XZ", "c": "1"}]}
+    with pytest.raises(ValueError):
+        NCSeries.from_json_dict(data)
 
 
 def test_coefficient_beyond_truncation():
@@ -160,12 +167,12 @@ def test_bch_oracle_antisymmetry():
 
 
 def test_negswap_is_involution():
-    s = NCSeries(4, {word_from_str("XXY"): F(2, 3), word_from_str("YX"): 1})
+    s = NCSeries(4, {"XXY": F(2, 3), "YX": 1})
     assert s.subst_negswap().subst_negswap() == s
 
 
 def test_json_and_str():
-    s = NCSeries(3, {word_from_str("XY"): F(1, 2), word_from_str("X"): 1})
+    s = NCSeries(3, {"XY": F(1, 2), "X": 1})
     d = s.to_json_dict()
     assert d["basis"] == "words"
     assert [t["word"] for t in d["terms"]] == ["X", "XY"]

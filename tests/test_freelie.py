@@ -204,7 +204,7 @@ def test_lyndon_coords_of_assoc_rejects_non_lie():
 def test_non_lie_residual_raises_under_a_large_common_denominator():
     # X Y / 7 + [X,Y] / 3 is not a Lie element; its degree-2 residual must
     # survive scaling by the common denominator lcm(7, 3, 1001) = 3003.
-    xy = NCSeries.from_strings({"XY": F(1, 7)}, 3)
+    xy = NCSeries(3, {"XY": F(1, 7)})
     lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY")
     with pytest.raises(ValueError, match="nonzero associative residual"):
         lyndon_coords_of_assoc(xy + to_assoc(lie, 3))
