@@ -5,13 +5,20 @@ word-by-word model used as the oracle that every closed Lie-side formula
 is checked against.  A word is a ``str`` over the letters X and Y, as
 everywhere else in the package; a ``str`` caches its hash, so dict
 lookups on word keys stay cheap.
+
+The kernels run on integers.  A product scales each factor once by the
+least common multiple of its denominators and multiplies integer word
+dicts in ``_word_product``; ``nc_exp`` and ``nc_log`` are power sums
+sum_k f_k a^k whose integer powers come from the same loop and add up
+over one common denominator, so each output word becomes a ``Fraction``
+once.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from typing import Iterator
 
 from .series import (
@@ -93,17 +100,10 @@ class NCSeries(TruncatedSeries):
         n = min(self.truncation, other.truncation)
         s1, left = _scaled(self._coeffs)
         s2, right = _scaled(other._coeffs)
-        right_by_length = sorted(right.items(), key=lambda wc: len(wc[0]))
-        out: dict[str, int] = {}
-        for w1, c1 in left.items():
-            rest = n - len(w1)
-            for w2, c2 in right_by_length:
-                if len(w2) > rest:
-                    break
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
         scale = s1 * s2
-        return NCSeries(n, {w: Fraction(c, scale) for w, c in out.items() if c})
+        return NCSeries(
+            n, {w: Fraction(c, scale) for w, c in _word_product(left, right, n).items()}
+        )
 
     __rmul__ = __mul__
 
@@ -134,6 +134,20 @@ class NCSeries(TruncatedSeries):
         return format_terms((c, _compress_word(w)) for w, c in self.terms())
 
 
+def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
+    """Product of two integer word dicts, words longer than ``n`` dropped."""
+    right_by_length = sorted(right.items(), key=lambda wc: len(wc[0]))
+    out: dict[str, int] = {}
+    for w1, c1 in left.items():
+        rest = n - len(w1)
+        for w2, c2 in right_by_length:
+            if len(w2) > rest:
+                break
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
 def _compress_word(s: str) -> str:
     """Run-length notation: XXYX -> X^2YX."""
     out = []
@@ -151,18 +165,46 @@ def _compress_word(s: str) -> str:
 # exp / log
 # ---------------------------------------------------------------------------
 
+def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
+    """sum_k weights[k] a^k, in integers over one common denominator.
+
+    With a = A / s for an integer word dict A and f_k = F_k / L over the
+    least common multiple L of the weights' denominators, the sum is
+    sum_k F_k s^(K-k) A^k / (L s^K), K the last index; the integer powers
+    A^k are formed one after another and each output word becomes a
+    ``Fraction`` once.
+    """
+    n = a.truncation
+    top = len(weights) - 1
+    scale, ints = _scaled(a._coeffs)
+    den, numerators = _scaled(dict(enumerate(weights)))
+    total: dict[str, int] = {}
+    power = {"": 1}
+    for k in range(top + 1):
+        if k:
+            power = _word_product(power, ints, n)
+        f = numerators[k] * scale ** (top - k)
+        if f:
+            for w, c in power.items():
+                total[w] = total.get(w, 0) + f * c
+    den *= scale**top
+    return NCSeries(n, {w: Fraction(c, den) for w, c in total.items()})
+
+
 def nc_exp(a: NCSeries) -> NCSeries:
-    """exp of a series with zero constant term."""
+    """exp of a series with zero constant term.
+
+    a^k vanishes under the truncation once k * v > n, v the lowest degree
+    of a, so the sum stops at k = n // v.
+    """
     if a.coefficient(""):
         raise ValueError("nonzero constant term")
     n = a.truncation
-    s = NCSeries.one(n)
     if a.is_zero():
-        return s
-    # a^k vanishes under the truncation once k * min_degree > n.
-    for k in range(n // a.min_degree(), 0, -1):
-        s = NCSeries.one(n) + (a * s) * Fraction(1, k)
-    return s
+        return NCSeries.one(n)
+    return _power_sum(
+        a, [Fraction(1, factorial(k)) for k in range(n // a.min_degree() + 1)]
+    )
 
 
 def nc_log(a: NCSeries) -> NCSeries:
@@ -171,12 +213,12 @@ def nc_log(a: NCSeries) -> NCSeries:
         raise ValueError("constant term must be 1")
     n = a.truncation
     z = a - NCSeries.one(n)
-    s = NCSeries.zero(n)
     if z.is_zero():
-        return s
-    for k in range(n // z.min_degree(), 0, -1):
-        s = z * (NCSeries.one(n) * Fraction(1, k) - s)
-    return s
+        return NCSeries.zero(n)
+    top = n // z.min_degree()
+    return _power_sum(
+        z, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, top + 1)]
+    )
 
 
 @functools.cache

@@ -11,10 +11,13 @@ words, with coefficient 1).
 Both steps run on integers.  The coefficients are scaled once by the
 least common multiple of their denominators; the trees are then expanded
 together, terms that share a left factor sharing one expansion of their
-right factors, so a sum of chains expands along a word trie with nothing
-cached between calls.  Every elimination pivot is 1, so the reduction
-never divides, and ``Fraction`` reappears only in the returned
-coordinates.  ``to_assoc`` and ``right_normed`` scale the same way.
+right factors, so a sum of chains expands along a word trie, with no
+tree expansion cached between calls.  The elimination reads the
+expansions of the Lyndon basis from one cache per degree, each built as
+P_u P_v - P_v P_u from the expansions of its standard factors u, v.
+Every elimination pivot is 1, so the reduction never divides, and
+``Fraction`` reappears only in the returned coordinates.  ``to_assoc``
+and ``right_normed`` scale the same way.
 
 Right-nested trees ("long commutators") play a special role throughout:
 ``long_commutator("XXY")`` is [X,[X,Y]], and ``right_normed`` rewrites any
@@ -234,6 +237,7 @@ class LieSeries(TruncatedSeries):
 
     __slots__ = ()
     _degree = staticmethod(tree_degree)
+    _constant_key = None
 
     @classmethod
     def from_element(cls, e: LieElement, truncation: int) -> "LieSeries":
@@ -349,15 +353,19 @@ def _expand(terms: dict) -> dict:
             rest = by_left.setdefault(t[0], {})
             rest[t[1]] = rest.get(t[1], 0) + c
     for a, rest in by_left.items():
-        ea, eb = _expand({a: 1}), _expand(rest)
-        for w1, c1 in ea.items():
-            for w2, c2 in eb.items():
-                c = c1 * c2
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c
-                w = w2 + w1
-                out[w] = out.get(w, 0) - c
+        _add_commutator(out, _expand({a: 1}), _expand(rest))
     return {w: c for w, c in out.items() if c}
+
+
+def _add_commutator(out: dict, ea: dict, eb: dict) -> None:
+    """Add the word expansion of [A, B], ea eb - eb ea, into ``out``."""
+    for w1, c1 in ea.items():
+        for w2, c2 in eb.items():
+            c = c1 * c2
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c
+            w = w2 + w1
+            out[w] = out.get(w, 0) - c
 
 
 def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
@@ -373,9 +381,23 @@ def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
 
 
 @functools.cache
-def _sb_expansions(degree: int) -> list:
-    """(word, expansion) for each Lyndon word of the degree."""
-    return [(w, _expand({standard_bracketing(w): 1})) for w in lyndon_words(degree)]
+def _sb_expansions(degree: int) -> dict[str, dict[str, int]]:
+    """{word: expansion} over the Lyndon words of the degree, in
+    lexicographic order.
+
+    The standard bracketing of w = uv is [P_u, P_v] for its standard
+    factors u, v, so its expansion is P_u P_v - P_v P_u, built from the
+    cached expansions of the factors.
+    """
+    if degree == 1:
+        return {g: {g: 1} for g in _GENERATORS}
+    out = {}
+    for word in lyndon_words(degree):
+        u, v = standard_factorization(word)
+        expansion: dict[str, int] = {}
+        _add_commutator(expansion, _sb_expansions(len(u))[u], _sb_expansions(len(v))[v])
+        out[word] = {w: c for w, c in expansion.items() if c}
+    return out
 
 
 def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
@@ -392,7 +414,7 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     coords: dict[str, Fraction] = {}
     for d in sorted(by_degree):
         acc = by_degree[d]
-        for word, expansion in _sb_expansions(d):
+        for word, expansion in _sb_expansions(d).items():
             c = acc.get(word)
             if not c:
                 continue

@@ -185,8 +185,10 @@ class TruncatedSeries:
     Terms beyond the truncation and zero coefficients are dropped on
     construction, sums truncate at the smaller bound, and the constant
     monomial is the key named in ``_constant_key``, ``(0, 0)`` unless a
-    subclass says otherwise.  Instances are immutable and compare equal
-    only to a series of the same type and truncation with the same terms.
+    subclass says otherwise; a subclass without one sets it to None and
+    refuses constants, so scalar ``+`` and ``-`` too.  Instances are
+    immutable and compare equal only to a series of the same type and
+    truncation with the same terms.
     """
 
     __slots__ = ("truncation", "_coeffs")
@@ -216,7 +218,10 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, c, truncation: int):
-        return cls(truncation, {cls._constant_key: _as_fraction(c)})
+        c = _as_fraction(c)
+        if cls._constant_key is None:
+            raise TypeError(f"{cls.__name__} has no constant term")
+        return cls(truncation, {cls._constant_key: c})
 
     @classmethod
     def one(cls, truncation: int):
@@ -548,6 +553,7 @@ class PairSeries(TruncatedSeries):
     """
 
     __slots__ = ()
+    _constant_key = None
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         normal: dict = {}

@@ -1,5 +1,6 @@
 """Tests for the noncommutative word-series oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,10 +117,34 @@ def _log_unbounded(a):
     {},
 ], ids=["valuation1", "valuation2", "valuation3", "mixed1", "mixed2", "zero"])
 def test_bounded_exp_log_equal_unbounded_horner(n, terms):
-    a = NCSeries(n, terms)
+    _assert_exp_log_match_horner(NCSeries(n, terms))
+
+
+def _assert_exp_log_match_horner(a):
     assert nc_exp(a) == _exp_unbounded(a)
-    u = NCSeries.one(n) + a
+    u = NCSeries.one(a.truncation) + a
     assert nc_log(u) == _log_unbounded(u)
+
+
+def _random_sparse_series(rng):
+    """A sparse series of valuation 1-3 at truncation up to 9, with
+    denominators up to 12."""
+    n = rng.randint(1, 9)
+    v = rng.randint(1, min(3, n))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        length = rng.randint(v, n)
+        word = "".join(rng.choice("XY") for _ in range(length))
+        terms[word] = F(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+    terms["".join(rng.choice("XY") for _ in range(v))] = F(rng.randint(1, 12), rng.randint(1, 12))
+    return NCSeries(n, terms)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_power_sum_exp_log_equal_unbounded_horner_random(seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        _assert_exp_log_match_horner(_random_sparse_series(rng))
 
 
 @pytest.mark.parametrize("key", [(2, 7), (-1, 0), "XZ", 5],

@@ -33,6 +33,7 @@ from mbch.freelie import (
     tree_degree,
     tree_word,
 )
+from mbch.freelie import _expand, _sb_expansions
 
 F = Fraction
 X = LieElement.generator("X")
@@ -177,6 +178,16 @@ def test_standard_factorization():
     assert standard_bracketing("XXYY") == ("X", (("X", "Y"), "Y"))
     with pytest.raises(ValueError):
         standard_factorization("YX")
+
+
+def test_factor_built_lyndon_expansions_match_tree_expansion():
+    # Each cached expansion is built as P_u P_v - P_v P_u from the standard
+    # factors; expanding the whole standard bracketing is the second route.
+    for d in range(1, 11):
+        expansions = _sb_expansions(d)
+        assert list(expansions) == lyndon_words(d)
+        for w, expansion in expansions.items():
+            assert expansion == _expand({standard_bracketing(w): 1})
 
 
 def test_to_lyndon_coords_examples():
@@ -485,6 +496,13 @@ def test_series_roundtrip_json():
     assert d["basis"] == "lyndon"
     assert [t["word"] for t in d["terms"]] == ["X", "Y", "XY"]
     assert LieSeries.from_json_dict(d) == s
+
+
+def test_lie_series_has_no_constant_term():
+    s = LieSeries.from_element(X + bracket(X, Y), 3)
+    for refused in (lambda: s + 1, lambda: 1 - s, lambda: LieSeries.one(3)):
+        with pytest.raises(TypeError, match="LieSeries has no constant term"):
+            refused()
 
 
 def test_series_str():

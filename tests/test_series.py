@@ -583,6 +583,13 @@ def test_pair_series_keeps_keys_in_normal_order():
             PairSeries(4, {(lo, hi): bad})
 
 
+def test_pair_series_has_no_constant_term():
+    s = PairSeries(4, {((1, 0), (0, 2)): 1})
+    for refused in (lambda: s + 1, lambda: 1 - s, lambda: PairSeries.one(4)):
+        with pytest.raises(TypeError, match="PairSeries has no constant term"):
+            refused()
+
+
 # ---------------------------------------------------------------------------
 # The quotient-element shape, once for each of its two subclasses
 # ---------------------------------------------------------------------------
