@@ -40,7 +40,7 @@ CAP_ENV = "MBCH_DEGREE_CAP"
 # library itself accepts any truncation.  The environment variable
 # MBCH_DEGREE_CAP replaces the cap for whichever command runs.
 DEGREE_CAPS = {
-    ("bch", "recursive"): 14,
+    ("bch", "recursive"): 16,
     ("bch", "dynkin"): 12,
     ("bch", "oracle"): 14,
     "metabelian": 64,

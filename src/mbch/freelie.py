@@ -2,27 +2,39 @@
 
 Elements are finite rational combinations of formal bracket trees; a tree
 is the string ``"X"`` or ``"Y"`` or a pair of trees.  Trees are kept
-unnormalized until coordinates are requested: ``to_lyndon_coords`` expands
-into the associative word algebra and reads coordinates off the Lyndon
-basis by triangular elimination (the associative expansion of a Lyndon
-word's standard bracketing is that word plus lexicographically later
-words, with coefficient 1).
+unnormalized until coordinates are requested, and two independent routes
+reach the Lyndon basis:
 
-Both steps run on integers.  The coefficients are scaled once by the
-least common multiple of their denominators; the trees are then expanded
-together, terms that share a left factor sharing one expansion of their
-right factors, so a sum of chains expands along a word trie, with no
-tree expansion cached between calls.  The elimination reads the
-expansions of the Lyndon basis from one cache per degree, each built as
-P_u P_v - P_v P_u from the expansions of its standard factors u, v.
-Every elimination pivot is 1, so the reduction never divides, and
-``Fraction`` reappears only in the returned coordinates.  ``to_assoc``
-and ``right_normed`` scale the same way.
+* ``to_lyndon_coords`` never leaves the Lie algebra.  It combines the
+  trees bottom-up in Lyndon coordinates, through a cached table of
+  brackets [P_u, P_v] of Lyndon basis elements, each an integer
+  combination of P_w computed by the Jacobi rewriting of Reutenauer's
+  standard-factorization algorithm.  Its input is a tree combination, so
+  it is always a Lie element.
+* ``lyndon_coords_of_assoc`` starts from a word series, as the word-level
+  oracles produce.  It eliminates against the associative expansions of
+  the Lyndon basis (the expansion of a Lyndon word's standard bracketing
+  is that word plus lexicographically later words, with coefficient 1),
+  one cache per degree, each P_w built as P_u P_v - P_v P_u from the
+  expansions of its standard factors u, v.  Every pivot is 1, so the
+  elimination never divides, and it refuses a series that leaves a
+  nonzero residual, i.e. one that is not a Lie element.
+
+Both routes are kept: the tree route is the fast one that every free-Lie
+element takes, the elimination is the only one that can read a word
+series, and because they share no algorithm a comparison of the
+recursive and the word-level BCH series tests each against the other.
+Both run on integers.  The coefficients are scaled once by the least
+common multiple of their denominators; trees that share a left factor
+share one combination of their right factors, so a sum of chains is
+walked along a word trie (``to_assoc`` walks it the same way, with the
+word commutator AB - BA in place of the Lyndon bracket), and ``Fraction``
+reappears only in the results.  ``right_normed`` scales the same way.
 
 Right-nested trees ("long commutators") play a special role throughout:
 ``long_commutator("XXY")`` is [X,[X,Y]], and ``right_normed`` rewrites any
 element into a combination of such chains via [[A,B],C] = [A,[B,C]] -
-[B,[A,C]].  That rewriting is the one bracket engine of the module:
+[B,[A,C]].  That rewriting is the bracket engine on chains:
 ``Derivation`` applies it inside the Leibniz rule, so a derivation takes
 chains to chains and never builds an unnormalized tree.
 """
@@ -336,13 +348,14 @@ def standard_bracketing(word: str) -> BracketTree:
 # Associative expansion and Lyndon coordinates
 # ---------------------------------------------------------------------------
 
-def _expand(terms: dict) -> dict:
-    """Integer word expansion of an integer combination of trees, every
-    [A,B] becoming AB - BA.
+def _combine_trees(terms: dict, add_bracket) -> dict:
+    """Combine an integer combination of trees bottom-up: each letter
+    stays itself, and each [A, B] is added into the result by
+    ``add_bracket(out, a, b)`` from the combinations a, b of A and B.
 
-    Terms sharing a left factor a are expanded together as [a, sum c q],
-    so right-nested chains form a word trie and each shared suffix is
-    expanded once.
+    Terms sharing a left factor a are combined together as [a, sum c q],
+    so right-nested chains form a trie and each shared suffix is
+    combined once.
     """
     out: dict = {}
     by_left: dict = {}
@@ -353,7 +366,11 @@ def _expand(terms: dict) -> dict:
             rest = by_left.setdefault(t[0], {})
             rest[t[1]] = rest.get(t[1], 0) + c
     for a, rest in by_left.items():
-        _add_commutator(out, _expand({a: 1}), _expand(rest))
+        add_bracket(
+            out,
+            _combine_trees({a: 1}, add_bracket),
+            _combine_trees(rest, add_bracket),
+        )
     return {w: c for w, c in out.items() if c}
 
 
@@ -366,6 +383,48 @@ def _add_commutator(out: dict, ea: dict, eb: dict) -> None:
             out[w] = out.get(w, 0) + c
             w = w2 + w1
             out[w] = out.get(w, 0) - c
+
+
+def _expand(terms: dict) -> dict:
+    """Integer word expansion of an integer combination of trees, every
+    [A,B] becoming AB - BA."""
+    return _combine_trees(terms, _add_commutator)
+
+
+def _add_lyndon_bracket(out: dict, la: dict, lb: dict) -> None:
+    """Add [A, B] into ``out``, with A, B and the result in Lyndon
+    coordinates."""
+    for u, c1 in la.items():
+        for v, c2 in lb.items():
+            c = c1 * c2
+            for w, ic in _lyndon_bracket(u, v).items():
+                out[w] = out.get(w, 0) + c * ic
+
+
+@functools.cache
+def _lyndon_bracket(u: str, v: str) -> dict[str, int]:
+    """[P_u, P_v] for Lyndon words u, v, in Lyndon coordinates.
+
+    For u < v the word uv is Lyndon; when u is a letter or the standard
+    factors u = u1 u2 have u2 >= v, its standard factorization is (u, v)
+    and the bracket is P_uv.  Otherwise the Jacobi identity
+    [[P_u1, P_u2], P_v] = [P_u1, [P_u2, P_v]] - [P_u2, [P_u1, P_v]]
+    rewrites it into brackets that the same rules resolve, a recursion
+    that terminates (Reutenauer, Free Lie Algebras, 1993, section 5.1).
+    All coefficients are integers.
+    """
+    if u == v:
+        return {}
+    if u > v:
+        return {w: -c for w, c in _lyndon_bracket(v, u).items()}
+    if len(u) > 1:
+        u1, u2 = standard_factorization(u)
+        if u2 < v:
+            out: dict[str, int] = {}
+            _add_lyndon_bracket(out, {u1: 1}, _lyndon_bracket(u2, v))
+            _add_lyndon_bracket(out, {u2: -1}, _lyndon_bracket(u1, v))
+            return {w: c for w, c in out.items() if c}
+    return {u + v: 1}
 
 
 def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
@@ -431,11 +490,17 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
 
 
 def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
-    """Coordinates in the Lyndon basis, keyed by word string."""
+    """Coordinates in the Lyndon basis, keyed by word string in order of
+    degree, then word; the trees are combined through the Lyndon bracket
+    table, and no word expansion is built."""
     if isinstance(a, LieSeries):
         a = a.as_element()
     scale, ints = _scaled(a._terms)
-    return _lyndon_reduce(scale, _expand(ints))
+    coords = _combine_trees(ints, _add_lyndon_bracket)
+    return {
+        w: Fraction(coords[w], scale)
+        for w in sorted(coords, key=lambda w: (len(w), w))
+    }
 
 
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:

@@ -16,6 +16,7 @@ from .assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
 from .freelie import (
     Derivation,
     LieElement,
+    _chain_words,
     bracket,
     from_lyndon_coords,
     ideal_membership,
@@ -25,9 +26,8 @@ from .freelie import (
     span_rank,
     to_assoc,
     to_lyndon_coords,
-    tree_degree,
 )
-from .bch import bch_dynkin, bch_recursive, hausdorff_h1
+from .bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h1
 from .metabelian import (
     goldberg_c,
     h_series,
@@ -57,7 +57,8 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
 
 
 def check_bch(degree: int) -> list[Check]:
-    """Triple agreement, antisymmetry and grading of log(e^X e^Y)."""
+    """Triple agreement, antisymmetry and grading of log(e^X e^Y): the
+    m-th step of the recursion has degree m in X."""
     out = []
     rec = bch_recursive(degree)
     dyn = bch_dynkin(degree)
@@ -81,7 +82,9 @@ def check_bch(degree: int) -> list[Check]:
         )
     )
     graded = all(
-        tree_degree(t) == d for d, e in rec.parts() for t, _ in e.terms()
+        w.count("X") == m
+        for m, h in enumerate(bch_recursive_steps(degree))
+        for w in _chain_words(h)
     )
     out.append(_check("degree components are homogeneous", graded))
     return out

@@ -19,6 +19,7 @@ from mbch.freelie import (
     tree_degree,
     tree_word,
 )
+from mbch.verify import check_bch
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,19 @@ def test_recursive_steps_grade_in_x():
         for t, _ in right_normed(h).terms():
             word = tree_word(t)
             assert word is not None and word.count("X") == m
+
+
+def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
+    # H_1 with a chain of X-degree 2 mixed in must fail the grading check,
+    # and only that check.
+    def mixed_steps(truncation):
+        yield LieElement.generator("Y")
+        yield long_commutator("XY") + long_commutator("XXY")
+
+    monkeypatch.setattr("mbch.verify.bch_recursive_steps", mixed_steps)
+    results = {name: passed for name, passed, _ in check_bch(5)}
+    assert results.pop("degree components are homogeneous") is False
+    assert all(results.values()) and len(results) == 3
 
 
 def test_recursive_sum_matches_steps():

@@ -210,6 +210,7 @@ def test_usage_errors_exit_2(capsys):
     cases = [
         ("bch", "--method", "closed"),
         ("bch", "--degree", "0"),
+        ("bch", "--degree", "17"),
         ("bch", "--method", "dynkin", "--degree", "13"),
         ("goldberg", "--degree", "1"),
         ("kv-solve", "--degree", "4", "--a", "x"),

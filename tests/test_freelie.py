@@ -33,7 +33,7 @@ from mbch.freelie import (
     tree_degree,
     tree_word,
 )
-from mbch.freelie import _expand, _sb_expansions
+from mbch.freelie import _add_commutator, _expand, _lyndon_bracket, _sb_expansions
 
 F = Fraction
 X = LieElement.generator("X")
@@ -188,6 +188,36 @@ def test_factor_built_lyndon_expansions_match_tree_expansion():
         assert list(expansions) == lyndon_words(d)
         for w, expansion in expansions.items():
             assert expansion == _expand({standard_bracketing(w): 1})
+
+
+def test_lyndon_bracket_table_matches_word_commutator():
+    # [P_u, P_v] from the Lyndon-basis table, expanded into words, against
+    # P_u P_v - P_v P_u built from the cached word expansions.
+    words = [w for d in range(1, 9) for w in lyndon_words(d)]
+    pairs = 0
+    for u in words:
+        for v in words:
+            n = len(u) + len(v)
+            if u == v or n > 9:
+                continue
+            reference: dict = {}
+            _add_commutator(
+                reference, _sb_expansions(len(u))[u], _sb_expansions(len(v))[v]
+            )
+            reference = {w: c for w, c in reference.items() if c}
+            coords = _lyndon_bracket(u, v)
+            assert to_assoc(from_lyndon_coords(coords), n) == NCSeries(n, reference)
+            pairs += 1
+    assert pairs == 470
+
+
+def test_to_lyndon_coords_builds_no_word_expansion():
+    # Tree combinations reach the Lyndon basis through the bracket table;
+    # the word expansions of the basis are left to lyndon_coords_of_assoc.
+    _sb_expansions.cache_clear()
+    coords = to_lyndon_coords(bch_recursive(10))
+    assert _sb_expansions.cache_info().currsize == 0
+    assert coords == lyndon_coords_of_assoc(bch_log_oracle(10))
 
 
 def test_to_lyndon_coords_examples():
