@@ -24,6 +24,7 @@ from typing import Iterator
 from .series import (
     TruncatedSeries,
     _refuse_beyond,
+    _refuse_repeats,
     format_rational,
     format_terms,
     parse_int,
@@ -126,7 +127,9 @@ class NCSeries(TruncatedSeries):
     @classmethod
     def from_json_dict(cls, data: dict) -> "NCSeries":
         n = parse_int(data["truncation"])
-        coeffs = {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
+        coeffs = _refuse_repeats(
+            (t["word"], parse_rational(t["c"])) for t in data["terms"]
+        )
         _refuse_beyond(n, map(cls._degree, coeffs))
         return cls(n, coeffs)
 
@@ -246,6 +249,6 @@ def zassenhaus_oracle(truncation: int) -> list:
         part = nc_log(r).degree_part(d)
         coords = lyndon_coords_of_assoc(part)
         c_d = from_lyndon_coords(coords)
-        out.append(LieSeries.from_element(c_d, n))
+        out.append(LieSeries(n, c_d.term_dict()))
         r = nc_exp(-to_assoc(c_d, n)) * r
     return out

@@ -18,7 +18,7 @@ from math import comb, factorial, lcm
 from typing import Iterator
 
 from .series import bernoulli
-from .freelie import Derivation, LieElement, LieSeries, long_commutator
+from .freelie import Derivation, LieElement, LieSeries
 
 __all__ = ["hausdorff_h1", "bch_recursive", "bch_recursive_steps", "bch_dynkin"]
 
@@ -33,12 +33,10 @@ def hausdorff_h1(truncation: int) -> LieSeries:
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    acc = LieElement.generator("X")
+    terms = {"X": 1}
     for n in range(1, truncation):
-        b = bernoulli(n)
-        if b:
-            acc = acc + (b / factorial(n)) * long_commutator("Y" * n + "X")
-    return LieSeries.from_element(acc, truncation)
+        terms["Y" * n + "X"] = bernoulli(n) / factorial(n)
+    return LieSeries(truncation, terms)
 
 
 def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
@@ -46,10 +44,9 @@ def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
 
     H_m is homogeneous of degree m in X (each substitution of the image
     of Y consumes one Y and introduces exactly one X).  ``Derivation``
-    acts on right-nested chains and returns chains, so every yielded
-    element is in chain form and the term count stays bounded by the
-    number of words of each degree instead of growing with the Leibniz
-    expansion tree.
+    acts on chains and returns chains, so the term count stays bounded by
+    the number of words of each degree instead of growing with the
+    Leibniz expansion tree.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -66,10 +63,11 @@ def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
 @functools.cache
 def bch_recursive(truncation: int) -> LieSeries:
     """log(e^X e^Y) through the given degree, by the derivation recursion."""
-    total = LieElement.zero()
+    total: dict[str, Fraction] = {}
     for h in bch_recursive_steps(truncation):
-        total = total + h
-    return LieSeries.from_element(total, truncation)
+        for w, c in h.items():
+            total[w] = total.get(w, 0) + c
+    return LieSeries(truncation, total)
 
 
 def bch_dynkin(truncation: int) -> LieSeries:
@@ -85,7 +83,8 @@ def bch_dynkin(truncation: int) -> LieSeries:
     the m-block tuples spelling w, layer_m[w] = |w|! sum 1/(p_1! ... q_m!)
     is a sum of multinomials, an integer, and word w carries
     sum_m (-1)^(m-1) layer_m[w] / (m |w| |w|!).  No tuple is filtered out;
-    a word whose long commutator vanishes simply contributes zero.
+    a word ending in a repeated letter, whose long commutator vanishes,
+    is dropped.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -106,10 +105,9 @@ def bch_dynkin(truncation: int) -> LieSeries:
             totals[word] = totals.get(word, 0) + (-1) ** (m - 1) * (scale // m) * c
         layer = nxt
 
-    terms: dict = {}
-    for word, c in totals.items():
-        if c:
-            c = Fraction(c, scale * len(word) * factorial(len(word)))
-            for t, tc in long_commutator(word).term_dict().items():
-                terms[t] = terms.get(t, 0) + c * tc
-    return LieSeries.from_element(LieElement(terms), truncation)
+    terms = {
+        word: Fraction(c, scale * len(word) * factorial(len(word)))
+        for word, c in totals.items()
+        if c and word[-2:] not in ("XX", "YY")
+    }
+    return LieSeries(truncation, terms)

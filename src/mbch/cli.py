@@ -18,7 +18,12 @@ import sys
 
 from .series import BiSeries, InexactDivision, format_rational, parse_rational
 from .assoc import bch_log_oracle
-from .freelie import LieSeries, from_lyndon_coords, lyndon_coords_of_assoc
+from .freelie import (
+    _lyndon_json,
+    _lyndon_text,
+    lyndon_coords_of_assoc,
+    to_lyndon_coords,
+)
 from .bch import bch_dynkin, bch_recursive
 from .metabelian import (
     MetabelianElement,
@@ -182,15 +187,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # -- per-command renderers ----------------------------------------------------
 
 
-def _render_lie_series(s: LieSeries, fmt: str) -> str:
+def _render_lie_series(coords: dict, truncation: int, fmt: str) -> str:
+    """A Lie series, given by its Lyndon coordinates."""
     if fmt == "json":
-        return json.dumps(s.to_json_dict(), indent=2)
+        return json.dumps(_lyndon_json(coords, truncation), indent=2)
     if fmt == "csv":
-        rows = [
-            [len(t["word"]), t["word"], t["c"]] for t in s.to_json_dict()["terms"]
-        ]
+        terms = _lyndon_json(coords, truncation)["terms"]
+        rows = [[len(t["word"]), t["word"], t["c"]] for t in terms]
         return _csv_text(["degree", "word", "c"], rows)
-    return str(s)
+    return _lyndon_text(coords)
 
 
 def _render_biseries(s: BiSeries, fmt: str) -> str:
@@ -230,13 +235,12 @@ def _render_tilde(e: TildeElement, fmt: str) -> str:
 def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.degree
     if ns.method == "recursive":
-        series = bch_recursive(n)
+        coords = to_lyndon_coords(bch_recursive(n))
     elif ns.method == "dynkin":
-        series = bch_dynkin(n)
+        coords = to_lyndon_coords(bch_dynkin(n))
     else:
         coords = lyndon_coords_of_assoc(bch_log_oracle(n))
-        series = LieSeries.from_element(from_lyndon_coords(coords), n)
-    return _render_lie_series(series, ns.fmt), 0
+    return _render_lie_series(coords, n, ns.fmt), 0
 
 
 def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:

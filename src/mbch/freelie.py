@@ -1,16 +1,23 @@
 """Free Lie algebra on two generators X, Y with exact coefficients.
 
-Elements are finite rational combinations of formal bracket trees; a tree
-is the string ``"X"`` or ``"Y"`` or a pair of trees.  Trees are kept
-unnormalized until coordinates are requested, and two independent routes
-reach the Lyndon basis:
+Elements are finite rational combinations of right-nested chains: a
+nonempty word w1 w2 ... wd over X, Y stands for the long commutator
+[w1,[w2,[...,wd]]], and ``LieElement`` and ``LieSeries`` map chain words
+to ``Fraction``s, as ``assoc.NCSeries`` maps words.  Chains span the free
+Lie algebra but are no basis ([XY] = -[YX]), so equality compares Lyndon
+coordinates.  Every route computes on chains, and a bracket tree enters
+only through ``bracket``, which rewrites [A, B] into chains once: ad of
+the chain [a v] is ad(a) ad([v]) - ad([v]) ad(a), the Jacobi identity
+[[A,B],C] = [A,[B,C]] - [B,[A,C]] in operator clothing (``_rn_ad``).
+``Derivation`` applies the same rewriting inside the Leibniz rule.
 
-* ``to_lyndon_coords`` never leaves the Lie algebra.  It combines the
-  trees bottom-up in Lyndon coordinates, through a cached table of
-  brackets [P_u, P_v] of Lyndon basis elements, each an integer
-  combination of P_w computed by the Jacobi rewriting of Reutenauer's
-  standard-factorization algorithm.  Its input is a tree combination, so
-  it is always a Lie element.
+Lyndon coordinates are the output currency, reached by two routes:
+
+* ``to_lyndon_coords`` never leaves the Lie algebra.  It walks the chain
+  words along their first-letter trie and combines them bottom-up
+  through a cached table of brackets [P_u, P_v] of Lyndon basis
+  elements, each an integer combination of P_w computed by the Jacobi
+  rewriting of Reutenauer's standard-factorization algorithm.
 * ``lyndon_coords_of_assoc`` starts from a word series, as the word-level
   oracles produce.  It eliminates against the associative expansions of
   the Lyndon basis (the expansion of a Lyndon word's standard bracketing
@@ -20,36 +27,27 @@ reach the Lyndon basis:
   elimination never divides, and it refuses a series that leaves a
   nonzero residual, i.e. one that is not a Lie element.
 
-Both routes are kept: the tree route is the fast one that every free-Lie
-element takes, the elimination is the only one that can read a word
-series, and because they share no algorithm a comparison of the
-recursive and the word-level BCH series tests each against the other.
-Both run on integers.  The coefficients are scaled once by the least
-common multiple of their denominators; trees that share a left factor
-share one combination of their right factors, so a sum of chains is
-walked along a word trie (``to_assoc`` walks it the same way, with the
-word commutator AB - BA in place of the Lyndon bracket), and ``Fraction``
-reappears only in the results.  ``right_normed`` scales the same way.
-
-Right-nested trees ("long commutators") play a special role throughout:
-``long_commutator("XXY")`` is [X,[X,Y]], and ``right_normed`` rewrites any
-element into a combination of such chains via [[A,B],C] = [A,[B,C]] -
-[B,[A,C]].  That rewriting is the bracket engine on chains:
-``Derivation`` applies it inside the Leibniz rule, so a derivation takes
-chains to chains and never builds an unnormalized tree.
+The two share no algorithm, so a comparison of the recursive and the
+word-level BCH series tests each against the other.  Both run on
+integers: coefficients are scaled once by the least common multiple of
+their denominators, ``to_assoc`` walks the same trie with AB - BA in
+place of the Lyndon bracket, and ``Fraction`` reappears only in the
+results.  The printers render coordinates, each Lyndon word as its
+standard bracketing: [X^2Y] where that is a chain, [[XY],Y] otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .assoc import NCSeries, _compress_word, _scaled
 from .series import (
     TruncatedSeries,
     _as_fraction,
     _refuse_beyond,
+    _refuse_repeats,
     format_rational,
     format_terms,
     parse_int,
@@ -57,13 +55,8 @@ from .series import (
 )
 
 __all__ = [
-    "BracketTree",
     "LieElement",
     "LieSeries",
-    "tree_degree",
-    "tree_word",
-    "chain_tree",
-    "render_tree",
     "bracket",
     "long_commutator",
     "lyndon_words",
@@ -80,56 +73,28 @@ __all__ = [
     "span_rank",
 ]
 
-BracketTree = Union[str, tuple]
-
 _GENERATORS = ("X", "Y")
 
 
 # ---------------------------------------------------------------------------
-# Trees
+# Chain words
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def tree_degree(t: BracketTree) -> int:
-    """Number of letters of a bracket tree; raises on anything else, so
-    ``LieElement`` validates its trees through this one table."""
-    if t in _GENERATORS:
-        return 1
-    if not (isinstance(t, tuple) and len(t) == 2):
-        raise ValueError(f"not a bracket tree: {t!r}")
-    return tree_degree(t[0]) + tree_degree(t[1])
+def _refuse_non_chains(words: dict) -> None:
+    """One C-level pass over the keys, as in ``NCSeries``: join raises on a
+    key that is not a ``str`` (a bracket tree), strip leaves a bad letter
+    behind, and the empty word is looked up."""
+    try:
+        bad = "".join(words).strip("XY") or "" in words
+    except TypeError:
+        bad = True
+    if bad:
+        raise ValueError("a chain word is a nonempty string over X and Y")
 
 
-def chain_tree(word: str) -> BracketTree:
-    """The right-nested tree [w1,[w2,[...,wd]]] of a word."""
-    if not word:
-        raise ValueError("empty word")
-    t: BracketTree = word[-1]
-    for ch in reversed(word[:-1]):
-        t = (ch, t)
-    return t
-
-
-def tree_word(t: BracketTree) -> str | None:
-    """The word of a right-nested chain tree, or None if not a chain."""
-    parts = []
-    while isinstance(t, tuple):
-        a, t = t
-        if not isinstance(a, str):
-            return None
-        parts.append(a)
-    parts.append(t)
-    return "".join(parts)
-
-
-def render_tree(t: BracketTree) -> str:
-    """Long-commutator notation for chains, nested brackets otherwise."""
-    if isinstance(t, str):
-        return t
-    w = tree_word(t)
-    if w is not None:
-        return f"[{_compress_word(w)}]"
-    return f"[{render_tree(t[0])},{render_tree(t[1])}]"
+def _chain_name(word: str) -> str:
+    """A letter, or the long commutator [w] in run-length notation."""
+    return word if len(word) == 1 else f"[{_compress_word(word)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +102,20 @@ def render_tree(t: BracketTree) -> str:
 # ---------------------------------------------------------------------------
 
 class LieElement:
-    """Finite rational combination of bracket trees (may be inhomogeneous)."""
+    """Finite rational combination of chains, keyed by chain word (may be
+    inhomogeneous)."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[BracketTree, Fraction] = {}
+        clean: dict[str, Fraction] = {}
         if terms:
-            for t, v in terms.items():
-                tree_degree(t)
+            _refuse_non_chains(terms)
+            for w, v in terms.items():
                 c = _as_fraction(v)
                 if c:
-                    clean[t] = c
-        object.__setattr__(self, "_terms", clean)
+                    clean[w] = c
+        object.__setattr__(self, "_coeffs", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieElement is immutable")
@@ -164,43 +130,47 @@ class LieElement:
             raise ValueError("generator must be X or Y")
         return cls({letter: 1})
 
-    def terms(self) -> Iterator[tuple[BracketTree, Fraction]]:
-        for t in sorted(self._terms, key=lambda t: (tree_degree(t), render_tree(t))):
-            yield t, self._terms[t]
+    def items(self):
+        """The nonzero (chain word, coefficient) pairs, in no particular order."""
+        return self._coeffs.items()
+
+    def terms(self) -> Iterator[tuple[str, Fraction]]:
+        for w in sorted(self._coeffs, key=lambda w: (len(w), _chain_name(w))):
+            yield w, self._coeffs[w]
 
     def term_dict(self) -> dict:
-        return dict(self._terms)
+        return dict(self._coeffs)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def degree_components(self) -> dict[int, "LieElement"]:
         parts: dict[int, dict] = {}
-        for t, c in self._terms.items():
-            parts.setdefault(tree_degree(t), {})[t] = c
+        for w, c in self._coeffs.items():
+            parts.setdefault(len(w), {})[w] = c
         return {d: LieElement(m) for d, m in sorted(parts.items())}
 
     def __add__(self, other) -> "LieElement":
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
+        out = dict(self._coeffs)
+        for w, c in other._coeffs.items():
+            out[w] = out.get(w, Fraction(0)) + c
         return LieElement(out)
 
     def __neg__(self) -> "LieElement":
-        return LieElement({t: -c for t, c in self._terms.items()})
+        return LieElement({w: -c for w, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "LieElement":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "LieElement":
         c = _as_fraction(scalar)
-        return LieElement({t: c * v for t, v in self._terms.items()})
+        return LieElement({w: c * v for w, v in self._coeffs.items()})
 
     __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         """Equality of Lie elements: the same Lyndon coordinates, however
-        the trees are written, so [X,Y] == -[Y,X]."""
+        the chains are written, so [XY] == -[YX]."""
         return isinstance(other, LieElement) and (
             to_lyndon_coords(self) == to_lyndon_coords(other)
         )
@@ -208,22 +178,48 @@ class LieElement:
     __hash__ = None
 
     def __str__(self) -> str:
-        return format_terms((c, render_tree(t)) for t, c in self.terms())
+        return format_terms((c, _chain_name(w)) for w, c in self.terms())
 
     def __repr__(self) -> str:
-        return f"LieElement({len(self._terms)} terms)"
+        return f"LieElement({len(self._coeffs)} terms)"
+
+
+def _chain_split(word: str) -> tuple[str, str]:
+    return word[0], word[1:]
+
+
+def _rn_ad(t: str, vmap: dict, split=_chain_split) -> dict:
+    """Apply ad of [t] to an integer chain-word map, staying in chains.
+
+    [t] is the bracketing of the word t that ``split`` gives: the chain
+    [a v] by default, or P_t by ``standard_factorization``.  ad of a letter
+    a prefixes it to every word ([a, a] = 0 drops out); ad of [u v] is
+    ad([u]) ad([v]) - ad([v]) ad([u]), the Jacobi rewriting
+    [[A,B],C] = [A,[B,C]] - [B,[A,C]] in operator clothing.
+    """
+    if len(t) == 1:
+        return {t + w: c for w, c in vmap.items() if w != t}
+    u, v = split(t)
+    first = _rn_ad(u, _rn_ad(v, vmap, split), split)
+    for w, c in _rn_ad(v, _rn_ad(u, vmap, split), split).items():
+        d = first.get(w, 0) - c
+        if d:
+            first[w] = d
+        else:
+            first.pop(w, None)
+    return first
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Bilinear bracket; syntactically equal tree pairs drop out ([t,t]=0)."""
-    out: dict[BracketTree, Fraction] = {}
-    for t1, c1 in a._terms.items():
-        for t2, c2 in b._terms.items():
-            if t1 == t2:
-                continue
-            key = (t1, t2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return LieElement(out)
+    """Bilinear bracket, rewritten into chains: [[v], B] is ad([v]) B."""
+    sa, ia = _scaled(a._coeffs)
+    sb, ib = _scaled(b._coeffs)
+    out: dict[str, int] = {}
+    for v, c in ia.items():
+        for w, ic in _rn_ad(v, ib).items():
+            out[w] = out.get(w, 0) + c * ic
+    scale = sa * sb
+    return LieElement({w: Fraction(c, scale) for w, c in out.items()})
 
 
 def long_commutator(word: str) -> LieElement:
@@ -236,7 +232,17 @@ def long_commutator(word: str) -> LieElement:
         raise ValueError("empty word")
     if len(word) >= 2 and word[-1] == word[-2]:
         return LieElement.zero()
-    return LieElement({chain_tree(word): 1})
+    return LieElement({word: 1})
+
+
+def right_normed(a: LieElement) -> LieElement:
+    """A copy of the element, which is always written with chains.
+
+    The name stays because the benchmark's span tracer
+    (``perfbench/tracer.py``) instruments it by name, and its ``install``
+    fails on a name that is missing.
+    """
+    return LieElement(a._coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +250,17 @@ def long_commutator(word: str) -> LieElement:
 # ---------------------------------------------------------------------------
 
 class LieSeries(TruncatedSeries):
-    """A Lie series cut at a total degree: a map from bracket tree to
-    coefficient, graded by ``tree_degree``."""
+    """A Lie series cut at a total degree: a map from chain word to
+    coefficient, graded by word length."""
 
     __slots__ = ()
-    _degree = staticmethod(tree_degree)
+    _degree = staticmethod(len)
     _constant_key = None
 
-    @classmethod
-    def from_element(cls, e: LieElement, truncation: int) -> "LieSeries":
-        return cls(truncation, e._terms)
+    def __init__(self, truncation: int, coeffs: dict | None = None):
+        if coeffs:
+            _refuse_non_chains(coeffs)
+        super().__init__(truncation, coeffs)
 
     def part(self, d: int) -> LieElement:
         if d > self.truncation:
@@ -275,27 +282,58 @@ class LieSeries(TruncatedSeries):
         )
 
     def to_json_dict(self) -> dict:
-        coords = to_lyndon_coords(self)
-        return {
-            "truncation": self.truncation,
-            "basis": "lyndon",
-            "terms": [
-                {"word": w, "c": format_rational(coords[w])}
-                for w in sorted(coords, key=lambda w: (len(w), w))
-            ],
-        }
+        return _lyndon_json(to_lyndon_coords(self), self.truncation)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieSeries":
         if data.get("basis") != "lyndon":
             raise ValueError("expected lyndon basis")
         n = parse_int(data["truncation"])
-        coords = {t["word"]: parse_rational(t["c"]) for t in data["terms"]}
+        coords = _refuse_repeats(
+            (t["word"], parse_rational(t["c"])) for t in data["terms"]
+        )
+        for w in coords:
+            if not (isinstance(w, str) and is_lyndon(w) and not w.strip("XY")):
+                raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
         _refuse_beyond(n, map(len, coords))
-        return cls.from_element(from_lyndon_coords(coords), n)
+        return cls(n, from_lyndon_coords(coords)._coeffs)
 
     def __str__(self) -> str:
-        return str(from_lyndon_coords(to_lyndon_coords(self)))
+        return _lyndon_text(to_lyndon_coords(self))
+
+
+def _bracketing_name(t: str | tuple) -> str:
+    """Long-commutator notation for a chain tree, nested brackets otherwise."""
+    if isinstance(t, str):
+        return t
+    spine, rest = [], t
+    while isinstance(rest, tuple) and isinstance(rest[0], str):
+        spine.append(rest[0])
+        rest = rest[1]
+    if isinstance(rest, str):
+        return _chain_name("".join(spine) + rest)
+    return f"[{_bracketing_name(t[0])},{_bracketing_name(t[1])}]"
+
+
+def _lyndon_text(coords: dict[str, Fraction]) -> str:
+    """Lyndon coordinates as a sum of standard bracketings, in order of
+    degree, then name."""
+    names = {w: _bracketing_name(standard_bracketing(w)) for w in coords}
+    return format_terms(
+        (coords[w], names[w]) for w in sorted(coords, key=lambda w: (len(w), names[w]))
+    )
+
+
+def _lyndon_json(coords: dict[str, Fraction], truncation: int) -> dict:
+    """Lyndon coordinates as JSON terms, in order of degree, then word."""
+    return {
+        "truncation": truncation,
+        "basis": "lyndon",
+        "terms": [
+            {"word": w, "c": format_rational(coords[w])}
+            for w in sorted(coords, key=lambda w: (len(w), w))
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +375,9 @@ def standard_factorization(word: str) -> tuple[str, str]:
 
 
 @functools.cache
-def standard_bracketing(word: str) -> BracketTree:
+def standard_bracketing(word: str) -> str | tuple:
+    """The bracket tree of P_w: a letter, or the pair of the standard
+    bracketings of the standard factors."""
     if word in _GENERATORS:
         return word
     u, v = standard_factorization(word)
@@ -348,29 +388,23 @@ def standard_bracketing(word: str) -> BracketTree:
 # Associative expansion and Lyndon coordinates
 # ---------------------------------------------------------------------------
 
-def _combine_trees(terms: dict, add_bracket) -> dict:
-    """Combine an integer combination of trees bottom-up: each letter
-    stays itself, and each [A, B] is added into the result by
-    ``add_bracket(out, a, b)`` from the combinations a, b of A and B.
+def _combine_chains(terms: dict, add_bracket) -> dict:
+    """Combine an integer combination of chain words bottom-up: each letter
+    stays itself, and each chain [a v] is added into the result by
+    ``add_bracket(out, {a: 1}, q)`` from the combination q of [v].
 
-    Terms sharing a left factor a are combined together as [a, sum c q],
-    so right-nested chains form a trie and each shared suffix is
-    combined once.
+    Chains are grouped by their first letter a as [a, sum c [v]], a walk
+    over the trie of the words, so each trie node costs one bracket.
     """
     out: dict = {}
-    by_left: dict = {}
-    for t, c in terms.items():
-        if isinstance(t, str):
-            out[t] = out.get(t, 0) + c
+    by_first: dict = {}
+    for w, c in terms.items():
+        if len(w) == 1:
+            out[w] = out.get(w, 0) + c
         else:
-            rest = by_left.setdefault(t[0], {})
-            rest[t[1]] = rest.get(t[1], 0) + c
-    for a, rest in by_left.items():
-        add_bracket(
-            out,
-            _combine_trees({a: 1}, add_bracket),
-            _combine_trees(rest, add_bracket),
-        )
+            by_first.setdefault(w[0], {})[w[1:]] = c
+    for a, rest in by_first.items():
+        add_bracket(out, {a: 1}, _combine_chains(rest, add_bracket))
     return {w: c for w, c in out.items() if c}
 
 
@@ -383,12 +417,6 @@ def _add_commutator(out: dict, ea: dict, eb: dict) -> None:
             out[w] = out.get(w, 0) + c
             w = w2 + w1
             out[w] = out.get(w, 0) - c
-
-
-def _expand(terms: dict) -> dict:
-    """Integer word expansion of an integer combination of trees, every
-    [A,B] becoming AB - BA."""
-    return _combine_trees(terms, _add_commutator)
 
 
 def _add_lyndon_bracket(out: dict, la: dict, lb: dict) -> None:
@@ -429,14 +457,11 @@ def _lyndon_bracket(u: str, v: str) -> dict[str, int]:
 
 def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
     """Expand into the word algebra, every [A,B] becoming AB - BA."""
-    if isinstance(a, LieSeries):
-        a = a.as_element()
     scale, ints = _scaled(
-        {t: c for t, c in a._terms.items() if tree_degree(t) <= truncation}
+        {w: c for w, c in a._coeffs.items() if len(w) <= truncation}
     )
-    return NCSeries(
-        truncation, {w: Fraction(c, scale) for w, c in _expand(ints).items()}
-    )
+    words = _combine_chains(ints, _add_commutator)
+    return NCSeries(truncation, {w: Fraction(c, scale) for w, c in words.items()})
 
 
 @functools.cache
@@ -491,12 +516,10 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
 
 def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
     """Coordinates in the Lyndon basis, keyed by word string in order of
-    degree, then word; the trees are combined through the Lyndon bracket
+    degree, then word; the chains are combined through the Lyndon bracket
     table, and no word expansion is built."""
-    if isinstance(a, LieSeries):
-        a = a.as_element()
-    scale, ints = _scaled(a._terms)
-    coords = _combine_trees(ints, _add_lyndon_bracket)
+    scale, ints = _scaled(a._coeffs)
+    coords = _combine_chains(ints, _add_lyndon_bracket)
     return {
         w: Fraction(coords[w], scale)
         for w in sorted(coords, key=lambda w: (len(w), w))
@@ -511,64 +534,22 @@ def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     return _lyndon_reduce(*_scaled(words))
 
 
-def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
-    return LieElement(
-        {standard_bracketing(w): c for w, c in coords.items() if c}
-    )
-
-
-# ---------------------------------------------------------------------------
-# Right-normed rewriting
-# ---------------------------------------------------------------------------
-
-def _rn_ad(t: BracketTree, vmap: dict) -> dict:
-    """Apply ad(t) to a word-keyed map, staying in right-normed form.
-
-    For a pair t = (p, q) this is ad(p)ad(q) - ad(q)ad(p), the Jacobi
-    rewriting [[A,B],C] = [A,[B,C]] - [B,[A,C]] in operator clothing.
-    """
-    if isinstance(t, str):
-        out = {}
-        for w, c in vmap.items():
-            if len(w) == 1 and w == t:
-                continue
-            out[t + w] = out.get(t + w, 0) + c
-        return {w: c for w, c in out.items() if c}
-    p, q = t
-    first = _rn_ad(p, _rn_ad(q, vmap))
-    second = _rn_ad(q, _rn_ad(p, vmap))
-    for w, c in second.items():
-        v = first.get(w, 0) - c
-        if v:
-            first[w] = v
-        else:
-            first.pop(w, None)
-    return first
-
-
 @functools.cache
-def _rn_tree(t: BracketTree) -> dict:
-    if isinstance(t, str):
-        return {t: 1}
-    return _rn_ad(t[0], _rn_tree(t[1]))
+def _lyndon_chains(word: str) -> dict[str, int]:
+    """P_w as integer chain words: a letter is itself, and P_w is
+    [P_u, P_v] over the standard factors u, v."""
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return _rn_ad(u, _lyndon_chains(v), standard_factorization)
 
 
-def _chain_words(a: LieElement | LieSeries) -> dict[str, Fraction]:
-    """The chain words of an element or series with their coefficients:
-    {w: c} stands for the sum of c [w] over right-nested chains."""
-    if isinstance(a, LieSeries):
-        a = a.as_element()
-    scale, ints = _scaled(a._terms)
-    words: dict[str, int] = {}
-    for t, c in ints.items():
-        for w, ic in _rn_tree(t).items():
-            words[w] = words.get(w, 0) + c * ic
-    return {w: Fraction(c, scale) for w, c in words.items() if c}
-
-
-def right_normed(a: LieElement) -> LieElement:
-    """The same element written with right-nested chain trees only."""
-    return LieElement({chain_tree(w): c for w, c in _chain_words(a).items()})
+def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
+    out: dict[str, Fraction] = {}
+    for w, c in coords.items():
+        for u, ic in _lyndon_chains(w).items():
+            out[u] = out.get(u, 0) + c * ic
+    return LieElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +559,14 @@ def right_normed(a: LieElement) -> LieElement:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images may be LieElements, LieSeries, or None for zero; they are
-    rewritten into chain words, scaled to integers over one common
-    denominator, and cut at the truncation.
+    Images may be LieElements, LieSeries, or None for zero; their chain
+    words are scaled to integers over one common denominator and cut at
+    the truncation.
 
-    D acts on right-normed chains: a chain word w = a v (a its first
-    letter) goes to [a, D v] + [D a, v], both brackets rewritten back into
-    chains by ``_rn_ad``.  Results are memoized per chain word, so a
-    sequence of applications (as in the Hausdorff recursion) shares work,
-    and the result is always a combination of chain trees.
+    D acts on chains: a chain word w = a v (a its first letter) goes to
+    [a, D v] + [D a, v], both brackets rewritten back into chains by
+    ``_rn_ad``.  Results are memoized per chain word, so a sequence of
+    applications (as in the Hausdorff recursion) shares work.
     """
 
     def __init__(self, image_x, image_y, truncation: int):
@@ -594,15 +574,19 @@ class Derivation:
         self._scale, ints = _scaled({
             (g, w): c
             for g, img in (("X", image_x), ("Y", image_y)) if img is not None
-            for w, c in _chain_words(img).items() if len(w) <= truncation
+            for w, c in img._coeffs.items() if len(w) <= truncation
         })
         self._images: dict[str, dict[str, int]] = {"X": {}, "Y": {}}
         for (g, w), c in ints.items():
             self._images[g][w] = c
-        self._derive = functools.cache(self._derive_word)
+        # A plain dict: functools.cache on a bound method is a reference
+        # cycle, which keeps the memo alive until the cyclic collector runs.
+        self._memo: dict[str, dict[str, int]] = {}
 
-    def _derive_word(self, w: str) -> dict[str, int]:
+    def _derive(self, w: str) -> dict[str, int]:
         """D of the chain [w], as chain words times ``self._scale``."""
+        if w in self._memo:
+            return self._memo[w]
         n = self.truncation
         a, v = w[0], w[1:]
         if not v:
@@ -611,14 +595,15 @@ class Derivation:
         for image, c in self._images[a].items():
             if image == v or len(image) + len(v) > n:
                 continue  # [v, v] = 0, skipped where the tree rule skipped it
-            for u, ic in _rn_ad(chain_tree(image), {v: 1}).items():
+            for u, ic in _rn_ad(image, {v: 1}).items():
                 out[u] = out.get(u, 0) + c * ic
-        return {u: c for u, c in out.items() if c}
+        out = self._memo[w] = {u: c for u, c in out.items() if c}
+        return out
 
     def __call__(self, target):
         """D of an element (a LieElement) or of a series (a LieSeries cut
-        at the smaller truncation), written with chain trees."""
-        scale, ints = _scaled(_chain_words(target))
+        at the smaller truncation)."""
+        scale, ints = _scaled(target._coeffs)
         out: dict[str, int] = {}
         for w, c in ints.items():
             if len(w) > self.truncation:
@@ -626,7 +611,7 @@ class Derivation:
             for u, ic in self._derive(w).items():
                 out[u] = out.get(u, 0) + c * ic
         scale *= self._scale
-        terms = {chain_tree(u): Fraction(c, scale) for u, c in out.items()}
+        terms = {u: Fraction(c, scale) for u, c in out.items()}
         if isinstance(target, LieSeries):
             return LieSeries(min(self.truncation, target.truncation), terms)
         return LieElement(terms)
@@ -676,8 +661,9 @@ def span_rank(vectors: Iterable[dict]) -> int:
 _IDEALS = ("metabelian", "deeper")
 
 
-def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
-    """Homogeneous spanning set of the ideal in the given degree.
+def _ideal_spanning_coords(ideal: str, degree: int) -> list[dict[str, int]]:
+    """Homogeneous spanning set of the ideal in the given degree, in Lyndon
+    coordinates read off the Lyndon bracket table.
 
     metabelian: [[L,L],[L,L]], spanned by [u, v] over Lyndon basis
     elements u, v of degree >= 2.  deeper: [[L,L],[[L,L],[L,L]]]-style
@@ -695,12 +681,7 @@ def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
                 for v in lyndon_words(d2):
                     if d1 == d2 and u >= v:
                         continue
-                    out.append(
-                        bracket(
-                            LieElement({standard_bracketing(u): 1}),
-                            LieElement({standard_bracketing(v): 1}),
-                        )
-                    )
+                    out.append(_lyndon_bracket(u, v))
     else:
         for d1 in range(2, degree - 3):
             for d2 in range(2, degree - d1 - 1):
@@ -712,21 +693,22 @@ def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
                         for w in lyndon_words(d3):
                             if d2 == d3 and v >= w:
                                 continue
-                            inner = bracket(
-                                LieElement({standard_bracketing(v): 1}),
-                                LieElement({standard_bracketing(w): 1}),
-                            )
-                            out.append(
-                                bracket(LieElement({standard_bracketing(u): 1}), inner)
-                            )
+                            coords: dict[str, int] = {}
+                            _add_lyndon_bracket(coords, {u: 1}, _lyndon_bracket(v, w))
+                            out.append(coords)
     return out
+
+
+def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
+    """The spanning set of ``_ideal_spanning_coords`` as elements."""
+    return [from_lyndon_coords(c) for c in _ideal_spanning_coords(ideal, degree)]
 
 
 @functools.cache
 def _ideal_reducer(ideal: str, degree: int) -> _RowReducer:
     r = _RowReducer()
-    for e in ideal_spanning_elements(ideal, degree):
-        r.add(to_lyndon_coords(e))
+    for coords in _ideal_spanning_coords(ideal, degree):
+        r.add({w: Fraction(c) for w, c in coords.items()})
     return r
 
 

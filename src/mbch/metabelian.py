@@ -29,12 +29,13 @@ from .series import (
     _QuotientElement,
     _as_fraction,
     _refuse_beyond,
+    _refuse_repeats,
     format_rational,
     format_terms,
     parse_int,
     parse_rational,
 )
-from .freelie import LieElement, LieSeries, _chain_words, chain_tree, render_tree
+from .freelie import LieElement, LieSeries, _chain_name
 
 __all__ = [
     "MetabelianElement",
@@ -137,10 +138,10 @@ class MetabelianElement(_QuotientElement):
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetabelianElement":
         n = parse_int(data["truncation"])
-        table = {
-            (parse_int(t["k"]), parse_int(t["l"])): parse_rational(t["c"])
+        table = _refuse_repeats(
+            ((parse_int(t["k"]), parse_int(t["l"])), parse_rational(t["c"]))
             for t in data["terms"]
-        }
+        )
         _refuse_beyond(n, (k + l + 2 for k, l in table))
         return cls(
             n,
@@ -161,7 +162,7 @@ class MetabelianElement(_QuotientElement):
     def __str__(self) -> str:
         named = [(self.a, "X"), (self.b, "Y")]
         named += [
-            (c, render_tree(chain_tree("X" * k + "Y" * l + "XY")))
+            (c, _chain_name("X" * k + "Y" * l + "XY"))
             for (k, l), c in self.terms()
         ]
         return format_terms(named)
@@ -180,16 +181,15 @@ class MetabelianElement(_QuotientElement):
 def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
     """Normal form of a free Lie element modulo [[L,L],[L,L]].
 
-    Every bracket tree is first rewritten as a combination of
-    right-nested chains.  A chain whose final two letters agree is zero;
-    a tail YX flips sign to the tail XY; the remaining prefix letters
-    commute modulo brackets of brackets and are sorted into X^k Y^l,
-    landing in B(k,l).
+    The element is a combination of chains.  A chain whose final two
+    letters agree is zero; a tail YX flips sign to the tail XY; the
+    remaining prefix letters commute modulo brackets of brackets and are
+    sorted into X^k Y^l, landing in B(k,l).
     """
     a = Fraction(0)
     b = Fraction(0)
     table: dict[tuple[int, int], Fraction] = {}
-    for w, c in _chain_words(e).items():
+    for w, c in e.items():
         if len(w) > truncation:
             continue
         if len(w) == 1:

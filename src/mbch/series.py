@@ -84,6 +84,18 @@ def _refuse_beyond(truncation: int, degrees: Iterable[int]) -> None:
         raise ValueError(f"term beyond the declared truncation {truncation}")
 
 
+def _refuse_repeats(pairs: Iterable[tuple]) -> dict:
+    """JSON input: the (key, coefficient) pairs as a dict, refusing a
+    repeated key, whose earlier entries a dict would silently drop; by the
+    policy of ``_refuse_beyond``, input that says two things is refused."""
+    out: dict = {}
+    for k, c in pairs:
+        if k in out:
+            raise ValueError(f"repeated term {k!r}")
+        out[k] = c
+    return out
+
+
 def _as_fraction(v) -> Fraction:
     """The exactness rule for coefficients: Fraction or int, never float or bool."""
     if isinstance(v, Fraction):
@@ -479,10 +491,10 @@ class BiSeries(TruncatedSeries):
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiSeries":
         n = parse_int(data["truncation"])
-        coeffs = {
-            (parse_int(t["i"]), parse_int(t["j"])): parse_rational(t["c"])
+        coeffs = _refuse_repeats(
+            ((parse_int(t["i"]), parse_int(t["j"])), parse_rational(t["c"]))
             for t in data["terms"]
-        }
+        )
         _refuse_beyond(n, map(cls._degree, coeffs))
         return cls(n, coeffs)
 

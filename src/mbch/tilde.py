@@ -39,6 +39,7 @@ from .series import (
     PairSeries,
     _QuotientElement,
     _refuse_beyond,
+    _refuse_repeats,
     bernoulli,
     format_rational,
     format_terms,
@@ -122,18 +123,17 @@ class TildeElement(_QuotientElement):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TildeElement":
+        def index(t, a, b):
+            return parse_int(t[a]), parse_int(t[b])
+
         n = parse_int(data["truncation"])
-        lin = {
-            (parse_int(t["m"]), parse_int(t["n"])): parse_rational(t["c"])
-            for t in data.get("linear", [])
-        }
-        quad = {
-            (
-                (parse_int(t["k"]), parse_int(t["l"])),
-                (parse_int(t["m"]), parse_int(t["n"])),
-            ): parse_rational(t["c"])
+        lin = _refuse_repeats(
+            (index(t, "m", "n"), parse_rational(t["c"])) for t in data.get("linear", [])
+        )
+        quad = _refuse_repeats(
+            ((index(t, "k", "l"), index(t, "m", "n")), parse_rational(t["c"]))
             for t in data.get("quadratic", [])
-        }
+        )
         _refuse_beyond(n, (sum(k) + 2 for k in lin))
         _refuse_beyond(n, (sum(u) + sum(v) + 4 for u, v in quad))
         return cls(

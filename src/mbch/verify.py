@@ -16,7 +16,6 @@ from .assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
 from .freelie import (
     Derivation,
     LieElement,
-    _chain_words,
     bracket,
     from_lyndon_coords,
     ideal_membership,
@@ -84,7 +83,7 @@ def check_bch(degree: int) -> list[Check]:
     graded = all(
         w.count("X") == m
         for m, h in enumerate(bch_recursive_steps(degree))
-        for w in _chain_words(h)
+        for w, _ in h.items()
     )
     out.append(_check("degree components are homogeneous", graded))
     return out

@@ -22,7 +22,6 @@ from mbch.freelie import (
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
-    standard_bracketing,
     to_assoc,
     to_lyndon_coords,
 )
@@ -319,7 +318,7 @@ def test_11_property_suites(criterion):
 
         for d in range(1, 7):
             for w in lyndon_words(d):
-                expansion = to_assoc(LieElement({standard_bracketing(w): F(1)}), 6)
+                expansion = to_assoc(from_lyndon_coords({w: F(1)}), 6)
                 assert expansion.coefficient(w) == 1
                 assert all(word >= w for word, _ in expansion.terms())
         for _ in range(cases):

@@ -11,13 +11,12 @@ from mbch.bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h
 from mbch.freelie import (
     LieElement,
     LieSeries,
+    bracket,
     from_lyndon_coords,
     long_commutator,
     right_normed,
     to_assoc,
     to_lyndon_coords,
-    tree_degree,
-    tree_word,
 )
 from mbch.verify import check_bch
 
@@ -71,9 +70,8 @@ def test_recursive_steps_grade_in_x():
     steps = list(bch_recursive_steps(6))
     assert steps[0] == from_lyndon_coords({"Y": F(1)})
     for m, h in enumerate(steps):
-        for t, _ in right_normed(h).terms():
-            word = tree_word(t)
-            assert word is not None and word.count("X") == m
+        for word, _ in right_normed(h).terms():
+            assert type(word) is str and word.count("X") == m
 
 
 def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
@@ -91,16 +89,43 @@ def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
 
 def test_recursive_sum_matches_steps():
     total = sum(
-        (LieSeries.from_element(h, 5) for h in bch_recursive_steps(5)),
+        (LieSeries(5, h.term_dict()) for h in bch_recursive_steps(5)),
         LieSeries.zero(5),
     )
     assert total == bch_recursive(5)
 
 
+def _tree_degree(t):
+    return 1 if isinstance(t, str) else _tree_degree(t[0]) + _tree_degree(t[1])
+
+
+def _chain_tree(word):
+    """The right-nested tree [w1,[w2,[...,wd]]] of a chain word."""
+    t = word[-1]
+    for ch in reversed(word[:-1]):
+        t = (ch, t)
+    return t
+
+
+def _lie(trees):
+    """A combination of bracket trees as an element, each [A,B] by ``bracket``."""
+
+    def build(t):
+        if isinstance(t, str):
+            return LieElement.generator(t)
+        return bracket(build(t[0]), build(t[1]))
+
+    out = LieElement.zero()
+    for t, c in trees.items():
+        out = out + c * build(t)
+    return out
+
+
 def _tree_route(n):
     """Reference recursion: the Leibniz rule on bracket trees, memoized per
-    tree, then ``right_normed`` after every step."""
-    image = {t: c for t, c in hausdorff_h1(n).items()}
+    tree; after every step the trees enter the element through ``bracket``,
+    which writes them as chains."""
+    image = {_chain_tree(w): c for w, c in hausdorff_h1(n).items()}
 
     @functools.cache
     def derive(t):
@@ -111,22 +136,22 @@ def _tree_route(n):
         a, b = t
         out = {}
         for ta, ca in derive(a).items():
-            if ta != b and tree_degree(ta) + tree_degree(b) <= n:
+            if ta != b and _tree_degree(ta) + _tree_degree(b) <= n:
                 out[ta, b] = out.get((ta, b), 0) + ca
         for tb, cb in derive(b).items():
-            if a != tb and tree_degree(a) + tree_degree(tb) <= n:
+            if a != tb and _tree_degree(a) + _tree_degree(tb) <= n:
                 out[a, tb] = out.get((a, tb), 0) + cb
         return out
 
     h = total = LieElement.generator("Y")
     for m in range(1, n + 1):
         out = {}
-        for t, c in h.term_dict().items():
-            for rt, rc in derive(t).items():
+        for w, c in h.term_dict().items():
+            for rt, rc in derive(_chain_tree(w)).items():
                 out[rt] = out.get(rt, 0) + c * rc
-        h = F(1, m) * right_normed(LieElement(out))
+        h = F(1, m) * _lie(out)
         total = total + h
-    return LieSeries.from_element(total, n)
+    return LieSeries(n, total.term_dict())
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -202,7 +227,5 @@ def test_triple_agreement_degree_six():
 def test_recursive_is_graded():
     h = bch_recursive(5)
     for d, e in h.parts():
-        for t, _ in e.terms():
-            from mbch.freelie import tree_degree
-
-            assert tree_degree(t) == d
+        for w, _ in e.terms():
+            assert len(w) == d

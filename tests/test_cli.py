@@ -184,7 +184,9 @@ def test_byte_identical_reruns(capsys):
 
 
 # Every byte of the quotient printers (text, json and csv of both element
-# types, and the kv-solve report) at degree 12, pinned by sha256.
+# types, and the kv-solve report) at degree 12, and of the free-Lie printer
+# (text, json and csv of one series, reached by all three methods) at
+# degree 9, pinned by sha256.
 @pytest.mark.parametrize("argv, digest", [
     ("deeper --degree 12",
      "900b70c4cd1cc4d9936d8cab8cb39ff461aa6d453466d16877b050e301569f5a"),
@@ -198,8 +200,19 @@ def test_byte_identical_reruns(capsys):
      "02647278b25ee68d2c4e75460f99af10e04a9701a5d1a08fc6919f52730768f0"),
     ("kv-solve --degree 12 --format json",
      "b4b617fca26431687cff4aed61fe919626641830aac592cbfbbd1643f19ce90d"),
+    ("bch --degree 9",
+     "ad0074aaec32430453c9489b9de61e24d3cd81b690cc93423a303422a2c42bea"),
+    ("bch --degree 9 --format json",
+     "44902edc2fc2d6ecf329c17ca32894ff9c8662f23d9d12a95b59a3ad598808d2"),
+    ("bch --degree 9 --format csv",
+     "4036fdc80f5f730fd89257af8861bedf88ad28e8f2a15a41e43a12f6adf43973"),
+    ("bch --method oracle --degree 9",
+     "ad0074aaec32430453c9489b9de61e24d3cd81b690cc93423a303422a2c42bea"),
+    ("bch --method dynkin --degree 9",
+     "ad0074aaec32430453c9489b9de61e24d3cd81b690cc93423a303422a2c42bea"),
 ], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text", "metabelian-csv",
-        "kv-solve-json"])
+        "kv-solve-json", "bch-text", "bch-json", "bch-csv", "bch-oracle-text",
+        "bch-dynkin-text"])
 def test_quotient_outputs_are_byte_exact(capsys, argv, digest):
     rc, out, err = run(capsys, *argv.split())
     assert rc == 0 and err == ""
@@ -250,7 +263,9 @@ def test_kv_solve_non_integer_g_field_is_usage_error(capsys, g):
 @pytest.mark.parametrize("g", [
     '{"truncation": 3, "terms": [{"i": 3, "j": 1, "c": "1"}]}',
     "[" * 50000 + "]" * 50000,
-], ids=["term-beyond-truncation", "deep-nesting"])
+    '{"truncation": 3, "terms": [{"i": 0, "j": 1, "c": "2"}, {"i": 0, "j": 1, "c": "1"},'
+    ' {"i": 1, "j": 0, "c": "1"}]}',
+], ids=["term-beyond-truncation", "deep-nesting", "repeated-term"])
 def test_kv_solve_contradictory_or_deep_g_is_usage_error(capsys, g):
     rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
     assert (rc, out) == (2, "")

@@ -15,7 +15,6 @@ from mbch.freelie import (
     LieElement,
     LieSeries,
     bracket,
-    chain_tree,
     from_lyndon_coords,
     ideal_membership,
     ideal_spanning_elements,
@@ -23,17 +22,14 @@ from mbch.freelie import (
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
-    render_tree,
     right_normed,
     span_rank,
     standard_bracketing,
     standard_factorization,
     to_assoc,
     to_lyndon_coords,
-    tree_degree,
-    tree_word,
 )
-from mbch.freelie import _add_commutator, _expand, _lyndon_bracket, _sb_expansions
+from mbch.freelie import _add_commutator, _lyndon_bracket, _sb_expansions
 
 F = Fraction
 X = LieElement.generator("X")
@@ -60,27 +56,54 @@ def _necklace_count(d):
     return sum(_moebius(e) * 2 ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
 
+# ---------------------------------------------------------------------------
+# Bracket trees, the language of the tree-level references below: a tree is
+# "X", "Y" or a pair of trees, and it enters an element only through _lie.
+# ---------------------------------------------------------------------------
+
+def _lie(trees):
+    """A combination of bracket trees as an element, each [A,B] by ``bracket``."""
+
+    def build(t):
+        if isinstance(t, str):
+            return LieElement.generator(t)
+        return bracket(build(t[0]), build(t[1]))
+
+    out = LieElement.zero()
+    for t, c in trees.items():
+        out = out + c * build(t)
+    return out
+
+
+def _tree_degree(t):
+    return 1 if isinstance(t, str) else _tree_degree(t[0]) + _tree_degree(t[1])
+
+
 def _random_tree(rng, max_depth):
     if max_depth == 0 or rng.random() < 0.35:
         return rng.choice("XY")
     return (_random_tree(rng, max_depth - 1), _random_tree(rng, max_depth - 1))
 
 
-def _random_element(rng, max_depth=3, nterms=3):
+def _random_trees(rng, max_depth=3, nterms=3):
     terms = {}
     for _ in range(nterms):
         t = _random_tree(rng, max_depth)
         terms[t] = F(rng.randint(-4, 4), rng.randint(1, 4))
-    return LieElement(terms)
+    return terms
+
+
+def _random_element(rng, max_depth=3, nterms=3):
+    return _lie(_random_trees(rng, max_depth, nterms))
 
 
 # ---------------------------------------------------------------------------
-# Trees, brackets, long commutators
+# Chains, brackets, long commutators
 # ---------------------------------------------------------------------------
 
 def test_long_commutator_examples():
-    assert long_commutator("XY").term_dict() == {("X", "Y"): 1}
-    assert long_commutator("XXY").term_dict() == {("X", ("X", "Y")): 1}
+    assert long_commutator("XY").term_dict() == {"XY": 1}
+    assert long_commutator("XXY").term_dict() == {"XXY": 1}
     assert long_commutator("XX").is_zero()
     assert long_commutator("XYY").is_zero()
     with pytest.raises(ValueError):
@@ -96,24 +119,34 @@ def test_bracket_drops_syntactically_equal_pairs():
 def test_element_equality_is_mathematical_as_for_series():
     # Antisymmetry and Jacobi hold under ==, as they do for LieSeries.
     assert bracket(X, Y) == -bracket(Y, X)
-    assert LieSeries.from_element(bracket(X, Y), 2) == LieSeries.from_element(
-        -bracket(Y, X), 2
+    assert LieSeries(2, bracket(X, Y).term_dict()) == LieSeries(
+        2, (-bracket(Y, X)).term_dict()
     )
     a, b, c = X, Y, bracket(X, Y)
     jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
     assert jacobi == LieElement.zero()
     assert bracket(X, Y) != bracket(Y, X)
-    assert bracket(X, Y) != LieSeries.from_element(bracket(X, Y), 2)
+    assert bracket(X, Y) != LieSeries(2, bracket(X, Y).term_dict())
     assert X != "X"
 
 
 def test_render_and_tree_word():
-    t = chain_tree("XXY")
-    assert tree_word(t) == "XXY"
-    assert render_tree(t) == "[X^2Y]"
-    nested = (("X", "Y"), "Y")
-    assert tree_word(nested) is None
-    assert render_tree(nested) == "[[XY],Y]"
+    # A chain prints as a long commutator.  A series prints its standard
+    # bracketings, nested where they are not chains; an element prints the
+    # chains that bracket wrote.
+    assert str(long_commutator("XXY")) == "[X^2Y]"
+    nested = bracket(bracket(X, Y), Y)
+    assert str(LieSeries(3, nested.term_dict())) == "[[XY],Y]"
+    assert str(nested) == "-[YXY]"
+
+
+def test_elements_and_series_are_keyed_by_chain_words():
+    assert bracket(X, Y).term_dict() == {"XY": 1}
+    assert all(type(w) is str for w, _ in bch_recursive(10).items())
+    for bad in (("X", "Y"), "", "XZ"):
+        for build in (lambda: LieElement({bad: 1}), lambda: LieSeries(3, {bad: 1})):
+            with pytest.raises(ValueError, match="chain word"):
+                build()
 
 
 def test_expansion_of_double_bracket():
@@ -187,7 +220,7 @@ def test_factor_built_lyndon_expansions_match_tree_expansion():
         expansions = _sb_expansions(d)
         assert list(expansions) == lyndon_words(d)
         for w, expansion in expansions.items():
-            assert expansion == _expand({standard_bracketing(w): 1})
+            assert expansion == _word_expansion({standard_bracketing(w): 1})
 
 
 def test_lyndon_bracket_table_matches_word_commutator():
@@ -264,10 +297,10 @@ def test_lie_element_rejects_floats(bad):
 
 @pytest.mark.parametrize("tree", ["Z", ("X",), ("X", "Y", "X"), ("X", ("Y",))])
 def test_lie_element_rejects_non_trees(tree):
-    # Twice: the cached degree table must not remember a failed tree.
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not a bracket tree"):
-            LieElement({tree: 1})
+    # Elements and series share one key check.
+    for build in (lambda: LieElement({tree: 1}), lambda: LieSeries(3, {tree: 1})):
+        with pytest.raises(ValueError, match="chain word"):
+            build()
 
 
 def _tree_of_degree(draw, d):
@@ -291,22 +324,22 @@ _coeffs = st.builds(
 
 
 @st.composite
-def _elements_with_cancellation(draw):
-    """(element, same element plus terms that cancel exactly)."""
-    base = LieElement(draw(st.dictionaries(_trees(), _coeffs, min_size=1, max_size=5)))
+def _trees_with_cancellation(draw):
+    """(element, trees of the same element plus terms that cancel exactly)."""
+    base = draw(st.dictionaries(_trees(), _coeffs, min_size=1, max_size=5))
     a = draw(_trees(5))
-    b = draw(_trees(6 - tree_degree(a)))
-    c = draw(_trees(7 - tree_degree(a) - tree_degree(b)))
+    b = draw(_trees(6 - _tree_degree(a)))
+    c = draw(_trees(7 - _tree_degree(a) - _tree_degree(b)))
     k = draw(_coeffs)
-    zero = (
-        LieElement({(a, b): k}) + LieElement({(b, a): k})  # antisymmetry
-        + LieElement({(a, (b, c)): k, (b, (c, a)): k, (c, (a, b)): k})  # Jacobi
-    )
-    return base, base + zero
+    trees = dict(base)
+    # antisymmetry, then Jacobi
+    for t in ((a, b), (b, a), (a, (b, c)), (b, (c, a)), (c, (a, b))):
+        trees[t] = trees.get(t, 0) + k
+    return _lie(base), trees
 
 
-def _word_expansion(e):
-    """Fraction word coefficients of a tree combination, by plain recursion."""
+def _word_expansion(trees):
+    """Word coefficients of a tree combination, by plain recursion."""
 
     def words(t):
         if isinstance(t, str):
@@ -319,19 +352,20 @@ def _word_expansion(e):
         return out
 
     total = {}
-    for t, c in e.term_dict().items():
+    for t, c in trees.items():
         for w, k in words(t).items():
             total[w] = total.get(w, 0) + c * k
     return {w: c for w, c in total.items() if c}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_elements_with_cancellation())
+@given(_trees_with_cancellation())
 def test_integer_core_identities_on_random_trees(pair):
-    base, e = pair
+    base, trees = pair
+    e = _lie(trees)
     n = max(e.degree_components(), default=0)
     nc = to_assoc(e, n)
-    assert dict(nc.terms()) == _word_expansion(e)
+    assert dict(nc.terms()) == _word_expansion(trees)
     coords = to_lyndon_coords(e)
     assert coords == lyndon_coords_of_assoc(nc)
     assert to_assoc(from_lyndon_coords(coords), n) == nc
@@ -361,13 +395,13 @@ def test_right_normed_preserves_coordinates():
         e = _random_element(rng)
         r = right_normed(e)
         assert to_lyndon_coords(r) == to_lyndon_coords(e)
-        assert all(tree_word(t) is not None for t, _ in r.terms())
+        assert r.term_dict() == e.term_dict()
 
 
 def test_right_normed_on_left_nested():
-    e = LieElement({(("X", "Y"), "Y"): 1})  # [[X,Y],Y]
+    e = _lie({(("X", "Y"), "Y"): 1})  # [[X,Y],Y]
     r = right_normed(e)
-    assert r.term_dict() == {chain_tree("YXY"): -1}
+    assert r.term_dict() == {"YXY": -1}
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +437,11 @@ def test_derivation_respects_truncation():
 
 def _tree_derivation(image_x, image_y, n):
     """Reference: the Leibniz rule D[A,B] = [DA,B] + [A,DB] on unnormalized
-    bracket trees, memoized per tree, equal pairs dropped, cut at n."""
+    bracket trees, memoized per tree, equal pairs dropped, cut at n.  The
+    images and the target are tree combinations (None for a zero image)."""
     images = {}
     for g, img in (("X", image_x), ("Y", image_y)):
-        terms = {} if img is None else img.term_dict()
-        images[g] = {t: c for t, c in terms.items() if tree_degree(t) <= n}
+        images[g] = {t: c for t, c in (img or {}).items() if _tree_degree(t) <= n}
 
     @functools.cache
     def derive(t):
@@ -416,30 +450,32 @@ def _tree_derivation(image_x, image_y, n):
         a, b = t
         out = {}
         for ta, ca in derive(a).items():
-            if ta != b and tree_degree(ta) + tree_degree(b) <= n:
+            if ta != b and _tree_degree(ta) + _tree_degree(b) <= n:
                 out[ta, b] = out.get((ta, b), 0) + ca
         for tb, cb in derive(b).items():
-            if a != tb and tree_degree(a) + tree_degree(tb) <= n:
+            if a != tb and _tree_degree(a) + _tree_degree(tb) <= n:
                 out[a, tb] = out.get((a, tb), 0) + cb
         return out
 
-    def apply(e):
+    def apply(trees):
         out = {}
-        for t, c in e.term_dict().items():
+        for t, c in trees.items():
             for rt, rc in derive(t).items():
                 out[rt] = out.get(rt, 0) + c * rc
-        return LieElement(out)
+        return _lie(out)
 
     return apply
 
 
 def _random_image(rng):
+    """Trees of a random image, or None for zero."""
     if rng.random() < 0.2:
         return None
-    e = _random_element(rng, 3, rng.randint(1, 3))
+    trees = _random_trees(rng, 3, rng.randint(1, 3))
     if rng.random() < 0.5:
-        e = e + F(rng.randint(-3, 3), rng.randint(1, 3)) * rng.choice([X, Y])
-    return e
+        c, g = F(rng.randint(-3, 3), rng.randint(1, 3)), rng.choice("XY")
+        trees[g] = trees.get(g, 0) + c
+    return trees
 
 
 def test_derivation_on_chains_matches_tree_leibniz_rule():
@@ -448,9 +484,10 @@ def test_derivation_on_chains_matches_tree_leibniz_rule():
     for n in range(2, 10):
         for _ in range(20):
             ix, iy = _random_image(rng), _random_image(rng)
-            target = _random_element(rng, 3, 3)
-            out = Derivation(ix, iy, n)(target)
-            assert all(tree_word(t) is not None for t, _ in out.terms())
+            target = _random_trees(rng, 3, 3)
+            images = [None if i is None else _lie(i) for i in (ix, iy)]
+            out = Derivation(*images, n)(_lie(target))
+            assert all(type(w) is str for w, _ in out.terms())
             coords = to_lyndon_coords(out)
             assert coords == to_lyndon_coords(_tree_derivation(ix, iy, n)(target))
             nonzero += bool(coords)
@@ -460,12 +497,14 @@ def test_derivation_on_chains_matches_tree_leibniz_rule():
 def test_derivation_of_series_is_series_at_smaller_truncation():
     rng = random.Random(71)
     for n, m in ((4, 6), (6, 4), (5, 5)):
-        ix, iy = _random_element(rng, 2, 2) + Y, _random_element(rng, 2, 2) + X
-        target = _random_element(rng, 3, 4)
-        out = Derivation(ix, iy, n)(LieSeries.from_element(target, m))
+        ix, iy = _random_trees(rng, 2, 2), _random_trees(rng, 2, 2)
+        ix["Y"], iy["X"] = ix.get("Y", 0) + 1, iy.get("X", 0) + 1
+        target = _random_trees(rng, 3, 4)
+        out = Derivation(_lie(ix), _lie(iy), n)(LieSeries(m, _lie(target).term_dict()))
         assert isinstance(out, LieSeries) and out.truncation == min(n, m)
-        ref = _tree_derivation(ix, iy, n)(LieSeries.from_element(target, m).as_element())
-        assert out == LieSeries.from_element(ref, min(n, m))
+        cut = {t: c for t, c in target.items() if _tree_degree(t) <= m}
+        ref = _tree_derivation(ix, iy, n)(cut)
+        assert out == LieSeries(min(n, m), ref.term_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +553,14 @@ def test_ideal_spanning_degrees():
 # ---------------------------------------------------------------------------
 
 def test_series_enforces_homogeneity():
-    # A LieSeries is keyed by bracket trees, each graded by its own degree,
-    # so the old {degree: element} shape is refused as a malformed key.
-    with pytest.raises(ValueError, match="not a bracket tree"):
+    # A LieSeries is keyed by chain words, each graded by its length, so
+    # the old {degree: element} shape is refused as a malformed key.
+    with pytest.raises(ValueError, match="chain word"):
         LieSeries(4, {2: X + bracket(X, Y)})
 
 
 def test_series_roundtrip_json():
-    s = LieSeries.from_element(X + Y + F(1, 2) * bracket(X, Y), 4)
+    s = LieSeries(4, (X + Y + F(1, 2) * bracket(X, Y)).term_dict())
     d = s.to_json_dict()
     assert d["basis"] == "lyndon"
     assert [t["word"] for t in d["terms"]] == ["X", "Y", "XY"]
@@ -529,20 +568,20 @@ def test_series_roundtrip_json():
 
 
 def test_lie_series_has_no_constant_term():
-    s = LieSeries.from_element(X + bracket(X, Y), 3)
+    s = LieSeries(3, (X + bracket(X, Y)).term_dict())
     for refused in (lambda: s + 1, lambda: 1 - s, lambda: LieSeries.one(3)):
         with pytest.raises(TypeError, match="LieSeries has no constant term"):
             refused()
 
 
 def test_series_str():
-    s = LieSeries.from_element(X + F(1, 2) * bracket(X, Y), 3)
+    s = LieSeries(3, (X + F(1, 2) * bracket(X, Y)).term_dict())
     assert str(s) == "X + 1/2 [XY]"
 
 
 def test_series_algebra_and_parts():
-    s = LieSeries.from_element(X + bracket(X, Y), 3)
-    t = LieSeries.from_element(Y, 3)
+    s = LieSeries(3, (X + bracket(X, Y)).term_dict())
+    t = LieSeries(3, Y.term_dict())
     u = s + t
     assert to_lyndon_coords(u.part(1)) == {"X": 1, "Y": 1}
     assert to_lyndon_coords((2 * s).part(2)) == {"XY": 2}

@@ -16,7 +16,6 @@ from mbch.freelie import (
     lyndon_coords_of_assoc,
     span_rank,
     to_assoc,
-    tree_degree,
 )
 from mbch.metabelian import (
     MetabelianElement,
@@ -127,14 +126,10 @@ def test_element_truncations_one_and_two():
 
 
 def _swap_letters(e: LieElement) -> LieElement:
-    """The free-algebra substitution X -> -Y, Y -> -X, tree by tree."""
-    def swap(t):
-        if isinstance(t, str):
-            return "Y" if t == "X" else "X"
-        return (swap(t[0]), swap(t[1]))
-
+    """The free-algebra substitution X -> -Y, Y -> -X, chain by chain."""
+    swap = str.maketrans("XY", "YX")
     return LieElement(
-        {swap(t): (-1) ** tree_degree(t) * c for t, c in e.term_dict().items()}
+        {w.translate(swap): (-1) ** len(w) * c for w, c in e.term_dict().items()}
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbch.assoc import NCSeries
-from mbch.freelie import LieElement, LieSeries
+from mbch.freelie import LieElement, LieSeries, bracket, long_commutator
 from mbch.metabelian import MetabelianElement
 from mbch.series import (
     BiSeries,
@@ -341,9 +341,11 @@ def _nc(coeffs, n=4):
      "-1 - X + XY - 2/3 X^2Y + 4 Y^2X"),
     (_nc({"": 1, "X": F(1, 2)}), "1 + 1/2 X"),
     (NCSeries.zero(2), "0"),
-    (LieElement({"X": -1, "Y": 1, ("X", "Y"): F(-1, 2), ("X", ("X", "Y")): -1,
-                 (("X", "Y"), ("X", ("X", "Y"))): 3}),
-     "-X + Y - 1/2 [XY] - [X^2Y] + 3 [[XY],[X^2Y]]"),
+    # The bracket of two chains is written as chains: [[XY],[X^2Y]] is
+    # [XYX^2Y] - [YX^3Y].
+    (LieElement({"X": -1, "Y": 1, "XY": F(-1, 2), "XXY": -1})
+     + 3 * bracket(long_commutator("XY"), long_commutator("XXY")),
+     "-X + Y - 1/2 [XY] - [X^2Y] + 3 [XYX^2Y] - 3 [YX^3Y]"),
     (LieElement.zero(), "0"),
     (MetabelianElement(5, -1, 1, {(0, 0): -1, (1, 0): F(1, 2), (0, 1): 1,
                                   (1, 1): F(-2, 3)}),
@@ -455,6 +457,35 @@ def test_from_json_dict_rejects_terms_beyond_truncation(cls, data):
         cls.from_json_dict(data)
 
 
+@pytest.mark.parametrize("cls, data", [
+    (BiSeries, {"truncation": 3, "terms": [{"i": 0, "j": 1, "c": "2"},
+                                           {"i": 0, "j": 1, "c": "1"}]}),
+    (NCSeries, {"truncation": 2, "terms": [{"word": "XY", "c": "1"},
+                                           {"word": "XY", "c": "1"}]}),
+    (LieSeries, {"truncation": 2, "basis": "lyndon",
+                 "terms": [{"word": "XY", "c": "1"}, {"word": "XY", "c": "-1"}]}),
+    (MetabelianElement, {"truncation": 4, "terms": [{"k": 1, "l": 0, "c": "1"},
+                                                    {"k": 1, "l": 0, "c": "3"}]}),
+    (TildeElement, {"truncation": 4, "linear": [{"m": 0, "n": 0, "c": "1"},
+                                                {"m": 0, "n": 0, "c": "1"}]}),
+    (TildeElement, {"truncation": 6, "quadratic": [
+        {"k": 1, "l": 0, "m": 0, "n": 0, "c": "1"},
+        {"k": 1, "l": 0, "m": 0, "n": 0, "c": "2"}]}),
+], ids=["BiSeries", "NCSeries", "LieSeries", "MetabelianElement", "TildeElement-linear",
+        "TildeElement-quadratic"])
+def test_from_json_dict_rejects_repeated_terms(cls, data):
+    # A dict would keep only the last entry of a repeated key.
+    with pytest.raises(ValueError, match="repeated term"):
+        cls.from_json_dict(data)
+
+
+@pytest.mark.parametrize("word", [5, None, "XZ", "YX", ""])
+def test_lie_series_from_json_dict_names_a_bad_word(word):
+    data = {"truncation": 3, "basis": "lyndon", "terms": [{"word": word, "c": "1"}]}
+    with pytest.raises(ValueError, match=f"not a Lyndon word over X and Y: {word!r}"):
+        LieSeries.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # The truncated-series base, once for each of its four subclasses
 # ---------------------------------------------------------------------------
@@ -463,7 +494,7 @@ def test_from_json_dict_rejects_terms_beyond_truncation(cls, data):
 _KEYS = {
     BiSeries: [(1, 0), (0, 1), (1, 1), (2, 1)],
     NCSeries: ["X", "Y", "XY", "XXY"],
-    LieSeries: ["X", "Y", ("X", "Y"), ("X", ("X", "Y"))],
+    LieSeries: ["X", "Y", "XY", "XXY"],
     PairSeries: [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, 1), (0, 0)), ((2, 1), (0, 0))],
 }
 _MALFORMED_KEY = {
