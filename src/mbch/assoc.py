@@ -238,7 +238,7 @@ def zassenhaus_oracle(truncation: int) -> list:
     Each factor is returned as a homogeneous LieSeries in Lyndon
     coordinates, extracted from the word-level residual.
     """
-    from .freelie import LieSeries, from_lyndon_coords, lyndon_coords_of_assoc, to_assoc
+    from .freelie import LieSeries, from_lyndon_coords, lyndon_coords_of_assoc
 
     n = truncation
     x = NCSeries.generator("X", n)
@@ -246,9 +246,9 @@ def zassenhaus_oracle(truncation: int) -> list:
     r = nc_exp(-y) * nc_exp(-x) * nc_exp(x + y)
     out = []
     for d in range(2, n + 1):
-        part = nc_log(r).degree_part(d)
-        coords = lyndon_coords_of_assoc(part)
-        c_d = from_lyndon_coords(coords)
+        # r - 1 starts at degree d, so its degree-d part is that of log r
+        part = r.degree_part(d)
+        c_d = from_lyndon_coords(lyndon_coords_of_assoc(part))
         out.append(LieSeries(n, c_d.term_dict()))
-        r = nc_exp(-to_assoc(c_d, n)) * r
+        r = nc_exp(-part) * r
     return out

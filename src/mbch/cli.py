@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=("recursive", "dynkin", "oracle", "closed"),
+        choices=("recursive", "dynkin", "oracle"),
         default="recursive",
         help="derivation recursion, permutation-tuple sum, or word-level log",
     )
@@ -350,11 +350,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if ns.command == "bch" and ns.method == "closed":
-        return _usage_error(
-            "the closed formula lives in the metabelian quotient; "
-            "use the 'metabelian' command"
-        )
     if ns.command == "kv-solve":
         try:
             ns.a = parse_rational(ns.a)

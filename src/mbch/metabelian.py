@@ -117,9 +117,8 @@ class MetabelianElement(_QuotientElement):
         B(k,l) maps to (-1)^{k+l+1} B(l,k): the k+l+2 letter signs give
         (-1)^{k+l}, the flipped tail [YX] = -[XY] one more.
         """
-        return MetabelianElement(
-            self.truncation, -self.b, -self.a, -self._table.subst_negswap()
-        )
+        table = self._table.substitute(x=(0, -1), y=(-1, 0))
+        return MetabelianElement(self.truncation, -self.b, -self.a, -table)
 
     # -- serialization --------------------------------------------------------
 
@@ -227,9 +226,8 @@ def h_series(truncation: int) -> BiSeries:
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     m = truncation + 1
-    num = BiSeries.one(m) - BiSeries.named("expm1_over_t", "x", m) * BiSeries.named(
-        "t_over_expm1", "x+y", m
-    )
+    t_over_expm1 = BiSeries.named("t_over_expm1", m).substitute(x=(1, 1))
+    num = BiSeries.one(m) - BiSeries.named("expm1_over_t", m) * t_over_expm1
     return num.divide_exact(BiSeries.monomial(0, 1, m))
 
 
@@ -253,10 +251,10 @@ def goldberg_c(truncation: int) -> BiSeries:
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
     m = truncation + 2
-    ex = BiSeries.named("exp", "x", m)
-    ey = BiSeries.named("exp", "y", m)
-    e1x = BiSeries.named("expm1", "x", m)
-    e1y = BiSeries.named("expm1", "y", m)
+    ex = BiSeries.named("exp", m)
+    ey = ex.substitute(x=(0, 1))
+    e1x = BiSeries.named("expm1", m)
+    e1y = e1x.substitute(x=(0, 1))
     num = (ex * e1y).shift(1, 0).truncate(m) - (ey * e1x).shift(0, 1).truncate(m)
     x_minus_y = BiSeries(m, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
     quotient = num.divide_exact(x_minus_y)
@@ -275,10 +273,10 @@ def _zassenhaus_series(truncation: int) -> BiSeries:
     the outer division by x + y is exact.
     """
     m = truncation + 1
-    first = -BiSeries.named("expm1_over_t", "-y", m)
-    inner = BiSeries.one(m) - BiSeries.named(
-        "expm1_over_t", "-x", m
-    ) * BiSeries.named("t_over_expm1", "y", m)
+    expm1_over_t = BiSeries.named("expm1_over_t", m)
+    t_over_expm1 = BiSeries.named("t_over_expm1", m).substitute(x=(0, 1))
+    first = -expm1_over_t.substitute(x=(0, -1))
+    inner = BiSeries.one(m) - expm1_over_t.substitute(x=(-1, 0)) * t_over_expm1
     x_plus_y = BiSeries(m, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     return (first * inner).divide_exact(x_plus_y)
 
@@ -323,7 +321,7 @@ def kv_solve(truncation: int, a=0, g: BiSeries | None = None) -> MetabelianEleme
     two_x = BiSeries(n - 1, {(1, 0): Fraction(2)})
     f = odd_h.divide_exact(x_minus_y) + (even_h - Fraction(1, 2)).divide_exact(two_x)
     if g is not None:
-        if g.subst_negswap() != -g:
+        if g.substitute(x=(0, -1), y=(-1, 0)) != -g:
             raise ValueError("g violates antisymmetry")
         if n >= 3:
             f = f + g.padded(n - 3).shift(0, 1)

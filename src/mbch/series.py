@@ -6,6 +6,9 @@ and nothing beyond, so binary operations truncate at the smaller bound.
 Division is *exact* division: if the divisor does not divide the dividend
 term-for-term the operation raises ``InexactDivision`` instead of silently
 producing a Laurent-style object (negative powers never exist here).
+Every change of variables is one linear substitution,
+``BiSeries.substitute``: the named series (``exp``, ``t_over_expm1``,
+...) are univariate, and a caller moves them to a linear form in x, y.
 
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
@@ -148,7 +151,7 @@ def bernoulli(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Named univariate coefficient streams, composed at a linear form
+# Named univariate coefficient streams
 # ---------------------------------------------------------------------------
 
 def _named_coefficient(kind: str, n: int) -> Fraction:
@@ -163,26 +166,6 @@ def _named_coefficient(kind: str, n: int) -> Fraction:
     if kind == "log1p":
         return Fraction(0) if n == 0 else Fraction((-1) ** (n - 1), n)
     raise ValueError(f"unknown named series {kind!r}")
-
-
-_LINEAR_FORMS = {
-    "x": (1, 0),
-    "y": (0, 1),
-    "-x": (-1, 0),
-    "-y": (0, -1),
-    "x+y": (1, 1),
-    "-x-y": (-1, -1),
-}
-
-
-def _parse_linear_form(arg: str | tuple[int, int]) -> tuple[int, int]:
-    if isinstance(arg, str):
-        try:
-            return _LINEAR_FORMS[arg.replace(" ", "")]
-        except KeyError:
-            raise ValueError(f"unknown linear form {arg!r}") from None
-    a, b = arg
-    return int(a), int(b)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +212,7 @@ class TruncatedSeries:
         return cls(truncation)
 
     @classmethod
-    def constant(cls, c, truncation: int):
+    def constant(cls, truncation: int, c):
         c = _as_fraction(c)
         if cls._constant_key is None:
             raise TypeError(f"{cls.__name__} has no constant term")
@@ -237,7 +220,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, truncation: int):
-        return cls.constant(1, truncation)
+        return cls.constant(truncation, 1)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -258,7 +241,7 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
-            other = self.constant(other, self.truncation)
+            other = self.constant(self.truncation, other)
         out = dict(self._coeffs)
         for k, c in other._coeffs.items():
             out[k] = out.get(k, 0) + c
@@ -271,7 +254,7 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
-            other = self.constant(other, self.truncation)
+            other = self.constant(self.truncation, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -343,26 +326,18 @@ class BiSeries(TruncatedSeries):
         return cls(truncation, {(i, j): _as_fraction(c)})
 
     @classmethod
-    def named(cls, kind: str, arg, truncation: int) -> "BiSeries":
-        """A named univariate series evaluated at a linear form in x, y.
+    def named(cls, kind: str, truncation: int) -> "BiSeries":
+        """A named univariate series sum a_n x^n; ``substitute`` moves it
+        to a linear form in x, y.
 
         ``kind`` is one of ``exp``, ``expm1``, ``expm1_over_t``
         (coefficients 1/(n+1)!), ``t_over_expm1`` (coefficients B_n/n!)
-        or ``log1p``; ``arg`` names the linear form, e.g. ``"x+y"`` or a
-        coefficient pair ``(1, -1)``.
+        or ``log1p``.
         """
-        alpha, beta = _parse_linear_form(arg)
-        coeffs: dict[tuple[int, int], Fraction] = {}
-        for n in range(truncation + 1):
-            a_n = _named_coefficient(kind, n)
-            if not a_n:
-                continue
-            for i in range(n + 1):
-                c = a_n * comb(n, i) * alpha**i * beta ** (n - i)
-                if c:
-                    key = (i, n - i)
-                    coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        return cls(truncation, coeffs)
+        return cls(
+            truncation,
+            {(n, 0): _named_coefficient(kind, n) for n in range(truncation + 1)},
+        )
 
     # -- inspection --------------------------------------------------------
 
@@ -407,23 +382,24 @@ class BiSeries(TruncatedSeries):
             {(i + di, j + dj): c for (i, j), c in self._coeffs.items()},
         )
 
-    # -- substitutions and splits -------------------------------------------
+    # -- substitution and splits ---------------------------------------------
 
-    def subst_negswap(self) -> "BiSeries":
-        """The series a(-y, -x): swap variables and negate both."""
-        return BiSeries(
-            self.truncation,
-            {(j, i): ((-1) ** (i + j)) * c for (i, j), c in self._coeffs.items()},
-        )
-
-    def subst_signed(self, sign_x: int, sign_y: int) -> "BiSeries":
-        """Substitute x -> sign_x * x, y -> sign_y * y (signs +-1)."""
-        if sign_x not in (1, -1) or sign_y not in (1, -1):
-            raise ValueError("signs must be +-1")
-        return BiSeries(
-            self.truncation,
-            {(i, j): (sign_x**i) * (sign_y**j) * c for (i, j), c in self._coeffs.items()},
-        )
+    def substitute(self, x=(1, 0), y=(0, 1)) -> "BiSeries":
+        """The series s(a1 x + b1 y, a2 x + b2 y) for ``x=(a1, b1)`` and
+        ``y=(a2, b2)``, at the same truncation; the coefficients are
+        rational and each pair defaults to the identity, so
+        ``substitute(x=(0, -1), y=(-1, 0))`` is s(-y, -x).
+        """
+        px = _linear_powers(x, max((i for i, _ in self._coeffs), default=0))
+        py = _linear_powers(y, max((j for _, j in self._coeffs), default=0))
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, j), c in self._coeffs.items():
+            for (p1, q1), u in px[i].items():
+                cu = c * u
+                for (p2, q2), v in py[j].items():
+                    key = (p1 + p2, q1 + q2)
+                    out[key] = out.get(key, 0) + cu * v
+        return BiSeries(self.truncation, out)
 
     def parity_split(self) -> tuple["BiSeries", "BiSeries"]:
         """(even, odd) parts by parity of the total degree."""
@@ -509,6 +485,24 @@ class BiSeries(TruncatedSeries):
                     factors.append(f"{name}^{e}")
             pairs.append((c, " ".join(factors)))
         return format_terms(pairs)
+
+
+def _linear_powers(form, n: int) -> list[dict[tuple[int, int], Fraction]]:
+    """(a x + b y)^i for i = 0..n, each without zero terms, for form (a, b).
+
+    A monomial form keeps one term per power.
+    """
+    a, b = map(_as_fraction, form)
+    linear = [(step, c) for step, c in (((1, 0), a), ((0, 1), b)) if c]
+    out = [{(0, 0): Fraction(1)}]
+    for _ in range(n):
+        power: dict[tuple[int, int], Fraction] = {}
+        for (p, q), u in out[-1].items():
+            for (dp, dq), c in linear:
+                key = (p + dp, q + dq)
+                power[key] = power.get(key, 0) + u * c
+        out.append(power)
+    return out
 
 
 def _divide_homogeneous(

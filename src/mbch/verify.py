@@ -100,7 +100,7 @@ def check_metabelian(degree: int) -> list[Check]:
     )
     h = h_series(degree)
     out.append(
-        _check("h(x,y) = h(-y,-x)", h.subst_negswap() == h)
+        _check("h(x,y) = h(-y,-x)", h.substitute(x=(0, -1), y=(-1, 0)) == h)
     )
     n = max(degree, 3)
     c = goldberg_c(n)
@@ -121,7 +121,7 @@ def check_metabelian(degree: int) -> list[Check]:
     out.append(
         _check(
             "c(x,y) = x y h(x,-y)",
-            c == h_series(n - 2).subst_signed(1, -1).shift(1, 1),
+            c == h_series(n - 2).substitute(y=(0, -1)).shift(1, 1),
         )
     )
     cap = min(degree, 8)
@@ -180,7 +180,7 @@ def check_kv(degree: int) -> list[Check]:
         )
     )
     fb = f.table_series()
-    lhs = fb.shift(1, 0) - fb.subst_negswap().shift(0, 1)
+    lhs = fb.shift(1, 0) - fb.substitute(x=(0, -1), y=(-1, 0)).shift(0, 1)
     rhs = h_series(degree - 1) - Fraction(1, 2)
     out.append(
         _check("x f(x,y) - y f(-y,-x) = h - 1/2", lhs.agrees_with(rhs, degree - 1))

@@ -223,8 +223,9 @@ def test_h_low_degrees():
 
 
 def test_h_negswap_symmetry():
-    h = h_series(12)
-    assert h.subst_negswap() == h
+    for n in (12, 62):
+        h = h_series(n)
+        assert h.substitute(x=(0, -1), y=(-1, 0)) == h
 
 
 def test_closed_formula_low_degrees():
@@ -286,7 +287,7 @@ def test_goldberg_h_relation():
 
 def test_goldberg_equals_xy_h_of_x_negy():
     c = goldberg_c(9)
-    xyh = h_series(7).subst_signed(1, -1).shift(1, 1)
+    xyh = h_series(7).substitute(y=(0, -1)).shift(1, 1)
     assert c == xyh
 
 
@@ -353,7 +354,7 @@ def test_kv_scalar_freedom():
 def test_kv_equation_4_5():
     n = 9
     f = kv_solve(n).table_series()
-    lhs = f.shift(1, 0) - f.subst_negswap().shift(0, 1)
+    lhs = f.shift(1, 0) - f.substitute(x=(0, -1), y=(-1, 0)).shift(0, 1)
     rhs = h_series(n - 1) - F(1, 2)
     assert lhs.agrees_with(rhs, through=n - 1)
 

@@ -63,7 +63,7 @@ def test_bernoulli_frozen_values():
 # ---------------------------------------------------------------------------
 
 def test_named_expm1_over_t_univariate():
-    s = BiSeries.named("expm1_over_t", "x", 5)
+    s = BiSeries.named("expm1_over_t", 5)
     # (e^x - 1)/x = sum x^n/(n+1)!
     assert s.coefficient(0, 0) == 1
     assert s.coefficient(1, 0) == F(1, 2)
@@ -73,13 +73,18 @@ def test_named_expm1_over_t_univariate():
 
 
 def test_named_at_linear_forms_binomial_expansion():
-    s = BiSeries.named("exp", "x+y", 4)
+    s = BiSeries.named("exp", 4).substitute(x=(1, 1))
     # e^(x+y) coefficient of x^i y^j is 1/(i! j!) = C(i+j, i)/(i+j)!
     fact = [1, 1, 2, 6, 24]
     for i in range(5):
         for j in range(5 - i):
             assert s.coefficient(i, j) == F(1, fact[i] * fact[j])
-    t = BiSeries.named("expm1", "-y", 3)
+    # e^(x+2y): coefficient of x^i y^j is 2^j/(i! j!)
+    s2 = BiSeries.named("exp", 4).substitute(x=(1, 2))
+    for i in range(5):
+        for j in range(5 - i):
+            assert s2.coefficient(i, j) == F(2**j, fact[i] * fact[j])
+    t = BiSeries.named("expm1", 3).substitute(x=(0, -1))
     assert t.coefficient(0, 0) == 0
     assert t.coefficient(0, 1) == -1
     assert t.coefficient(0, 2) == F(1, 2)
@@ -88,23 +93,20 @@ def test_named_at_linear_forms_binomial_expansion():
 
 def test_named_product_pairs_are_one():
     one = BiSeries.one(8)
-    for form in ("x", "y", "-x", "-y", "x+y", "-x-y"):
-        prod = BiSeries.named("t_over_expm1", form, 8) * BiSeries.named(
-            "expm1_over_t", form, 8
-        )
+    for form in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)):
+        t_over = BiSeries.named("t_over_expm1", 8).substitute(x=form)
+        prod = t_over * BiSeries.named("expm1_over_t", 8).substitute(x=form)
         assert prod == one
 
 
 def test_exp_times_exp_in_two_variables():
-    prod = BiSeries.named("exp", "x", 6) * BiSeries.named("exp", "y", 6)
-    assert prod == BiSeries.named("exp", "x+y", 6)
+    ex = BiSeries.named("exp", 6)
+    assert ex * ex.substitute(x=(0, 1)) == ex.substitute(x=(1, 1))
 
 
 def test_named_rejects_unknown_inputs():
     with pytest.raises(ValueError):
-        BiSeries.named("sinh", "x", 4)
-    with pytest.raises(ValueError):
-        BiSeries.named("exp", "x+2y", 4)
+        BiSeries.named("sinh", 4)
 
 
 def test_coefficient_beyond_truncation_raises():
@@ -130,11 +132,11 @@ def test_negative_exponent_lookup_raises():
 
 def test_inverse_of_expm1_over_t_gives_bernoulli_stream():
     # (x+y)/(e^(x+y) - 1) starts 1 - (x+y)/2 + ...
-    inv = BiSeries.named("expm1_over_t", "x+y", 6).inverse()
+    inv = BiSeries.named("expm1_over_t", 6).substitute(x=(1, 1)).inverse()
     assert inv.coefficient(0, 0) == 1
     assert inv.coefficient(1, 0) == F(-1, 2)
     assert inv.coefficient(0, 1) == F(-1, 2)
-    assert inv == BiSeries.named("t_over_expm1", "x+y", 6)
+    assert inv == BiSeries.named("t_over_expm1", 6).substitute(x=(1, 1))
 
 
 def test_inverse_requires_unit():
@@ -165,7 +167,8 @@ def test_divide_exact_by_zero():
 
 def test_divide_exact_difference_of_exponentials():
     # (e^x - e^y) / (x - y) is a unit with constant term 1.
-    num = BiSeries.named("expm1", "x", 9) - BiSeries.named("expm1", "y", 9)
+    expm1 = BiSeries.named("expm1", 9)
+    num = expm1 - expm1.substitute(x=(0, 1))
     den = BiSeries.monomial(1, 0, 9) - BiSeries.monomial(0, 1, 9)
     unit = num.divide_exact(den)
     assert unit.coefficient(0, 0) == 1
@@ -178,14 +181,14 @@ def test_divide_exact_difference_of_exponentials():
 
 def test_subst_negswap_example():
     s = BiSeries(4, {(1, 0): 1, (0, 1): 2, (2, 1): F(1, 3)})
-    t = s.subst_negswap()
+    t = s.substitute(x=(0, -1), y=(-1, 0))
     assert t.coefficient(0, 1) == -1
     assert t.coefficient(1, 0) == -2
     assert t.coefficient(1, 2) == F(-1, 3)
 
 
 def test_parity_split_recombines():
-    s = BiSeries.named("t_over_expm1", "x+y", 7)
+    s = BiSeries.named("t_over_expm1", 7).substitute(x=(1, 1))
     even, odd = s.parity_split()
     assert even + odd == s
     assert all((i + j) % 2 == 0 for i, j, _ in even.terms())
@@ -193,7 +196,7 @@ def test_parity_split_recombines():
 
 
 def test_shift_roundtrip():
-    s = BiSeries.named("exp", "x", 5)
+    s = BiSeries.named("exp", 5)
     y = BiSeries.monomial(0, 1, 6)
     assert s.shift(0, 1).divide_exact(y) == s
     assert s.shift(2, 1).truncation == 8
@@ -222,8 +225,8 @@ def test_alternating_double_sum_identity_a():
         for r in range(1, m):
             inner = inner + xp[r] * yp[m - r]
         lhs = lhs + F((-1) ** (m - 1), m) * inner
-    lnx = BiSeries.named("log1p", "x", n + 1)
-    lny = BiSeries.named("log1p", "y", n + 1)
+    lnx = BiSeries.named("log1p", n + 1)
+    lny = lnx.substitute(x=(0, 1))
     num = BiSeries.monomial(0, 1, n + 1) * lnx - BiSeries.monomial(1, 0, n + 1) * lny
     den = BiSeries.monomial(1, 0, n + 1) - BiSeries.monomial(0, 1, n + 1)
     assert lhs == num.divide_exact(den)
@@ -241,7 +244,8 @@ def test_alternating_double_sum_identity_b():
         for r in range(1, m + 1):
             inner = inner + xp[r] * yp[m + 1 - r]
         lhs = lhs + F((-1) ** (m - 1), m) * inner
-    lnratio = BiSeries.named("log1p", "x", n - 1) - BiSeries.named("log1p", "y", n - 1)
+    lnx = BiSeries.named("log1p", n - 1)
+    lnratio = lnx - lnx.substitute(x=(0, 1))
     den = BiSeries.monomial(1, 0, n + 1) - BiSeries.monomial(0, 1, n + 1)
     rhs = lnratio.shift(1, 1).divide_exact(den)
     assert lhs == rhs
@@ -267,7 +271,7 @@ def test_str_forms():
 
 
 def test_truncate_and_padded():
-    s = BiSeries.named("exp", "x", 6)
+    s = BiSeries.named("exp", 6)
     t = s.truncate(2)
     assert t.truncation == 2
     with pytest.raises(ValueError):
@@ -295,18 +299,40 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+_form = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _compose(m, n):
+    """The rows of the matrix product m n: substituting m, then n."""
+    (a1, b1), (a2, b2) = m
+    (c1, d1), (c2, d2) = n
+    return (a1 * c1 + b1 * c2, a1 * d1 + b1 * d2), (a2 * c1 + b2 * c2, a2 * d1 + b2 * d2)
+
+
 @settings(max_examples=80, deadline=None)
-@given(_series)
-def test_negswap_is_an_involution_and_multiplicative(a):
-    assert a.subst_negswap().subst_negswap() == a
-    b = BiSeries.named("exp", "x", 6)
-    assert (a * b).subst_negswap() == a.subst_negswap() * b.subst_negswap()
+@given(_series, _form, _form, _form, _form)
+def test_negswap_is_an_involution_and_multiplicative(a, mx, my, nx, ny):
+    negswap = {"x": (0, -1), "y": (-1, 0)}
+    assert a.substitute(**negswap).substitute(**negswap) == a
+    b = BiSeries.named("exp", 6)
+    assert (a * b).substitute(**negswap) == (
+        a.substitute(**negswap) * b.substitute(**negswap)
+    )
+    # Every linear substitution is multiplicative, and two of them
+    # compose as the product of their matrices.
+    assert (a * b).substitute(x=mx, y=my) == (
+        a.substitute(x=mx, y=my) * b.substitute(x=mx, y=my)
+    )
+    mx_nx, my_ny = _compose((mx, my), (nx, ny))
+    assert a.substitute(x=mx, y=my).substitute(x=nx, y=ny) == a.substitute(
+        x=mx_nx, y=my_ny
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(_series, _frac)
 def test_inverse_on_units(a, c0):
-    unit = a + BiSeries.constant(c0 + 7, 6)  # force nonzero constant term
+    unit = a + BiSeries.constant(6, c0 + 7)  # force nonzero constant term
     assert unit * unit.inverse() == BiSeries.one(6)
 
 
@@ -368,12 +394,14 @@ def test_str_is_byte_exact_for_every_container(element, text):
     assert str(element) == text
 
 
-@pytest.mark.parametrize("bad", ["1/2", 0.5])
+@pytest.mark.parametrize("bad", ["1/2", 0.5, True])
 def test_biseries_rejects_text_and_float_coefficients(bad):
     one = BiSeries.one(2)
     for build in (
         lambda: BiSeries(2, {(0, 0): bad}),
-        lambda: BiSeries.constant(bad, 2),
+        lambda: BiSeries.constant(2, bad),
+        lambda: one.substitute(x=(bad, 0)),
+        lambda: one.substitute(y=(0, bad)),
         lambda: one * bad,
         lambda: bad * one,
         lambda: one + bad,
@@ -619,6 +647,15 @@ def test_pair_series_has_no_constant_term():
     for refused in (lambda: s + 1, lambda: 1 - s, lambda: PairSeries.one(4)):
         with pytest.raises(TypeError, match="PairSeries has no constant term"):
             refused()
+
+
+def test_constant_takes_truncation_then_value():
+    # Like zero(truncation) and monomial(i, j, truncation, c).
+    c = BiSeries.constant(6, F(1, 3))
+    assert c.truncation == 6 and c.coefficient(0, 0) == F(1, 3)
+    # The scalar is checked before the missing constant monomial.
+    with pytest.raises(TypeError, match="rational scalar"):
+        PairSeries.constant(4, 0.5)
 
 
 # ---------------------------------------------------------------------------
