@@ -9,9 +9,9 @@ lookups on word keys stay cheap.
 The kernels run on integers.  A product scales each factor once by the
 least common multiple of its denominators and multiplies integer word
 dicts in ``_word_product``; ``nc_exp`` and ``nc_log`` are power sums
-sum_k f_k a^k whose integer powers come from the same loop and add up
-over one common denominator, so each output word becomes a ``Fraction``
-once.
+sum_k f_k a^k, evaluated by Horner's rule in integers over one common
+denominator with the same loop, so each output word becomes a
+``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -173,25 +173,25 @@ def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
 
     With a = A / s for an integer word dict A and f_k = F_k / L over the
     least common multiple L of the weights' denominators, the sum is
-    sum_k F_k s^(K-k) A^k / (L s^K), K the last index; the integer powers
-    A^k are formed one after another and each output word becomes a
-    ``Fraction`` once.
+    sum_k F_k s^(K-k) A^k / (L s^K), K the last index.  Horner's rule
+    forms it as q <- q A + F_k s^(K-k), k = K-1, ..., 0.  Every word of A
+    has length at least v, the lowest degree of a, so when k more
+    multiplications follow, the words of q A longer than n - k v cannot
+    reach the truncation n and are not formed.
     """
     n = a.truncation
     top = len(weights) - 1
+    v = a.min_degree()
     scale, ints = _scaled(a._coeffs)
     den, numerators = _scaled(dict(enumerate(weights)))
-    total: dict[str, int] = {}
-    power = {"": 1}
-    for k in range(top + 1):
-        if k:
-            power = _word_product(power, ints, n)
+    q = {"": numerators[top]}
+    for k in range(top - 1, -1, -1):
+        q = _word_product(q, ints, n - k * v)
         f = numerators[k] * scale ** (top - k)
         if f:
-            for w, c in power.items():
-                total[w] = total.get(w, 0) + f * c
+            q[""] = q.get("", 0) + f
     den *= scale**top
-    return NCSeries(n, {w: Fraction(c, den) for w, c in total.items()})
+    return NCSeries(n, {w: Fraction(c, den) for w, c in q.items()})
 
 
 def nc_exp(a: NCSeries) -> NCSeries:

@@ -4,21 +4,22 @@ Two independent routes are provided.  ``bch_recursive`` runs the
 derivation recursion: with D the derivation sending X to 0 and Y to the
 series ``hausdorff_h1``, the pieces H_0 = Y, H_m = D(H_{m-1})/m sum to
 the full series, and H_m collects exactly the terms of degree m in X.
-``bch_dynkin`` evaluates the explicit double sum over tuples of block
-exponents, as a dynamic program over words.  Both agree, word for word,
-with the noncommutative oracle ``assoc.bch_log_oracle``; the test suite
-checks all three against each other.
+It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis)
+and returns them, keyed by Lyndon word.  ``bch_dynkin`` evaluates the
+explicit double sum over tuples of block exponents, as a dynamic program
+over words, and returns a ``LieSeries`` of chains.  Both agree, word for
+word, with the noncommutative oracle ``assoc.bch_log_oracle``; the test
+suite checks all three against each other.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator
 
 from .series import bernoulli
-from .freelie import Derivation, LieElement, LieSeries
+from .freelie import Derivation, LieSeries
 
 __all__ = ["hausdorff_h1", "bch_recursive", "bch_recursive_steps", "bch_dynkin"]
 
@@ -39,35 +40,36 @@ def hausdorff_h1(truncation: int) -> LieSeries:
     return LieSeries(truncation, terms)
 
 
-def bch_recursive_steps(truncation: int) -> Iterator[LieElement]:
-    """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation.
+def bch_recursive_steps(truncation: int) -> Iterator[dict[str, Fraction]]:
+    """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation,
+    each in Lyndon coordinates in the order of ``to_lyndon_coords``.
 
     H_m is homogeneous of degree m in X (each substitution of the image
-    of Y consumes one Y and introduces exactly one X).  ``Derivation``
-    acts on chains and returns chains, so the term count stays bounded by
-    the number of words of each degree instead of growing with the
-    Leibniz expansion tree.
+    of Y consumes one Y and introduces exactly one X), so every Lyndon
+    word of H_m holds m letters X.  ``Derivation`` maps coordinates to
+    coordinates, so the term count stays bounded by the number of Lyndon
+    words of each degree.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     d = Derivation(None, hausdorff_h1(truncation), truncation)
-    h = LieElement.generator("Y")
+    h = {"Y": Fraction(1)}
     yield h
     for m in range(1, truncation + 1):
-        h = Fraction(1, m) * d(h)
-        if h.is_zero():
+        h = {w: c / m for w, c in d(h).items()}
+        if not h:
             return
         yield h
 
 
-@functools.cache
-def bch_recursive(truncation: int) -> LieSeries:
-    """log(e^X e^Y) through the given degree, by the derivation recursion."""
+def bch_recursive(truncation: int) -> dict[str, Fraction]:
+    """log(e^X e^Y) through the given degree, by the derivation recursion,
+    in Lyndon coordinates in the order of ``to_lyndon_coords``."""
     total: dict[str, Fraction] = {}
     for h in bch_recursive_steps(truncation):
         for w, c in h.items():
             total[w] = total.get(w, 0) + c
-    return LieSeries(truncation, total)
+    return {w: total[w] for w in sorted(total, key=lambda w: (len(w), w))}
 
 
 def bch_dynkin(truncation: int) -> LieSeries:

@@ -235,7 +235,7 @@ def _render_tilde(e: TildeElement, fmt: str) -> str:
 def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.degree
     if ns.method == "recursive":
-        coords = to_lyndon_coords(bch_recursive(n))
+        coords = bch_recursive(n)
     elif ns.method == "dynkin":
         coords = to_lyndon_coords(bch_dynkin(n))
     else:

@@ -5,11 +5,14 @@ nonempty word w1 w2 ... wd over X, Y stands for the long commutator
 [w1,[w2,[...,wd]]], and ``LieElement`` and ``LieSeries`` map chain words
 to ``Fraction``s, as ``assoc.NCSeries`` maps words.  Chains span the free
 Lie algebra but are no basis ([XY] = -[YX]), so equality compares Lyndon
-coordinates.  Every route computes on chains, and a bracket tree enters
-only through ``bracket``, which rewrites [A, B] into chains once: ad of
-the chain [a v] is ad(a) ad([v]) - ad([v]) ad(a), the Jacobi identity
-[[A,B],C] = [A,[B,C]] - [B,[A,C]] in operator clothing (``_rn_ad``).
-``Derivation`` applies the same rewriting inside the Leibniz rule.
+coordinates.  A bracket tree enters only through ``bracket``, which
+rewrites [A, B] into chains once: ad is multiplicative, so ad of the
+chain [t] is sum c_p ad(p_1) ... ad(p_k) over the word expansion
+sum c_p p of [t], and ad(p_1) ... ad(p_k) prefixes p to a chain
+(``_rn_ad``).  ``Derivation`` acts on the Lyndon basis instead:
+D(P_w) = [D P_u, P_v] + [P_u, D P_v] over the standard factors u, v of
+w, each bracket read from the Lyndon bracket table below, so the BCH
+recursion runs on Lyndon coordinates from start to end.
 
 Lyndon coordinates are the output currency, reached by two routes:
 
@@ -27,8 +30,9 @@ Lyndon coordinates are the output currency, reached by two routes:
   elimination never divides, and it refuses a series that leaves a
   nonzero residual, i.e. one that is not a Lie element.
 
-The two share no algorithm, so a comparison of the recursive and the
-word-level BCH series tests each against the other.  Both run on
+The elimination shares no algorithm with the bracket table that the
+recursion and ``to_lyndon_coords`` use, so a comparison of the recursive
+and the word-level BCH series tests each against the other.  All run on
 integers: coefficients are scaled once by the least common multiple of
 their denominators, ``to_assoc`` walks the same trie with AB - BA in
 place of the Lyndon bracket, and ``Fraction`` reappears only in the
@@ -184,30 +188,33 @@ class LieElement:
         return f"LieElement({len(self._coeffs)} terms)"
 
 
-def _chain_split(word: str) -> tuple[str, str]:
-    return word[0], word[1:]
+@functools.cache
+def _chain_expansion(word: str) -> dict[str, int]:
+    """The word expansion of the chain [word], every [a, B] as aB - Ba."""
+    if len(word) == 1:
+        return {word: 1}
+    out: dict[str, int] = {}
+    _add_commutator(out, {word[0]: 1}, _chain_expansion(word[1:]))
+    return {w: c for w, c in out.items() if c}
 
 
-def _rn_ad(t: str, vmap: dict, split=_chain_split) -> dict:
-    """Apply ad of [t] to an integer chain-word map, staying in chains.
+def _rn_ad(expansion: dict, vmap: dict) -> dict:
+    """Apply ad(A) to an integer chain-word map, staying in chains.
 
-    [t] is the bracketing of the word t that ``split`` gives: the chain
-    [a v] by default, or P_t by ``standard_factorization``.  ad of a letter
-    a prefixes it to every word ([a, a] = 0 drops out); ad of [u v] is
-    ad([u]) ad([v]) - ad([v]) ad([u]), the Jacobi rewriting
-    [[A,B],C] = [A,[B,C]] - [B,[A,C]] in operator clothing.
+    A is given by its word expansion sum c_p p: ad is multiplicative, so
+    ad(A) = sum c_p ad(p_1) ... ad(p_k), and ad(p_1) ... ad(p_k) sends the
+    chain [v] to the chain [p v], or to zero when v is the letter p_k
+    ([a, a] = 0).  The expansions come from ``_chain_expansion`` for a
+    chain and from ``_sb_expansions`` for P_t.
     """
-    if len(t) == 1:
-        return {t + w: c for w, c in vmap.items() if w != t}
-    u, v = split(t)
-    first = _rn_ad(u, _rn_ad(v, vmap, split), split)
-    for w, c in _rn_ad(v, _rn_ad(u, vmap, split), split).items():
-        d = first.get(w, 0) - c
-        if d:
-            first[w] = d
-        else:
-            first.pop(w, None)
-    return first
+    out: dict[str, int] = {}
+    for p, cp in expansion.items():
+        last = p[-1]
+        for v, c in vmap.items():
+            if v != last:
+                w = p + v
+                out[w] = out.get(w, 0) + cp * c
+    return {w: c for w, c in out.items() if c}
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -216,7 +223,7 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     sb, ib = _scaled(b._coeffs)
     out: dict[str, int] = {}
     for v, c in ia.items():
-        for w, ic in _rn_ad(v, ib).items():
+        for w, ic in _rn_ad(_chain_expansion(v), ib).items():
             out[w] = out.get(w, 0) + c * ic
     scale = sa * sb
     return LieElement({w: Fraction(c, scale) for w, c in out.items()})
@@ -514,16 +521,22 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     return coords
 
 
+def _ordered_coords(ints: dict[str, int], scale: int) -> dict[str, Fraction]:
+    """Integer Lyndon coordinates over one denominator as ``Fraction``s,
+    zeros dropped, in order of degree, then word."""
+    return {
+        w: Fraction(ints[w], scale)
+        for w in sorted(ints, key=lambda w: (len(w), w))
+        if ints[w]
+    }
+
+
 def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
     """Coordinates in the Lyndon basis, keyed by word string in order of
     degree, then word; the chains are combined through the Lyndon bracket
     table, and no word expansion is built."""
     scale, ints = _scaled(a._coeffs)
-    coords = _combine_chains(ints, _add_lyndon_bracket)
-    return {
-        w: Fraction(coords[w], scale)
-        for w in sorted(coords, key=lambda w: (len(w), w))
-    }
+    return _ordered_coords(_combine_chains(ints, _add_lyndon_bracket), scale)
 
 
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
@@ -541,7 +554,7 @@ def _lyndon_chains(word: str) -> dict[str, int]:
     if len(word) == 1:
         return {word: 1}
     u, v = standard_factorization(word)
-    return _rn_ad(u, _lyndon_chains(v), standard_factorization)
+    return _rn_ad(_sb_expansions(len(u))[u], _lyndon_chains(v))
 
 
 def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
@@ -559,14 +572,16 @@ def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images may be LieElements, LieSeries, or None for zero; their chain
-    words are scaled to integers over one common denominator and cut at
-    the truncation.
+    Images may be LieElements, LieSeries, or None for zero; their Lyndon
+    coordinates are scaled to integers over one common denominator and
+    cut at the truncation.
 
-    D acts on chains: a chain word w = a v (a its first letter) goes to
-    [a, D v] + [D a, v], both brackets rewritten back into chains by
-    ``_rn_ad``.  Results are memoized per chain word, so a sequence of
-    applications (as in the Hausdorff recursion) shares work.
+    D acts on the Lyndon basis: for a Lyndon word w with standard factors
+    u, v, D(P_w) = [D P_u, P_v] + [P_u, D P_v], each bracket read from the
+    Lyndon bracket table and terms above the truncation dropped.  Results
+    are memoized per Lyndon word, so a sequence of applications (as in the
+    Hausdorff recursion) shares work, and the memo holds at most one entry
+    per Lyndon word through the truncation.
     """
 
     def __init__(self, image_x, image_y, truncation: int):
@@ -574,44 +589,44 @@ class Derivation:
         self._scale, ints = _scaled({
             (g, w): c
             for g, img in (("X", image_x), ("Y", image_y)) if img is not None
-            for w, c in img._coeffs.items() if len(w) <= truncation
+            for w, c in to_lyndon_coords(img).items() if len(w) <= truncation
         })
-        self._images: dict[str, dict[str, int]] = {"X": {}, "Y": {}}
-        for (g, w), c in ints.items():
-            self._images[g][w] = c
         # A plain dict: functools.cache on a bound method is a reference
         # cycle, which keeps the memo alive until the cyclic collector runs.
-        self._memo: dict[str, dict[str, int]] = {}
+        self._memo: dict[str, dict[str, int]] = {"X": {}, "Y": {}}
+        for (g, w), c in ints.items():
+            self._memo[g][w] = c
 
     def _derive(self, w: str) -> dict[str, int]:
-        """D of the chain [w], as chain words times ``self._scale``."""
-        if w in self._memo:
-            return self._memo[w]
-        n = self.truncation
-        a, v = w[0], w[1:]
-        if not v:
-            return self._images[a]
-        out = _rn_ad(a, {u: c for u, c in self._derive(v).items() if len(u) < n})
-        for image, c in self._images[a].items():
-            if image == v or len(image) + len(v) > n:
-                continue  # [v, v] = 0, skipped where the tree rule skipped it
-            for u, ic in _rn_ad(image, {v: 1}).items():
-                out[u] = out.get(u, 0) + c * ic
-        out = self._memo[w] = {u: c for u, c in out.items() if c}
+        """D(P_w) in Lyndon coordinates, times ``self._scale``."""
+        out = self._memo.get(w)
+        if out is None:
+            u, v = standard_factorization(w)
+            n = self.truncation
+            du = {t: c for t, c in self._derive(u).items() if len(t) + len(v) <= n}
+            dv = {t: c for t, c in self._derive(v).items() if len(u) + len(t) <= n}
+            out = {}
+            _add_lyndon_bracket(out, du, {v: 1})
+            _add_lyndon_bracket(out, {u: 1}, dv)
+            out = self._memo[w] = {t: c for t, c in out.items() if c}
         return out
 
     def __call__(self, target):
-        """D of an element (a LieElement) or of a series (a LieSeries cut
-        at the smaller truncation)."""
-        scale, ints = _scaled(target._coeffs)
+        """D of an element (a LieElement), of a series (a LieSeries cut at
+        the smaller truncation) or of Lyndon coordinates (a dict keyed by
+        Lyndon word, returned in the order of ``to_lyndon_coords``)."""
+        coords = target if isinstance(target, dict) else to_lyndon_coords(target)
+        scale, ints = _scaled(coords)
         out: dict[str, int] = {}
         for w, c in ints.items():
             if len(w) > self.truncation:
                 continue
             for u, ic in self._derive(w).items():
                 out[u] = out.get(u, 0) + c * ic
-        scale *= self._scale
-        terms = {u: Fraction(c, scale) for u, c in out.items()}
+        result = _ordered_coords(out, scale * self._scale)
+        if isinstance(target, dict):
+            return result
+        terms = from_lyndon_coords(result)._coeffs
         if isinstance(target, LieSeries):
             return LieSeries(min(self.truncation, target.truncation), terms)
         return LieElement(terms)

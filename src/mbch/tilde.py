@@ -46,7 +46,8 @@ from .series import (
     parse_int,
     parse_rational,
 )
-from .freelie import LieElement, bracket, long_commutator
+from .assoc import _scaled
+from .freelie import LieElement, _chain_expansion, _rn_ad
 
 __all__ = [
     "TildeElement",
@@ -276,16 +277,27 @@ def hausdorff_tilde(truncation: int) -> TildeElement:
 
 
 def expand_to_free(e: TildeElement) -> LieElement:
-    """The element as honest nested brackets in the free Lie algebra."""
-    out = LieElement.zero()
-    if e.a:
-        out = out + e.a * LieElement.generator("X")
-    if e.b:
-        out = out + e.b * LieElement.generator("Y")
-    for (m, n), c in e._linear.items():
-        out = out + c * long_commutator("X" * m + "Y" * (n + 1) + "X")
-    for (u, v), c in e._quadratic.items():
-        bu = long_commutator("X" * u[0] + "Y" * (u[1] + 1) + "X")
-        bv = long_commutator("X" * v[0] + "Y" * (v[1] + 1) + "X")
-        out = out + c * bracket(bu, bv)
-    return out
+    """The element as honest nested brackets in the free Lie algebra.
+
+    The coefficients are scaled to integers over one denominator, and the
+    letters, the chains {m,n} and the brackets of pairs, each [{k,l},{m,n}]
+    rewritten into chains by ``_rn_ad``, add up in one dict.
+    """
+    def chain(kl: Pair) -> str:
+        return "X" * kl[0] + "Y" * (kl[1] + 1) + "X"
+
+    scale, ints = _scaled({
+        "X": e.a,
+        "Y": e.b,
+        **{chain(mn): c for mn, c in e._linear.items()},
+        **{uv: c for uv, c in e._quadratic.items()},
+    })
+    out: dict[str, int] = {}
+    for key, c in ints.items():
+        if isinstance(key, str):
+            out[key] = out.get(key, 0) + c
+            continue
+        u, v = key
+        for w, ic in _rn_ad(_chain_expansion(chain(u)), {chain(v): 1}).items():
+            out[w] = out.get(w, 0) + c * ic
+    return LieElement({w: Fraction(c, scale) for w, c in out.items()})

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mbch.assoc import (
     NCSeries,
+    _power_sum,
     bch_log_oracle,
     nc_exp,
     nc_log,
@@ -145,6 +146,23 @@ def test_power_sum_exp_log_equal_unbounded_horner_random(seed):
     rng = random.Random(seed)
     for _ in range(3):
         _assert_exp_log_match_horner(_random_sparse_series(rng))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_power_sum_equals_direct_sum_of_powers(seed):
+    # Horner's rule with its length cuts against sum_k f_k a^k term by
+    # term, with weights that do not vanish past the last useful power.
+    rng = random.Random(100 + seed)
+    for _ in range(3):
+        a = _random_sparse_series(rng)
+        top = rng.randint(0, a.truncation // a.min_degree() + 2)
+        weights = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(top + 1)]
+        power = NCSeries.one(a.truncation)
+        direct = NCSeries.zero(a.truncation)
+        for f in weights:
+            direct = direct + power * f
+            power = power * a
+        assert _power_sum(a, weights) == direct
 
 
 @pytest.mark.parametrize("key", [(2, 7), (-1, 0), "XZ", 5],

@@ -13,8 +13,8 @@ from mbch.freelie import (
     LieSeries,
     bracket,
     from_lyndon_coords,
+    is_lyndon,
     long_commutator,
-    right_normed,
     to_assoc,
     to_lyndon_coords,
 )
@@ -56,30 +56,33 @@ def test_h1_rejects_bad_truncation():
 # ---------------------------------------------------------------------------
 
 def test_recursive_classical_display():
-    h = bch_recursive(4)
-    assert to_lyndon_coords(h.part(1)) == {"X": F(1), "Y": F(1)}
-    assert to_lyndon_coords(h.part(2)) == {"XY": F(1, 2)}
-    # ([X^2 Y] - [YXY]) / 12: both brackets rewrite into the Lyndon pair
-    assert to_lyndon_coords(h.part(3)) == {"XXY": F(1, 12), "XYY": F(1, 12)}
-    # -[XYXY]/24 = +(1/24) [X,[[X,Y],Y]]
-    assert to_lyndon_coords(h.part(4)) == {"XXYY": F(1, 24)}
+    assert bch_recursive(4) == {
+        "X": F(1),
+        "Y": F(1),
+        "XY": F(1, 2),
+        # ([X^2 Y] - [YXY]) / 12: both brackets rewrite into the Lyndon pair
+        "XXY": F(1, 12),
+        "XYY": F(1, 12),
+        # -[XYXY]/24 = +(1/24) [X,[[X,Y],Y]]
+        "XXYY": F(1, 24),
+    }
 
 
 def test_recursive_steps_grade_in_x():
-    # H_m carries degree exactly m in X; chains make the count visible.
+    # H_m carries degree exactly m in X; Lyndon words make the count visible.
     steps = list(bch_recursive_steps(6))
-    assert steps[0] == from_lyndon_coords({"Y": F(1)})
+    assert steps[0] == {"Y": F(1)}
     for m, h in enumerate(steps):
-        for word, _ in right_normed(h).terms():
+        for word in h:
             assert type(word) is str and word.count("X") == m
 
 
 def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
-    # H_1 with a chain of X-degree 2 mixed in must fail the grading check,
+    # H_1 with a term of X-degree 2 mixed in must fail the grading check,
     # and only that check.
     def mixed_steps(truncation):
-        yield LieElement.generator("Y")
-        yield long_commutator("XY") + long_commutator("XXY")
+        yield {"Y": F(1)}
+        yield {"XY": F(1), "XXY": F(1)}
 
     monkeypatch.setattr("mbch.verify.bch_recursive_steps", mixed_steps)
     results = {name: passed for name, passed, _ in check_bch(5)}
@@ -88,10 +91,10 @@ def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
 
 
 def test_recursive_sum_matches_steps():
-    total = sum(
-        (LieSeries(5, h.term_dict()) for h in bch_recursive_steps(5)),
-        LieSeries.zero(5),
-    )
+    total = {}
+    for h in bch_recursive_steps(5):
+        for w, c in h.items():
+            total[w] = total.get(w, 0) + c
     assert total == bch_recursive(5)
 
 
@@ -156,9 +159,9 @@ def _tree_route(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_recursive_term_dict_matches_tree_route(n):
-    # The same chain terms, not only the same coordinates: equal pairs
-    # [A,A] are skipped exactly where the tree-level rule skipped them.
-    assert dict(bch_recursive(n).items()) == dict(_tree_route(n).items())
+    # The recursion on the Lyndon basis gives the coordinates of the
+    # Leibniz rule on bracket trees.
+    assert bch_recursive(n) == to_lyndon_coords(_tree_route(n))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +221,15 @@ def test_triple_agreement_degree_six():
     n = 6
     rec = bch_recursive(n)
     dyn = bch_dynkin(n)
-    assert rec == dyn
+    assert rec == to_lyndon_coords(dyn)
     oracle = bch_log_oracle(n)
-    assert to_assoc(rec, n) == oracle
+    assert to_assoc(from_lyndon_coords(rec), n) == oracle
     assert to_assoc(dyn, n) == oracle
 
 
 def test_recursive_is_graded():
-    h = bch_recursive(5)
-    for d, e in h.parts():
-        for w, _ in e.terms():
-            assert len(w) == d
+    # Keyed by Lyndon word, in order of degree, then word.
+    h = bch_recursive(8)
+    assert all(is_lyndon(w) for w in h)
+    assert list(h) == sorted(h, key=lambda w: (len(w), w))
+    assert list(h) == list(to_lyndon_coords(from_lyndon_coords(h)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbch.assoc import NCSeries, bch_log_oracle
-from mbch.bch import bch_recursive
+from mbch.bch import bch_dynkin, bch_recursive, hausdorff_h1
 from mbch.freelie import (
     Derivation,
     LieElement,
@@ -142,7 +142,7 @@ def test_render_and_tree_word():
 
 def test_elements_and_series_are_keyed_by_chain_words():
     assert bracket(X, Y).term_dict() == {"XY": 1}
-    assert all(type(w) is str for w, _ in bch_recursive(10).items())
+    assert all(type(w) is str for w, _ in bch_dynkin(10).items())
     for bad in (("X", "Y"), "", "XZ"):
         for build in (lambda: LieElement({bad: 1}), lambda: LieSeries(3, {bad: 1})):
             with pytest.raises(ValueError, match="chain word"):
@@ -245,12 +245,14 @@ def test_lyndon_bracket_table_matches_word_commutator():
 
 
 def test_to_lyndon_coords_builds_no_word_expansion():
-    # Tree combinations reach the Lyndon basis through the bracket table;
-    # the word expansions of the basis are left to lyndon_coords_of_assoc.
+    # Chain combinations and the recursion reach the Lyndon basis through
+    # the bracket table; the word expansions of the basis are left to
+    # lyndon_coords_of_assoc and from_lyndon_coords.
     _sb_expansions.cache_clear()
-    coords = to_lyndon_coords(bch_recursive(10))
+    coords = to_lyndon_coords(bch_dynkin(10))
+    rec = bch_recursive(10)
     assert _sb_expansions.cache_info().currsize == 0
-    assert coords == lyndon_coords_of_assoc(bch_log_oracle(10))
+    assert coords == rec == lyndon_coords_of_assoc(bch_log_oracle(10))
 
 
 def test_to_lyndon_coords_examples():
@@ -374,7 +376,7 @@ def test_integer_core_identities_on_random_trees(pair):
 
 
 def test_recursive_and_oracle_coordinates_agree_at_degree_12():
-    assert to_lyndon_coords(bch_recursive(12)) == lyndon_coords_of_assoc(bch_log_oracle(12))
+    assert bch_recursive(12) == lyndon_coords_of_assoc(bch_log_oracle(12))
 
 
 def test_friedrichs_on_oracle_components():
@@ -433,6 +435,19 @@ def test_derivation_leibniz_property():
 def test_derivation_respects_truncation():
     d = Derivation(None, long_commutator("XY"), 2)
     assert d(bracket(X, Y)).is_zero()  # image would be degree 3
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 14])
+def test_derivation_memo_holds_one_entry_per_lyndon_word(n):
+    # The Hausdorff recursion run by hand on coordinates: every memo key is
+    # a Lyndon word through the truncation, so the memo stays within their
+    # number however many chains the steps would have written.
+    d = Derivation(None, hausdorff_h1(n), n)
+    h = {"Y": F(1)}
+    for m in range(1, n + 1):
+        h = {w: c / m for w, c in d(h).items()}
+    assert all(is_lyndon(w) and len(w) <= n for w in d._memo)
+    assert len(d._memo) <= sum(len(lyndon_words(k)) for k in range(1, n + 1))
 
 
 def _tree_derivation(image_x, image_y, n):

@@ -241,7 +241,7 @@ def test_closed_formula_low_degrees():
 
 def test_closed_equals_projected_recursion():
     for n in range(1, 9):
-        assert project(bch_recursive(n), n) == hausdorff_closed(n)
+        assert project(from_lyndon_coords(bch_recursive(n)), n) == hausdorff_closed(n)
 
 
 def test_closed_degree_five_against_word_oracle():
