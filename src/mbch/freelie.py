@@ -25,7 +25,7 @@ Lyndon coordinates are the output currency, reached by two routes:
   oracles produce.  It eliminates against the associative expansions of
   the Lyndon basis (the expansion of a Lyndon word's standard bracketing
   is that word plus lexicographically later words, with coefficient 1),
-  one cache per degree, each P_w built as P_u P_v - P_v P_u from the
+  cached per Lyndon word, each P_w built as P_u P_v - P_v P_u from the
   expansions of its standard factors u, v.  Every pivot is 1, so the
   elimination never divides, and it refuses a series that leaves a
   nonzero residual, i.e. one that is not a Lie element.
@@ -205,7 +205,7 @@ def _rn_ad(expansion: dict, vmap: dict) -> dict:
     ad(A) = sum c_p ad(p_1) ... ad(p_k), and ad(p_1) ... ad(p_k) sends the
     chain [v] to the chain [p v], or to zero when v is the letter p_k
     ([a, a] = 0).  The expansions come from ``_chain_expansion`` for a
-    chain and from ``_sb_expansions`` for P_t.
+    chain and from ``_lyndon_expansion`` for P_t.
     """
     out: dict[str, int] = {}
     for p, cp in expansion.items():
@@ -274,9 +274,6 @@ class LieSeries(TruncatedSeries):
             raise ValueError("degree beyond truncation")
         return self.degree_part(d).as_element()
 
-    def parts(self) -> Iterator[tuple[int, LieElement]]:
-        return iter(self.as_element().degree_components().items())
-
     def as_element(self) -> LieElement:
         return LieElement(self._coeffs)
 
@@ -309,26 +306,24 @@ class LieSeries(TruncatedSeries):
         return _lyndon_text(to_lyndon_coords(self))
 
 
-def _bracketing_name(t: str | tuple) -> str:
-    """Long-commutator notation for a chain tree, nested brackets otherwise."""
-    if isinstance(t, str):
-        return t
-    spine, rest = [], t
-    while isinstance(rest, tuple) and isinstance(rest[0], str):
-        spine.append(rest[0])
-        rest = rest[1]
-    if isinstance(rest, str):
-        return _chain_name("".join(spine) + rest)
-    return f"[{_bracketing_name(t[0])},{_bracketing_name(t[1])}]"
+@functools.cache
+def _lyndon_name(word: str) -> str:
+    """The standard bracketing of P_w as printed: P_w is the chain [w]
+    when its standard factor u is a letter and P_v is a chain (a name
+    without a comma), and [name(u),name(v)] otherwise."""
+    if len(word) == 1:
+        return word
+    u, v = standard_factorization(word)
+    if len(u) == 1 and "," not in _lyndon_name(v):
+        return _chain_name(word)
+    return f"[{_lyndon_name(u)},{_lyndon_name(v)}]"
 
 
 def _lyndon_text(coords: dict[str, Fraction]) -> str:
     """Lyndon coordinates as a sum of standard bracketings, in order of
     degree, then name."""
-    names = {w: _bracketing_name(standard_bracketing(w)) for w in coords}
-    return format_terms(
-        (coords[w], names[w]) for w in sorted(coords, key=lambda w: (len(w), names[w]))
-    )
+    order = sorted(coords, key=lambda w: (len(w), _lyndon_name(w)))
+    return format_terms((coords[w], _lyndon_name(w)) for w in order)
 
 
 def _lyndon_json(coords: dict[str, Fraction], truncation: int) -> dict:
@@ -372,6 +367,7 @@ def is_lyndon(word: str) -> bool:
     return all(word < word[i:] for i in range(1, len(word)))
 
 
+@functools.cache
 def standard_factorization(word: str) -> tuple[str, str]:
     """Split a Lyndon word (length >= 2) as u v with v the longest proper
     Lyndon suffix (equivalently the lexicographically least one)."""
@@ -472,23 +468,19 @@ def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
 
 
 @functools.cache
-def _sb_expansions(degree: int) -> dict[str, dict[str, int]]:
-    """{word: expansion} over the Lyndon words of the degree, in
-    lexicographic order.
+def _lyndon_expansion(word: str) -> dict[str, int]:
+    """The word expansion of P_w for a Lyndon word w.
 
     The standard bracketing of w = uv is [P_u, P_v] for its standard
     factors u, v, so its expansion is P_u P_v - P_v P_u, built from the
     cached expansions of the factors.
     """
-    if degree == 1:
-        return {g: {g: 1} for g in _GENERATORS}
-    out = {}
-    for word in lyndon_words(degree):
-        u, v = standard_factorization(word)
-        expansion: dict[str, int] = {}
-        _add_commutator(expansion, _sb_expansions(len(u))[u], _sb_expansions(len(v))[v])
-        out[word] = {w: c for w, c in expansion.items() if c}
-    return out
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    out: dict[str, int] = {}
+    _add_commutator(out, _lyndon_expansion(u), _lyndon_expansion(v))
+    return {w: c for w, c in out.items() if c}
 
 
 def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
@@ -496,21 +488,26 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     dict holding ``scale`` times the element, degree by degree.
 
     Each standard bracketing expands to its Lyndon word with coefficient 1,
-    so elimination stays in the integers.  Raises if a nonzero residual
-    remains, which happens exactly when the input was not a Lie element.
+    so elimination stays in the integers.  Only pivots are expanded; the
+    words of the top degree are no factor of another pivot here, so their
+    expansions are built from the cached factors and not kept.  Raises if
+    a nonzero residual remains, which happens exactly when the input was
+    not a Lie element.
     """
     by_degree: dict[int, dict] = {}
     for w, c in words.items():
         by_degree.setdefault(len(w), {})[w] = c
     coords: dict[str, Fraction] = {}
+    top = max(by_degree, default=0)
     for d in sorted(by_degree):
         acc = by_degree[d]
-        for word, expansion in _sb_expansions(d).items():
+        expand = _lyndon_expansion.__wrapped__ if d == top else _lyndon_expansion
+        for word in lyndon_words(d):
             c = acc.get(word)
             if not c:
                 continue
             coords[word] = Fraction(c, scale)
-            for w, ic in expansion.items():
+            for w, ic in expand(word).items():
                 v = acc.get(w, 0) - c * ic
                 if v:
                     acc[w] = v
@@ -554,15 +551,17 @@ def _lyndon_chains(word: str) -> dict[str, int]:
     if len(word) == 1:
         return {word: 1}
     u, v = standard_factorization(word)
-    return _rn_ad(_sb_expansions(len(u))[u], _lyndon_chains(v))
+    return _rn_ad(_lyndon_expansion(u), _lyndon_chains(v))
 
 
 def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
-    out: dict[str, Fraction] = {}
-    for w, c in coords.items():
+    """The element with the given Lyndon coordinates, as chains."""
+    scale, ints = _scaled(coords)
+    out: dict[str, int] = {}
+    for w, c in ints.items():
         for u, ic in _lyndon_chains(w).items():
             out[u] = out.get(u, 0) + c * ic
-    return LieElement(out)
+    return LieElement({u: Fraction(c, scale) for u, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------

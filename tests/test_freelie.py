@@ -29,7 +29,12 @@ from mbch.freelie import (
     to_assoc,
     to_lyndon_coords,
 )
-from mbch.freelie import _add_commutator, _lyndon_bracket, _sb_expansions
+from mbch.freelie import (
+    _add_commutator,
+    _lyndon_bracket,
+    _lyndon_expansion,
+    _lyndon_name,
+)
 
 F = Fraction
 X = LieElement.generator("X")
@@ -216,11 +221,14 @@ def test_standard_factorization():
 def test_factor_built_lyndon_expansions_match_tree_expansion():
     # Each cached expansion is built as P_u P_v - P_v P_u from the standard
     # factors; expanding the whole standard bracketing is the second route.
-    for d in range(1, 11):
-        expansions = _sb_expansions(d)
-        assert list(expansions) == lyndon_words(d)
-        for w, expansion in expansions.items():
-            assert expansion == _word_expansion({standard_bracketing(w): 1})
+    # The cache holds one entry per Lyndon word and no other.
+    _lyndon_expansion.cache_clear()
+    words = [w for d in range(1, 11) for w in lyndon_words(d)]
+    for w in words:
+        expansion = _lyndon_expansion(w)
+        assert expansion == _word_expansion({standard_bracketing(w): 1})
+        assert expansion[w] == 1 and min(expansion) == w
+    assert _lyndon_expansion.cache_info().currsize == len(words)
 
 
 def test_lyndon_bracket_table_matches_word_commutator():
@@ -234,9 +242,7 @@ def test_lyndon_bracket_table_matches_word_commutator():
             if u == v or n > 9:
                 continue
             reference: dict = {}
-            _add_commutator(
-                reference, _sb_expansions(len(u))[u], _sb_expansions(len(v))[v]
-            )
+            _add_commutator(reference, _lyndon_expansion(u), _lyndon_expansion(v))
             reference = {w: c for w, c in reference.items() if c}
             coords = _lyndon_bracket(u, v)
             assert to_assoc(from_lyndon_coords(coords), n) == NCSeries(n, reference)
@@ -248,11 +254,43 @@ def test_to_lyndon_coords_builds_no_word_expansion():
     # Chain combinations and the recursion reach the Lyndon basis through
     # the bracket table; the word expansions of the basis are left to
     # lyndon_coords_of_assoc and from_lyndon_coords.
-    _sb_expansions.cache_clear()
+    _lyndon_expansion.cache_clear()
     coords = to_lyndon_coords(bch_dynkin(10))
     rec = bch_recursive(10)
-    assert _sb_expansions.cache_info().currsize == 0
+    assert _lyndon_expansion.cache_info().currsize == 0
     assert coords == rec == lyndon_coords_of_assoc(bch_log_oracle(10))
+
+
+def test_elimination_keeps_no_top_degree_expansion():
+    # The degree-12 pivots are no factor of another pivot, so the cache
+    # ends with at most the Lyndon words through 11 (412 of them).
+    _lyndon_expansion.cache_clear()
+    assert lyndon_coords_of_assoc(bch_log_oracle(12)) == bch_recursive(12)
+    assert sum(map(_necklace_count, range(1, 12))) == 412
+    assert _lyndon_expansion.cache_info().currsize <= 412
+
+
+def _tree_name(t):
+    """Long-commutator notation for a chain tree, nested brackets
+    otherwise, by a walk down the tree's right spine."""
+    if isinstance(t, str):
+        return t
+    spine, rest = "", t
+    while isinstance(rest, tuple) and isinstance(rest[0], str):
+        spine += rest[0]
+        rest = rest[1]
+    if isinstance(rest, str):
+        return str(LieElement({spine + rest: 1}))
+    return f"[{_tree_name(t[0])},{_tree_name(t[1])}]"
+
+
+def test_lyndon_names_match_tree_walk():
+    assert _lyndon_name("XXYXY") == "[[X^2Y],[XY]]"
+    assert _lyndon_name("XXYY") == "[X,[[XY],Y]]"
+    assert _lyndon_name("XXXY") == "[X^3Y]"
+    for d in range(1, 15):
+        for w in lyndon_words(d):
+            assert _lyndon_name(w) == _tree_name(standard_bracketing(w))
 
 
 def test_to_lyndon_coords_examples():
