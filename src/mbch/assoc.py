@@ -21,15 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterator
 
-from .series import (
-    TruncatedSeries,
-    _refuse_beyond,
-    _refuse_repeats,
-    format_rational,
-    format_terms,
-    parse_int,
-    parse_rational,
-)
+from .series import TruncatedSeries, _Codec, _Table, format_terms
 
 __all__ = [
     "NCSeries",
@@ -49,6 +41,15 @@ def _scaled(coeffs: dict) -> tuple[int, dict]:
     return scale, {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}
 
 
+def _all_words(keys) -> bool:
+    """Whether every key is a word over X and Y, in one C-level pass: join
+    raises on a key that is not a ``str``, strip leaves a bad letter."""
+    try:
+        return not "".join(keys).strip("XY")
+    except TypeError:
+        return False
+
+
 class NCSeries(TruncatedSeries):
     """Noncommutative series truncated at a total word length.
 
@@ -60,11 +61,10 @@ class NCSeries(TruncatedSeries):
     __slots__ = ()
     _degree = staticmethod(len)
     _constant_key = ""
+    _CODEC = _Codec("words", (), (_Table("terms", "word"),))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
-        # One C-level pass over all keys: join raises on a non-str key,
-        # and strip leaves a bad letter behind.
-        if coeffs and "".join(coeffs).strip("XY"):
+        if coeffs and not _all_words(coeffs):
             raise ValueError("a word is a string over X and Y")
         super().__init__(truncation, coeffs)
 
@@ -114,24 +114,6 @@ class NCSeries(TruncatedSeries):
             self.truncation,
             {w.translate(_NEGSWAP): -c if len(w) % 2 else c for w, c in self._coeffs.items()},
         )
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "basis": "words",
-            "terms": [{"word": w, "c": format_rational(c)} for w, c in self.terms()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NCSeries":
-        n = parse_int(data["truncation"])
-        coeffs = _refuse_repeats(
-            (t["word"], parse_rational(t["c"])) for t in data["terms"]
-        )
-        _refuse_beyond(n, map(cls._degree, coeffs))
-        return cls(n, coeffs)
 
     def __str__(self) -> str:
         return format_terms((c, _compress_word(w)) for w, c in self.terms())

@@ -10,31 +10,22 @@ errors, 3 when an internal exact division leaves a remainder.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
-from .series import BiSeries, InexactDivision, format_rational, parse_rational
+from .series import BiSeries, InexactDivision, _csv_text, parse_rational
 from .assoc import bch_log_oracle
-from .freelie import (
-    _lyndon_json,
-    _lyndon_text,
-    lyndon_coords_of_assoc,
-    to_lyndon_coords,
-)
+from .freelie import _Lyndon, lyndon_coords_of_assoc, to_lyndon_coords
 from .bch import bch_dynkin, bch_recursive
 from .metabelian import (
-    MetabelianElement,
     goldberg_c,
-    h_series,
     hausdorff_closed,
     kv_solve,
     kv_verify,
     zassenhaus_closed,
 )
-from .tilde import TildeElement, hausdorff_tilde
+from .tilde import hausdorff_tilde
 from .verify import run_suite
 
 __all__ = ["main", "entry"]
@@ -176,60 +167,11 @@ def _degree_cap(ns: argparse.Namespace) -> int:
     return DEGREE_CAPS[key]
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-# -- per-command renderers ----------------------------------------------------
-
-
-def _render_lie_series(coords: dict, truncation: int, fmt: str) -> str:
-    """A Lie series, given by its Lyndon coordinates."""
-    if fmt == "json":
-        return json.dumps(_lyndon_json(coords, truncation), indent=2)
-    if fmt == "csv":
-        terms = _lyndon_json(coords, truncation)["terms"]
-        rows = [[len(t["word"]), t["word"], t["c"]] for t in terms]
-        return _csv_text(["degree", "word", "c"], rows)
-    return _lyndon_text(coords)
-
-
-def _render_biseries(s: BiSeries, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(s.to_json_dict(), indent=2)
-    if fmt == "csv":
-        rows = [[i, j, format_rational(c)] for i, j, c in s.terms()]
-        return _csv_text(["i", "j", "c"], rows)
-    return str(s)
-
-
-def _render_metabelian(e: MetabelianElement, fmt: str) -> str:
+def _render(e, fmt: str) -> str:
+    """A container through its term codec as JSON or CSV, or as text."""
     if fmt == "json":
         return json.dumps(e.to_json_dict(), indent=2)
-    if fmt == "csv":
-        return e.to_csv()
-    return str(e)
-
-
-def _render_tilde(e: TildeElement, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(e.to_json_dict(), indent=2)
-    if fmt == "csv":
-        rows: list[list] = []
-        if e.a:
-            rows.append(["X", "", "", "", "", format_rational(e.a)])
-        if e.b:
-            rows.append(["Y", "", "", "", "", format_rational(e.b)])
-        for (m, n), c in e.linear_terms():
-            rows.append(["linear", "", "", m, n, format_rational(c)])
-        for ((k, l), (m, n)), c in e.quadratic_terms():
-            rows.append(["quadratic", k, l, m, n, format_rational(c)])
-        return _csv_text(["kind", "k", "l", "m", "n", "c"], rows)
-    return str(e)
+    return e.to_csv() if fmt == "csv" else str(e)
 
 
 def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
@@ -240,12 +182,12 @@ def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
         coords = to_lyndon_coords(bch_dynkin(n))
     else:
         coords = lyndon_coords_of_assoc(bch_log_oracle(n))
-    return _render_lie_series(coords, n, ns.fmt), 0
+    return _render(_Lyndon(n, coords), ns.fmt), 0
 
 
 def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:
     element = hausdorff_closed(ns.degree)
-    h = h_series(ns.degree - 2)
+    h = element.table_series()
     if ns.fmt == "json":
         payload = {"element": element.to_json_dict(), "h": h.to_json_dict()}
         return json.dumps(payload, indent=2), 0
@@ -255,36 +197,25 @@ def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_goldberg(ns: argparse.Namespace) -> tuple[str, int]:
-    return _render_biseries(goldberg_c(ns.degree), ns.fmt), 0
+    return _render(goldberg_c(ns.degree), ns.fmt), 0
 
 
 def _cmd_zassenhaus(ns: argparse.Namespace) -> tuple[str, int]:
     element = zassenhaus_closed(ns.degree)
     if not ns.per_degree:
-        return _render_metabelian(element, ns.fmt), 0
+        return _render(element, ns.fmt), 0
+    if ns.fmt == "csv":
+        return element.to_csv(("degree", "k", "l", "c")), 0
     factors = [(d, element.degree_part(d)) for d in range(2, ns.degree + 1)]
     if ns.fmt == "json":
         payload = {
             "truncation": ns.degree,
             "factors": [
-                {
-                    "degree": d,
-                    "terms": [
-                        {"k": k, "l": l, "c": format_rational(c)}
-                        for (k, l), c in part.terms()
-                    ],
-                }
+                {"degree": d, "terms": part.to_json_dict()["terms"]}
                 for d, part in factors
             ],
         }
         return json.dumps(payload, indent=2), 0
-    if ns.fmt == "csv":
-        rows = [
-            [d, k, l, format_rational(c)]
-            for d, part in factors
-            for (k, l), c in part.terms()
-        ]
-        return _csv_text(["degree", "k", "l", "c"], rows), 0
     lines = [f"C_{d} = {part}" for d, part in factors]
     return "\n".join(lines), 0
 
@@ -303,7 +234,7 @@ def _cmd_kv_solve(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_deeper(ns: argparse.Namespace) -> tuple[str, int]:
-    return _render_tilde(hausdorff_tilde(ns.degree), ns.fmt), 0
+    return _render(hausdorff_tilde(ns.degree), ns.fmt), 0
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
@@ -321,8 +252,11 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
         }
         return json.dumps(payload, indent=2), rc
     if ns.fmt == "csv":
-        rows = [[n, "pass" if p else "fail", d] for n, p, d in checks]
-        return _csv_text(["name", "result", "detail"], rows), rc
+        rows = [
+            {"name": n, "result": "pass" if p else "fail", "detail": d}
+            for n, p, d in checks
+        ]
+        return _csv_text(("name", "result", "detail"), rows), rc
     lines = []
     for name, ok, detail in checks:
         suffix = f": {detail}" if (detail and not ok) else ""

@@ -46,17 +46,8 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .assoc import NCSeries, _compress_word, _scaled
-from .series import (
-    TruncatedSeries,
-    _as_fraction,
-    _refuse_beyond,
-    _refuse_repeats,
-    format_rational,
-    format_terms,
-    parse_int,
-    parse_rational,
-)
+from .assoc import NCSeries, _all_words, _compress_word, _scaled
+from .series import TruncatedSeries, _Codec, _Coded, _Table, _as_fraction, format_terms
 
 __all__ = [
     "LieElement",
@@ -85,14 +76,9 @@ _GENERATORS = ("X", "Y")
 # ---------------------------------------------------------------------------
 
 def _refuse_non_chains(words: dict) -> None:
-    """One C-level pass over the keys, as in ``NCSeries``: join raises on a
-    key that is not a ``str`` (a bracket tree), strip leaves a bad letter
-    behind, and the empty word is looked up."""
-    try:
-        bad = "".join(words).strip("XY") or "" in words
-    except TypeError:
-        bad = True
-    if bad:
+    """The keys are words over X and Y, as in ``NCSeries`` (a bracket tree
+    is not), and none is the empty word."""
+    if not _all_words(words) or "" in words:
         raise ValueError("a chain word is a nonempty string over X and Y")
 
 
@@ -256,6 +242,10 @@ def right_normed(a: LieElement) -> LieElement:
 # Graded series
 # ---------------------------------------------------------------------------
 
+# A Lie series is written as its Lyndon coordinates.
+_LYNDON = _Codec("lyndon", (), (_Table("terms", "word"),), ("degree", "word", "c"))
+
+
 class LieSeries(TruncatedSeries):
     """A Lie series cut at a total degree: a map from chain word to
     coefficient, graded by word length."""
@@ -263,6 +253,7 @@ class LieSeries(TruncatedSeries):
     __slots__ = ()
     _degree = staticmethod(len)
     _constant_key = None
+    _CODEC = _LYNDON
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         if coeffs:
@@ -285,25 +276,50 @@ class LieSeries(TruncatedSeries):
             and self.as_element() == other.as_element()
         )
 
-    def to_json_dict(self) -> dict:
-        return _lyndon_json(to_lyndon_coords(self), self.truncation)
+    def _codec_parts(self) -> tuple:
+        return self.truncation, (), (to_lyndon_coords(self),)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LieSeries":
-        if data.get("basis") != "lyndon":
-            raise ValueError("expected lyndon basis")
-        n = parse_int(data["truncation"])
-        coords = _refuse_repeats(
-            (t["word"], parse_rational(t["c"])) for t in data["terms"]
-        )
+        read = _Lyndon.from_json_dict(data)
+        return cls(read.truncation, from_lyndon_coords(read.coords)._coeffs)
+
+    def __str__(self) -> str:
+        return str(_Lyndon(self.truncation, to_lyndon_coords(self)))
+
+
+class _Lyndon(_Coded):
+    """Lyndon coordinates cut at a truncation, as printed: what ``bch``
+    prints and what a ``LieSeries`` is written as and read from."""
+
+    __slots__ = ("truncation", "coords")
+    _CODEC = _LYNDON
+
+    def __init__(self, truncation: int, coords: dict[str, Fraction]):
+        self.truncation = truncation
+        self.coords = coords
+
+    def _codec_parts(self) -> tuple:
+        return self.truncation, (), (self.coords,)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "_Lyndon":
+        return cls._CODEC.from_json(data, cls._checked)
+
+    @classmethod
+    def _checked(cls, truncation: int, coords: dict) -> "_Lyndon":
+        """The reader's constructor: a truncation and Lyndon words."""
+        if truncation < 0:
+            raise ValueError("truncation must be nonnegative")
         for w in coords:
             if not (isinstance(w, str) and is_lyndon(w) and not w.strip("XY")):
                 raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
-        _refuse_beyond(n, map(len, coords))
-        return cls(n, from_lyndon_coords(coords)._coeffs)
+        return cls(truncation, coords)
 
     def __str__(self) -> str:
-        return _lyndon_text(to_lyndon_coords(self))
+        """A sum of standard bracketings, in order of degree, then name."""
+        order = sorted(self.coords, key=lambda w: (len(w), _lyndon_name(w)))
+        return format_terms((self.coords[w], _lyndon_name(w)) for w in order)
 
 
 @functools.cache
@@ -317,25 +333,6 @@ def _lyndon_name(word: str) -> str:
     if len(u) == 1 and "," not in _lyndon_name(v):
         return _chain_name(word)
     return f"[{_lyndon_name(u)},{_lyndon_name(v)}]"
-
-
-def _lyndon_text(coords: dict[str, Fraction]) -> str:
-    """Lyndon coordinates as a sum of standard bracketings, in order of
-    degree, then name."""
-    order = sorted(coords, key=lambda w: (len(w), _lyndon_name(w)))
-    return format_terms((coords[w], _lyndon_name(w)) for w in order)
-
-
-def _lyndon_json(coords: dict[str, Fraction], truncation: int) -> dict:
-    """Lyndon coordinates as JSON terms, in order of degree, then word."""
-    return {
-        "truncation": truncation,
-        "basis": "lyndon",
-        "terms": [
-            {"word": w, "c": format_rational(coords[w])}
-            for w in sorted(coords, key=lambda w: (len(w), w))
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -20,21 +20,10 @@ for the commutator equation
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 from fractions import Fraction
 
-from .series import (
-    BiSeries,
-    _QuotientElement,
-    _as_fraction,
-    _refuse_beyond,
-    _refuse_repeats,
-    format_rational,
-    format_terms,
-    parse_int,
-    parse_rational,
-)
+from .series import BiSeries, _Codec, _QuotientElement, _Table, _as_fraction, format_terms
 from .freelie import LieElement, LieSeries, _chain_name
 
 __all__ = [
@@ -62,7 +51,10 @@ class MetabelianElement(_QuotientElement):
     """
 
     __slots__ = ("_table",)
-    _TABLES = (("_table", BiSeries, 2),)
+    _CODEC = _Codec(
+        "metabelian", ("X", "Y"), (_Table("terms", ("k", "l"), 2, "_table", BiSeries),),
+        ("k", "l", "c"),
+    )
 
     def __init__(
         self, truncation: int, a=0, b=0, table: dict | BiSeries | None = None
@@ -119,44 +111,6 @@ class MetabelianElement(_QuotientElement):
         """
         table = self._table.substitute(x=(0, -1), y=(-1, 0))
         return MetabelianElement(self.truncation, -self.b, -self.a, -table)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "basis": "metabelian",
-            "X": format_rational(self.a),
-            "Y": format_rational(self.b),
-            "terms": [
-                {"k": k, "l": l, "c": format_rational(c)}
-                for (k, l), c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MetabelianElement":
-        n = parse_int(data["truncation"])
-        table = _refuse_repeats(
-            ((parse_int(t["k"]), parse_int(t["l"])), parse_rational(t["c"]))
-            for t in data["terms"]
-        )
-        _refuse_beyond(n, (k + l + 2 for k, l in table))
-        return cls(
-            n,
-            parse_rational(data.get("X", 0)),
-            parse_rational(data.get("Y", 0)),
-            table,
-        )
-
-    def to_csv(self) -> str:
-        """Table rows "k,l,c" with a header, sorted by (k+l, k)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "l", "c"])
-        for (k, l), c in self.terms():
-            writer.writerow([k, l, format_rational(c)])
-        return buf.getvalue()
 
     def __str__(self) -> str:
         named = [(self.a, "X"), (self.b, "Y")]
@@ -216,12 +170,15 @@ def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
 # The closed formula for log(e^X e^Y)
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def h_series(truncation: int) -> BiSeries:
     """The coefficient series h(x,y) of the closed formula.
 
     h(x,y) = (1/y) (1 - ((e^x - 1)/x) ((x+y)/(e^{x+y} - 1))); the
     numerator has every monomial divisible by y, so the division is
-    exact and the result is a genuine power series.
+    exact and the result is a genuine power series.  Cached per
+    truncation: the closed formula, the commutator equation and the
+    checks of both ask for the same ones.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")

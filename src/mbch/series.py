@@ -13,20 +13,28 @@ Every change of variables is one linear substitution,
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
 the JSON/CLI readers ``parse_rational`` and ``parse_int``, the term
-printer ``format_terms`` and ``TruncatedSeries``, the sparse exact series
-that ``BiSeries``, ``PairSeries``, ``assoc.NCSeries`` and
-``freelie.LieSeries`` extend.  ``_QuotientElement`` is the shared shape of
-the two quotient elements, ``metabelian.MetabelianElement`` and
-``tilde.TildeElement``: X and Y coefficients plus tables stored as series.
+printer ``format_terms``, the term codec ``_Codec`` and ``TruncatedSeries``,
+the sparse exact series that ``BiSeries``, ``PairSeries``,
+``assoc.NCSeries`` and ``freelie.LieSeries`` extend.  ``_QuotientElement``
+is the shared shape of the two quotient elements,
+``metabelian.MetabelianElement`` and ``tilde.TildeElement``: X and Y
+coefficients plus tables stored as series.
+
+The codec is the one reader and writer of JSON and CSV.  A container
+declares its ``basis`` tag, the names of its scalars (X and Y) and, per
+table, the JSON name and the key fields; ``_Coded`` turns that into
+``to_json_dict``, ``from_json_dict`` and ``to_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import re
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "InexactDivision",
@@ -134,6 +142,150 @@ def format_terms(pairs: Iterable[tuple[Fraction, str]]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The term codec: JSON and CSV for every container
+# ---------------------------------------------------------------------------
+
+def _flat(key) -> tuple:
+    """A key's fields in order: a word, an index pair or a pair of pairs;
+    the same for the names of the fields."""
+    if isinstance(key, str):
+        return (key,)
+    return key[0] + key[1] if isinstance(key[0], tuple) else key
+
+
+def _read_key(term: dict, fields):
+    """A JSON term's key: a word as written (its constructor checks it),
+    integer indices through ``parse_int``."""
+    if isinstance(fields, str):
+        return term[fields]
+    if isinstance(fields[0], tuple):
+        return tuple(_read_key(term, f) for f in fields)
+    return tuple(parse_int(term[f]) for f in fields)
+
+
+def _csv_text(header: Iterable[str], rows: Iterable[dict]) -> str:
+    """Rows of dicts under ``header``, one CSV line each; a column a row
+    lacks is empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row.get(col, "") for col in header] for row in rows)
+    return buf.getvalue()
+
+
+class _Table(NamedTuple):
+    """One table of terms: its JSON list name (the CSV ``kind``) and key
+    fields ("word", a pair of index names, or a pair of such pairs); a key
+    of degree d is a term of degree d + ``offset``.  In a quotient element
+    the table is the series of type ``series`` held in ``slot``."""
+
+    name: str
+    fields: object
+    offset: int = 0
+    slot: str | None = None
+    series: type | None = None
+
+    def degree(self, key) -> int:
+        return self.offset + (len(key) if isinstance(key, str) else sum(_flat(key)))
+
+    def terms(self, table) -> list:
+        """The (key, coefficient) pairs in order of degree, then key."""
+        return sorted(table.items(), key=lambda kc: (self.degree(kc[0]), kc[0]))
+
+    def row(self, key, c, **extra) -> dict:
+        """A term as its fields and ``c``, after ``extra``."""
+        fields = dict(zip(_flat(self.fields), _flat(key)))
+        return {**extra, **fields, "c": format_rational(c)}
+
+
+class _Codec(NamedTuple):
+    """A container's JSON and CSV, declared once.
+
+    JSON is ``truncation``, the ``basis`` tag unless it is None, the
+    ``scalars`` (X and Y) and one term list per table.  CSV has one row
+    per term under ``csv``; a row also knows its ``kind`` (the table) and
+    its ``degree``, and when the header has a ``kind`` column the nonzero
+    scalars come first as rows of their own.
+    """
+
+    basis: str | None
+    scalars: tuple[str, ...]
+    tables: tuple[_Table, ...]
+    csv: tuple[str, ...] = ()
+
+    def to_json(self, truncation: int, scalars, tables) -> dict:
+        out: dict = {"truncation": truncation}
+        if self.basis:
+            out["basis"] = self.basis
+        out.update(zip(self.scalars, map(format_rational, scalars)))
+        for spec, table in zip(self.tables, tables):
+            out[spec.name] = [spec.row(k, c) for k, c in spec.terms(table)]
+        return out
+
+    def to_csv(self, scalars, tables, header=None) -> str:
+        header = header or self.csv
+        rows = [
+            {"kind": name, "c": format_rational(c)}
+            for name, c in zip(self.scalars, scalars)
+            if c and "kind" in header
+        ]
+        for spec, table in zip(self.tables, tables):
+            rows += [
+                spec.row(k, c, kind=spec.name, degree=spec.degree(k))
+                for k, c in spec.terms(table)
+            ]
+        return _csv_text(header, rows)
+
+    def from_json(self, data: dict, build):
+        """Read what ``to_json`` writes, through the constructor ``build``.
+
+        Checks run in one order: integers and rationals are parsed, the
+        constructor checks the truncation and the keys, then a repeated
+        key, a term beyond the truncation and a basis tag that names
+        another container are refused.  A series needs its term list; the
+        scalars and tables of a quotient element may be absent, as zero.
+        """
+        n = parse_int(data["truncation"])
+        scalars = [parse_rational(data.get(name, 0)) for name in self.scalars]
+        pairs = [
+            [
+                (_read_key(t, spec.fields), parse_rational(t["c"]))
+                for t in (data.get(spec.name, ()) if self.scalars else data[spec.name])
+            ]
+            for spec in self.tables
+        ]
+        out = build(n, *scalars, *map(dict, pairs))
+        keys = [_refuse_repeats(p) for p in pairs]
+        for spec, table in zip(self.tables, keys):
+            _refuse_beyond(n, map(spec.degree, table))
+        tag = data.get("basis")
+        if tag is not None and tag != self.basis:
+            raise ValueError(f"basis {tag!r} names another container")
+        return out
+
+
+class _Coded:
+    """``to_json_dict``, ``from_json_dict`` and ``to_csv`` through the
+    class's ``_CODEC``, from the parts ``_codec_parts`` gives:
+    (truncation, scalars, tables)."""
+
+    __slots__ = ()
+    _CODEC: _Codec
+
+    def to_json_dict(self) -> dict:
+        return self._CODEC.to_json(*self._codec_parts())
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        return cls._CODEC.from_json(data, cls)
+
+    def to_csv(self, header=None) -> str:
+        """One row per term, under the container's header or ``header``."""
+        _, scalars, tables = self._codec_parts()
+        return self._CODEC.to_csv(scalars, tables, header)
+
+
+# ---------------------------------------------------------------------------
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
@@ -172,7 +324,7 @@ def _named_coefficient(kind: str, n: int) -> Fraction:
 # The truncated exact-series base
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries:
+class TruncatedSeries(_Coded):
     """A sparse map from monomials to ``Fraction``s, cut at a total degree.
 
     A subclass names the total degree of its monomial keys in the static
@@ -183,7 +335,8 @@ class TruncatedSeries:
     subclass says otherwise; a subclass without one sets it to None and
     refuses constants, so scalar ``+`` and ``-`` too.  Instances are
     immutable and compare equal only to a series of the same type and
-    truncation with the same terms.
+    truncation with the same terms.  Its ``_CODEC`` has one table: the
+    series itself.
     """
 
     __slots__ = ("truncation", "_coeffs")
@@ -224,6 +377,9 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def _codec_parts(self) -> tuple:
+        return self.truncation, (), (self,)
 
     def items(self):
         """The nonzero (key, coefficient) pairs, in no particular order."""
@@ -311,6 +467,7 @@ class BiSeries(TruncatedSeries):
     """
 
     __slots__ = ()
+    _CODEC = _Codec(None, (), (_Table("terms", ("i", "j")),), ("i", "j", "c"))
 
     @staticmethod
     def _degree(key: tuple[int, int]) -> int:
@@ -454,26 +611,6 @@ class BiSeries(TruncatedSeries):
         coeffs = {k: val for part in q for k, val in part.items()}
         return BiSeries(nq, coeffs)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "terms": [
-                {"i": i, "j": j, "c": format_rational(c)} for i, j, c in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BiSeries":
-        n = parse_int(data["truncation"])
-        coeffs = _refuse_repeats(
-            ((parse_int(t["i"]), parse_int(t["j"])), parse_rational(t["c"]))
-            for t in data["terms"]
-        )
-        _refuse_beyond(n, map(cls._degree, coeffs))
-        return cls(n, coeffs)
-
     def __str__(self) -> str:
         pairs = []
         for i, j, c in self.terms():
@@ -560,6 +697,7 @@ class PairSeries(TruncatedSeries):
 
     __slots__ = ()
     _constant_key = None
+    _CODEC = _Codec(None, (), (_Table("terms", (("k", "l"), ("m", "n"))),))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         normal: dict = {}
@@ -597,11 +735,12 @@ class PairSeries(TruncatedSeries):
 # The shape of a quotient element
 # ---------------------------------------------------------------------------
 
-class _QuotientElement:
+class _QuotientElement(_Coded):
     """a X + b Y plus tables of bracket coefficients, cut at a total degree.
 
-    A subclass names its tables in ``_TABLES`` as (slot, series type,
-    offset): a table key of degree d stands for a bracket of degree
+    A subclass declares its tables in the ``_CODEC`` it reads and writes
+    JSON and CSV with, each a ``_Table`` with a slot, a series type and an
+    offset: a table key of degree d stands for a bracket of degree
     d + offset, so the table is cut at ``truncation - offset`` and is
     empty below that.  A table given as a dict or as a series at another
     truncation is read as a polynomial.  Sums truncate at the smaller
@@ -610,7 +749,6 @@ class _QuotientElement:
     """
 
     __slots__ = ("truncation", "a", "b")
-    _TABLES: tuple = ()
 
     def __init__(self, truncation: int, a=0, b=0, *tables):
         if truncation < 1:
@@ -618,11 +756,12 @@ class _QuotientElement:
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
-        for (name, cls, offset), t in zip(self._TABLES, tables):
-            n = truncation - offset
+        for spec, t in zip(self._CODEC.tables, tables):
+            n = truncation - spec.offset
+            cls = spec.series
             if not isinstance(t, cls):
                 t = cls(max(n, 0), t)
-            object.__setattr__(self, name, t.padded(n) if n >= 0 else cls.zero(0))
+            object.__setattr__(self, spec.slot, t.padded(n) if n >= 0 else cls.zero(0))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -632,7 +771,10 @@ class _QuotientElement:
         return cls(truncation)
 
     def _tables(self) -> list:
-        return [getattr(self, name) for name, _, _ in self._TABLES]
+        return [getattr(self, spec.slot) for spec in self._CODEC.tables]
+
+    def _codec_parts(self) -> tuple:
+        return self.truncation, (self.a, self.b), self._tables()
 
     def is_zero(self) -> bool:
         return not self.a and not self.b and all(t.is_zero() for t in self._tables())
@@ -641,8 +783,8 @@ class _QuotientElement:
         """The terms of degree ``d``, at the same truncation."""
         ab = (self.a, self.b) if d == 1 else (0, 0)
         parts = [
-            t.degree_part(d - offset)
-            for t, (_, _, offset) in zip(self._tables(), self._TABLES)
+            t.degree_part(d - spec.offset)
+            for t, spec in zip(self._tables(), self._CODEC.tables)
         ]
         return type(self)(self.truncation, *ab, *parts)
 

@@ -37,14 +37,11 @@ from math import comb, factorial
 from .series import (
     BiSeries,
     PairSeries,
+    _Codec,
     _QuotientElement,
-    _refuse_beyond,
-    _refuse_repeats,
+    _Table,
     bernoulli,
-    format_rational,
     format_terms,
-    parse_int,
-    parse_rational,
 )
 from .assoc import _scaled
 from .freelie import LieElement, _chain_expansion, _rn_ad
@@ -73,7 +70,10 @@ class TildeElement(_QuotientElement):
     """
 
     __slots__ = ("_linear", "_quadratic")
-    _TABLES = (("_linear", BiSeries, 2), ("_quadratic", PairSeries, 4))
+    _CODEC = _Codec(None, ("X", "Y"), (
+        _Table("linear", ("m", "n"), 2, "_linear", BiSeries),
+        _Table("quadratic", (("k", "l"), ("m", "n")), 4, "_quadratic", PairSeries),
+    ), ("kind", "k", "l", "m", "n", "c"))
 
     def __init__(
         self,
@@ -104,46 +104,6 @@ class TildeElement(_QuotientElement):
         if sum(u) + sum(v) + 4 > self.truncation:
             raise ValueError("term beyond truncation")
         return self._quadratic.coefficient(u, v)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "X": format_rational(self.a),
-            "Y": format_rational(self.b),
-            "linear": [
-                {"m": m, "n": n, "c": format_rational(c)}
-                for (m, n), c in self.linear_terms()
-            ],
-            "quadratic": [
-                {"k": k, "l": l, "m": m, "n": n, "c": format_rational(c)}
-                for ((k, l), (m, n)), c in self.quadratic_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TildeElement":
-        def index(t, a, b):
-            return parse_int(t[a]), parse_int(t[b])
-
-        n = parse_int(data["truncation"])
-        lin = _refuse_repeats(
-            (index(t, "m", "n"), parse_rational(t["c"])) for t in data.get("linear", [])
-        )
-        quad = _refuse_repeats(
-            ((index(t, "k", "l"), index(t, "m", "n")), parse_rational(t["c"]))
-            for t in data.get("quadratic", [])
-        )
-        _refuse_beyond(n, (sum(k) + 2 for k in lin))
-        _refuse_beyond(n, (sum(u) + sum(v) + 4 for u, v in quad))
-        return cls(
-            n,
-            parse_rational(data.get("X", 0)),
-            parse_rational(data.get("Y", 0)),
-            lin,
-            quad,
-        )
 
     def __str__(self) -> str:
         named = [(self.a, "X"), (self.b, "Y")]

@@ -184,9 +184,10 @@ def test_byte_identical_reruns(capsys):
 
 
 # Every byte of the quotient printers (text, json and csv of both element
-# types, and the kv-solve report) at degree 12, and of the free-Lie printer
-# (text, json and csv of one series, reached by all three methods) at
-# degree 9, pinned by sha256.
+# types, of the goldberg series and of the zassenhaus factors, whole and per
+# degree, the kv-solve report and the kv suite's report) at degree 12, and
+# of the free-Lie printer (text, json and csv of one series, reached by all
+# three methods) at degree 9, pinned by sha256.
 @pytest.mark.parametrize("argv, digest", [
     ("deeper --degree 12",
      "900b70c4cd1cc4d9936d8cab8cb39ff461aa6d453466d16877b050e301569f5a"),
@@ -210,9 +211,41 @@ def test_byte_identical_reruns(capsys):
      "ad0074aaec32430453c9489b9de61e24d3cd81b690cc93423a303422a2c42bea"),
     ("bch --method dynkin --degree 9",
      "ad0074aaec32430453c9489b9de61e24d3cd81b690cc93423a303422a2c42bea"),
-], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text", "metabelian-csv",
-        "kv-solve-json", "bch-text", "bch-json", "bch-csv", "bch-oracle-text",
-        "bch-dynkin-text"])
+    ("metabelian --degree 12 --format json",
+     "441e798b4b0c29bb2cd8f4d7980439497257de4fd79abaaa91177e78bbebec1f"),
+    ("goldberg --degree 12",
+     "3cf8b9bf46676f1026b47ea9506fa4f0f157e24384e030c6ee412be6376e5132"),
+    ("goldberg --degree 12 --format json",
+     "40ac04ecc178a39792c71d3ec22e6108aef6ebcc0e744c7e46049cd70545e2da"),
+    ("goldberg --degree 12 --format csv",
+     "9a6b371b9eac237b957d6aba8c91abf09dffbb40de3bf9d72b2cda9196954037"),
+    ("zassenhaus --degree 12",
+     "ea214a4071a520049e29038b2bda06303c22362344aff65d557f5a80c8b968de"),
+    ("zassenhaus --degree 12 --format json",
+     "9b7fefc654aacb8573ea65faebc235d209b9e7897985c24fe9f3a5e889d679cc"),
+    ("zassenhaus --degree 12 --format csv",
+     "b9386be45a2bd4cffdd0cfcccc98853604821ba7b36f51b87b30274799ed0cac"),
+    ("zassenhaus --degree 12 --per-degree",
+     "610d16e267fe5a85cee186ca0a38dfbe8b3e640d310efd3102f9673f8b91c9d0"),
+    ("zassenhaus --degree 12 --per-degree --format json",
+     "a2b193cfc25b201343e3bc9ca4acaf0d8c0ac024e9ff9dcec945802594af0dc2"),
+    ("zassenhaus --degree 12 --per-degree --format csv",
+     "45313a2d8abedb65eedcec072a6032c06954575fa35585285b9a8d4d1ba02d68"),
+    ("kv-solve --degree 12",
+     "d5836b1c43795c2e49ff99d7b19148050a2a535ae39136265b53a9e2cd016653"),
+    ("kv-solve --degree 12 --format csv",
+     "1366105b98876c0fff0644bd437bb9b6e80c472f5568e25309e0f14b03a3f174"),
+    ("verify --suite kv --degree 12 --format json",
+     "083c57fdd27f84d4a1973e639c3ac46ec1069e504da3007f84e0052b8ae1c3cb"),
+    ("verify --suite kv --degree 12 --format csv",
+     "af9e9b8bbd3de13dfe91d2a7df37d3b9eb7b38831ba435bda083a8cb9484c278"),
+], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text",
+        "metabelian-csv", "kv-solve-json", "bch-text", "bch-json", "bch-csv",
+        "bch-oracle-text", "bch-dynkin-text", "metabelian-json", "goldberg-text",
+        "goldberg-json", "goldberg-csv", "zassenhaus-text", "zassenhaus-json",
+        "zassenhaus-csv", "zassenhaus-per-degree-text", "zassenhaus-per-degree-json",
+        "zassenhaus-per-degree-csv", "kv-solve-text", "kv-solve-csv", "verify-kv-json",
+        "verify-kv-csv"])
 def test_quotient_outputs_are_byte_exact(capsys, argv, digest):
     rc, out, err = run(capsys, *argv.split())
     assert rc == 0 and err == ""

@@ -514,6 +514,57 @@ def test_lie_series_from_json_dict_names_a_bad_word(word):
         LieSeries.from_json_dict(data)
 
 
+@pytest.mark.parametrize("cls, basis", [
+    (BiSeries, "lyndon"),
+    (NCSeries, "lyndon"),
+    (NCSeries, "metabelian"),
+    (LieSeries, "words"),
+    (MetabelianElement, "lyndon"),
+    (MetabelianElement, "words"),
+    (TildeElement, "metabelian"),
+], ids=["BiSeries-lyndon", "NCSeries-lyndon", "NCSeries-metabelian", "LieSeries-words",
+        "MetabelianElement-lyndon", "MetabelianElement-words", "TildeElement-metabelian"])
+def test_from_json_dict_refuses_another_containers_basis(cls, basis):
+    # `bch --format json` says "lyndon"; a word series must not read it as words.
+    data = {"truncation": 3, "basis": basis, "terms": []}
+    with pytest.raises(ValueError, match=f"basis '{basis}' names another container"):
+        cls.from_json_dict(data)
+
+
+@pytest.mark.parametrize("cls, terms", [
+    (BiSeries, {(0, 1): F(1, 2), (1, 0): 3}),
+    (PairSeries, {((1, 0), (0, 0)): F(-1, 3)}),
+    (NCSeries, {"": 1, "YX": F(1, 2)}),
+    (LieSeries, {"XY": F(1, 2), "YXY": -1}),
+    (MetabelianElement, {(0, 1): F(1, 2)}),
+    (TildeElement, {(1, 0): F(1, 2)}),
+], ids=["BiSeries", "PairSeries", "NCSeries", "LieSeries", "MetabelianElement",
+        "TildeElement"])
+def test_from_json_dict_accepts_its_own_or_no_basis(cls, terms):
+    quotient = cls in (MetabelianElement, TildeElement)
+    e = cls(4, 1, 2, terms) if quotient else cls(4, terms)
+    data = e.to_json_dict()
+    assert cls.from_json_dict(data) == e
+    data.pop("basis", None)
+    assert cls.from_json_dict(data) == e
+
+
+@pytest.mark.parametrize("cls, data, message", [
+    (BiSeries, {"truncation": -1, "terms": []}, "truncation must be nonnegative"),
+    (NCSeries, {"truncation": -1, "terms": []}, "truncation must be nonnegative"),
+    (LieSeries, {"truncation": -1, "basis": "lyndon", "terms": []},
+     "truncation must be nonnegative"),
+    (MetabelianElement, {"truncation": -1, "terms": []}, "truncation must be at least 1"),
+    (TildeElement, {"truncation": -1}, "truncation must be at least 1"),
+    (NCSeries, {"truncation": 3, "terms": [{"word": 5, "c": "1"}]},
+     "a word is a string over X and Y"),
+], ids=["BiSeries-negative", "NCSeries-negative", "LieSeries-negative",
+        "MetabelianElement-negative", "TildeElement-negative", "NCSeries-int-word"])
+def test_from_json_dict_gives_the_constructors_message(cls, data, message):
+    with pytest.raises(ValueError, match=message):
+        cls.from_json_dict(data)
+
+
 # ---------------------------------------------------------------------------
 # The truncated-series base, once for each of its four subclasses
 # ---------------------------------------------------------------------------
