@@ -26,7 +26,6 @@ from .freelie import (
     LieElement,
     LieSeries,
     bracket,
-    from_lyndon_coords,
     ideal_membership,
     ideal_spanning_elements,
     long_commutator,
@@ -89,7 +88,6 @@ __all__ = [
     "LieElement",
     "LieSeries",
     "bracket",
-    "from_lyndon_coords",
     "ideal_membership",
     "ideal_spanning_elements",
     "long_commutator",

@@ -220,7 +220,7 @@ def zassenhaus_oracle(truncation: int) -> list:
     Each factor is returned as a homogeneous LieSeries in Lyndon
     coordinates, extracted from the word-level residual.
     """
-    from .freelie import LieSeries, from_lyndon_coords, lyndon_coords_of_assoc
+    from .freelie import LieSeries, lyndon_coords_of_assoc
 
     n = truncation
     x = NCSeries.generator("X", n)
@@ -230,7 +230,6 @@ def zassenhaus_oracle(truncation: int) -> list:
     for d in range(2, n + 1):
         # r - 1 starts at degree d, so its degree-d part is that of log r
         part = r.degree_part(d)
-        c_d = from_lyndon_coords(lyndon_coords_of_assoc(part))
-        out.append(LieSeries(n, c_d.term_dict()))
+        out.append(LieSeries(n, lyndon_coords_of_assoc(part)))
         r = nc_exp(-part) * r
     return out

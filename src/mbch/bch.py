@@ -4,12 +4,13 @@ Two independent routes are provided.  ``bch_recursive`` runs the
 derivation recursion: with D the derivation sending X to 0 and Y to the
 series ``hausdorff_h1``, the pieces H_0 = Y, H_m = D(H_{m-1})/m sum to
 the full series, and H_m collects exactly the terms of degree m in X.
-It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis)
-and returns them, keyed by Lyndon word.  ``bch_dynkin`` evaluates the
-explicit double sum over tuples of block exponents, as a dynamic program
-over words, and returns a ``LieSeries`` of chains.  Both agree, word for
-word, with the noncommutative oracle ``assoc.bch_log_oracle``; the test
-suite checks all three against each other.
+It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis).
+``bch_dynkin`` evaluates the explicit double sum over tuples of block
+exponents, as a dynamic program over words whose chains enter the
+Lyndon basis through ``to_lyndon_coords``.  Both return a ``LieSeries``
+and agree, word for word, with the noncommutative oracle
+``assoc.bch_log_oracle``; the test suite checks all three against each
+other.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb, factorial, lcm
 from typing import Iterator
 
 from .series import bernoulli
-from .freelie import Derivation, LieSeries
+from .freelie import Derivation, LieSeries, to_lyndon_coords
 
 __all__ = ["hausdorff_h1", "bch_recursive", "bch_recursive_steps", "bch_dynkin"]
 
@@ -34,15 +35,14 @@ def hausdorff_h1(truncation: int) -> LieSeries:
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    terms = {"X": 1}
+    chains = {"X": 1}
     for n in range(1, truncation):
-        terms["Y" * n + "X"] = bernoulli(n) / factorial(n)
-    return LieSeries(truncation, terms)
+        chains["Y" * n + "X"] = bernoulli(n) / factorial(n)
+    return LieSeries(truncation, to_lyndon_coords(chains))
 
 
-def bch_recursive_steps(truncation: int) -> Iterator[dict[str, Fraction]]:
-    """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation,
-    each in Lyndon coordinates in the order of ``to_lyndon_coords``.
+def bch_recursive_steps(truncation: int) -> Iterator[LieSeries]:
+    """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation.
 
     H_m is homogeneous of degree m in X (each substitution of the image
     of Y consumes one Y and introduces exactly one X), so every Lyndon
@@ -53,23 +53,22 @@ def bch_recursive_steps(truncation: int) -> Iterator[dict[str, Fraction]]:
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     d = Derivation(None, hausdorff_h1(truncation), truncation)
-    h = {"Y": Fraction(1)}
+    h = LieSeries(truncation, {"Y": 1})
     yield h
     for m in range(1, truncation + 1):
-        h = {w: c / m for w, c in d(h).items()}
-        if not h:
+        h = Fraction(1, m) * d(h)
+        if h.is_zero():
             return
         yield h
 
 
-def bch_recursive(truncation: int) -> dict[str, Fraction]:
-    """log(e^X e^Y) through the given degree, by the derivation recursion,
-    in Lyndon coordinates in the order of ``to_lyndon_coords``."""
+def bch_recursive(truncation: int) -> LieSeries:
+    """log(e^X e^Y) through the given degree, by the derivation recursion."""
     total: dict[str, Fraction] = {}
     for h in bch_recursive_steps(truncation):
         for w, c in h.items():
             total[w] = total.get(w, 0) + c
-    return {w: total[w] for w in sorted(total, key=lambda w: (len(w), w))}
+    return LieSeries(truncation, total)
 
 
 def bch_dynkin(truncation: int) -> LieSeries:
@@ -86,7 +85,7 @@ def bch_dynkin(truncation: int) -> LieSeries:
     is a sum of multinomials, an integer, and word w carries
     sum_m (-1)^(m-1) layer_m[w] / (m |w| |w|!).  No tuple is filtered out;
     a word ending in a repeated letter, whose long commutator vanishes,
-    is dropped.
+    is dropped, and the other chains are rewritten in the Lyndon basis.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -107,9 +106,9 @@ def bch_dynkin(truncation: int) -> LieSeries:
             totals[word] = totals.get(word, 0) + (-1) ** (m - 1) * (scale // m) * c
         layer = nxt
 
-    terms = {
+    chains = {
         word: Fraction(c, scale * len(word) * factorial(len(word)))
         for word, c in totals.items()
         if c and word[-2:] not in ("XX", "YY")
     }
-    return LieSeries(truncation, terms)
+    return LieSeries(truncation, to_lyndon_coords(chains))

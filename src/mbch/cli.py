@@ -16,7 +16,7 @@ import sys
 
 from .series import BiSeries, InexactDivision, _csv_text, parse_rational
 from .assoc import bch_log_oracle
-from .freelie import _Lyndon, lyndon_coords_of_assoc, to_lyndon_coords
+from .freelie import LieSeries, lyndon_coords_of_assoc
 from .bch import bch_dynkin, bch_recursive
 from .metabelian import (
     goldberg_c,
@@ -177,12 +177,12 @@ def _render(e, fmt: str) -> str:
 def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
     n = ns.degree
     if ns.method == "recursive":
-        coords = bch_recursive(n)
+        series = bch_recursive(n)
     elif ns.method == "dynkin":
-        coords = to_lyndon_coords(bch_dynkin(n))
+        series = bch_dynkin(n)
     else:
-        coords = lyndon_coords_of_assoc(bch_log_oracle(n))
-    return _render(_Lyndon(n, coords), ns.fmt), 0
+        series = LieSeries(n, lyndon_coords_of_assoc(bch_log_oracle(n)))
+    return _render(series, ns.fmt), 0
 
 
 def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:

@@ -1,43 +1,38 @@
 """Free Lie algebra on two generators X, Y with exact coefficients.
 
-Elements are finite rational combinations of right-nested chains: a
-nonempty word w1 w2 ... wd over X, Y stands for the long commutator
-[w1,[w2,[...,wd]]], and ``LieElement`` and ``LieSeries`` map chain words
-to ``Fraction``s, as ``assoc.NCSeries`` maps words.  Chains span the free
-Lie algebra but are no basis ([XY] = -[YX]), so equality compares Lyndon
-coordinates.  A bracket tree enters only through ``bracket``, which
-rewrites [A, B] into chains once: ad is multiplicative, so ad of the
-chain [t] is sum c_p ad(p_1) ... ad(p_k) over the word expansion
-sum c_p p of [t], and ad(p_1) ... ad(p_k) prefixes p to a chain
-(``_rn_ad``).  ``Derivation`` acts on the Lyndon basis instead:
-D(P_w) = [D P_u, P_v] + [P_u, D P_v] over the standard factors u, v of
-w, each bracket read from the Lyndon bracket table below, so the BCH
+Elements are finite rational combinations of the Lyndon basis: a Lyndon
+word w over X < Y stands for its standard bracketing P_w, a letter or
+[P_u, P_v] over the standard factors u, v of w.  ``LieElement`` and
+``LieSeries`` map Lyndon words to ``Fraction``s, as ``assoc.NCSeries``
+maps words, and since the P_w are a basis, equal elements are equal
+maps.  ``bracket`` reads a cached table of brackets [P_u, P_v], each an
+integer combination of P_w computed by the Jacobi rewriting of
+Reutenauer's standard-factorization algorithm, and ``Derivation`` acts
+on the basis by D(P_w) = [D P_u, P_v] + [P_u, D P_v], so the BCH
 recursion runs on Lyndon coordinates from start to end.
 
-Lyndon coordinates are the output currency, reached by two routes:
+Right-nested chains [w1,[w2,[...,wd]]], the natural output of Dynkin's
+formula and of long commutators, enter in one place:
+``to_lyndon_coords`` takes a map from chain words to coefficients and
+combines the chains bottom-up through the bracket table.  ``to_assoc``
+makes the same walk over Lyndon words, split at their standard
+factorization, with AB - BA in place of the table.
 
-* ``to_lyndon_coords`` never leaves the Lie algebra.  It walks the chain
-  words along their first-letter trie and combines them bottom-up
-  through a cached table of brackets [P_u, P_v] of Lyndon basis
-  elements, each an integer combination of P_w computed by the Jacobi
-  rewriting of Reutenauer's standard-factorization algorithm.
-* ``lyndon_coords_of_assoc`` starts from a word series, as the word-level
-  oracles produce.  It eliminates against the associative expansions of
-  the Lyndon basis (the expansion of a Lyndon word's standard bracketing
-  is that word plus lexicographically later words, with coefficient 1),
-  cached per Lyndon word, each P_w built as P_u P_v - P_v P_u from the
-  expansions of its standard factors u, v.  Every pivot is 1, so the
-  elimination never divides, and it refuses a series that leaves a
-  nonzero residual, i.e. one that is not a Lie element.
+``lyndon_coords_of_assoc`` is the way back from a word series, as the
+word-level oracles produce.  It eliminates against the associative
+expansions of the Lyndon basis (the expansion of P_w is w plus
+lexicographically later words, with coefficient 1), cached per Lyndon
+word, each P_w built as P_u P_v - P_v P_u from the expansions of its
+standard factors u, v.  Every pivot is 1, so the elimination never
+divides, and it refuses a series that leaves a nonzero residual, i.e.
+one that is not a Lie element.  The elimination shares no algorithm
+with the bracket table, so a comparison of the recursive and the
+word-level BCH series tests each against the other.
 
-The elimination shares no algorithm with the bracket table that the
-recursion and ``to_lyndon_coords`` use, so a comparison of the recursive
-and the word-level BCH series tests each against the other.  All run on
-integers: coefficients are scaled once by the least common multiple of
-their denominators, ``to_assoc`` walks the same trie with AB - BA in
-place of the Lyndon bracket, and ``Fraction`` reappears only in the
-results.  The printers render coordinates, each Lyndon word as its
-standard bracketing: [X^2Y] where that is a chain, [[XY],Y] otherwise.
+All of this runs on integers: coefficients are scaled once by the least
+common multiple of their denominators, and ``Fraction`` reappears only
+in the results.  The printers render each Lyndon word as its standard
+bracketing: [X^2Y] where that is a chain, [[XY],Y] otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .assoc import NCSeries, _all_words, _compress_word, _scaled
-from .series import TruncatedSeries, _Codec, _Coded, _Table, _as_fraction, format_terms
+from .series import TruncatedSeries, _Codec, _Table, _as_fraction, format_terms
 
 __all__ = [
     "LieElement",
@@ -60,7 +55,6 @@ __all__ = [
     "standard_bracketing",
     "to_assoc",
     "to_lyndon_coords",
-    "from_lyndon_coords",
     "lyndon_coords_of_assoc",
     "right_normed",
     "Derivation",
@@ -72,14 +66,20 @@ _GENERATORS = ("X", "Y")
 
 
 # ---------------------------------------------------------------------------
-# Chain words
+# Keys and names
 # ---------------------------------------------------------------------------
 
-def _refuse_non_chains(words: dict) -> None:
-    """The keys are words over X and Y, as in ``NCSeries`` (a bracket tree
-    is not), and none is the empty word."""
-    if not _all_words(words) or "" in words:
-        raise ValueError("a chain word is a nonempty string over X and Y")
+@functools.cache
+def _is_lyndon_key(w) -> bool:
+    return isinstance(w, str) and not w.strip("XY") and is_lyndon(w)
+
+
+def _refuse_non_lyndon(words: Iterable) -> None:
+    """Every key is a Lyndon word over X and Y, each checked once per
+    process."""
+    for w in words:
+        if not _is_lyndon_key(w):
+            raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
 
 
 def _chain_name(word: str) -> str:
@@ -87,20 +87,44 @@ def _chain_name(word: str) -> str:
     return word if len(word) == 1 else f"[{_compress_word(word)}]"
 
 
+@functools.cache
+def _lyndon_name(word: str) -> str:
+    """The standard bracketing of P_w as printed: P_w is the chain [w]
+    when its standard factor u is a letter and P_v is a chain (a name
+    without a comma), and [name(u),name(v)] otherwise."""
+    if len(word) == 1:
+        return word
+    u, v = standard_factorization(word)
+    if len(u) == 1 and "," not in _lyndon_name(v):
+        return _chain_name(word)
+    return f"[{_lyndon_name(u)},{_lyndon_name(v)}]"
+
+
+def _name_order(w: str) -> tuple:
+    """Printing order: degree, then name."""
+    return len(w), _lyndon_name(w)
+
+
+def _lyndon_text(coeffs: dict) -> str:
+    """A sum of standard bracketings, in printing order."""
+    order = sorted(coeffs, key=_name_order)
+    return format_terms((coeffs[w], _lyndon_name(w)) for w in order)
+
+
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
 
 class LieElement:
-    """Finite rational combination of chains, keyed by chain word (may be
-    inhomogeneous)."""
+    """Finite rational combination of the Lyndon basis, keyed by Lyndon
+    word (may be inhomogeneous)."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, terms: dict | None = None):
         clean: dict[str, Fraction] = {}
         if terms:
-            _refuse_non_chains(terms)
+            _refuse_non_lyndon(terms)
             for w, v in terms.items():
                 c = _as_fraction(v)
                 if c:
@@ -121,11 +145,11 @@ class LieElement:
         return cls({letter: 1})
 
     def items(self):
-        """The nonzero (chain word, coefficient) pairs, in no particular order."""
+        """The nonzero (Lyndon word, coefficient) pairs, in no particular order."""
         return self._coeffs.items()
 
     def terms(self) -> Iterator[tuple[str, Fraction]]:
-        for w in sorted(self._coeffs, key=lambda w: (len(w), _chain_name(w))):
+        for w in sorted(self._coeffs, key=_name_order):
             yield w, self._coeffs[w]
 
     def term_dict(self) -> dict:
@@ -159,77 +183,35 @@ class LieElement:
     __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
-        """Equality of Lie elements: the same Lyndon coordinates, however
-        the chains are written, so [XY] == -[YX]."""
-        return isinstance(other, LieElement) and (
-            to_lyndon_coords(self) == to_lyndon_coords(other)
-        )
+        return isinstance(other, LieElement) and self._coeffs == other._coeffs
 
     __hash__ = None
 
     def __str__(self) -> str:
-        return format_terms((c, _chain_name(w)) for w, c in self.terms())
+        return _lyndon_text(self._coeffs)
 
     def __repr__(self) -> str:
         return f"LieElement({len(self._coeffs)} terms)"
 
 
-@functools.cache
-def _chain_expansion(word: str) -> dict[str, int]:
-    """The word expansion of the chain [word], every [a, B] as aB - Ba."""
-    if len(word) == 1:
-        return {word: 1}
-    out: dict[str, int] = {}
-    _add_commutator(out, {word[0]: 1}, _chain_expansion(word[1:]))
-    return {w: c for w, c in out.items() if c}
-
-
-def _rn_ad(expansion: dict, vmap: dict) -> dict:
-    """Apply ad(A) to an integer chain-word map, staying in chains.
-
-    A is given by its word expansion sum c_p p: ad is multiplicative, so
-    ad(A) = sum c_p ad(p_1) ... ad(p_k), and ad(p_1) ... ad(p_k) sends the
-    chain [v] to the chain [p v], or to zero when v is the letter p_k
-    ([a, a] = 0).  The expansions come from ``_chain_expansion`` for a
-    chain and from ``_lyndon_expansion`` for P_t.
-    """
-    out: dict[str, int] = {}
-    for p, cp in expansion.items():
-        last = p[-1]
-        for v, c in vmap.items():
-            if v != last:
-                w = p + v
-                out[w] = out.get(w, 0) + cp * c
-    return {w: c for w, c in out.items() if c}
-
-
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Bilinear bracket, rewritten into chains: [[v], B] is ad([v]) B."""
+    """Bilinear bracket, read from the Lyndon bracket table."""
     sa, ia = _scaled(a._coeffs)
     sb, ib = _scaled(b._coeffs)
     out: dict[str, int] = {}
-    for v, c in ia.items():
-        for w, ic in _rn_ad(_chain_expansion(v), ib).items():
-            out[w] = out.get(w, 0) + c * ic
+    _add_lyndon_bracket(out, ia, ib)
     scale = sa * sb
-    return LieElement({w: Fraction(c, scale) for w, c in out.items()})
+    return LieElement({w: Fraction(c, scale) for w, c in out.items() if c})
 
 
 def long_commutator(word: str) -> LieElement:
     """Right-nested commutator [w1,[w2,[...,wd]]]; zero when it ends in a
     repeated letter."""
-    for ch in word:
-        if ch not in _GENERATORS:
-            raise ValueError(f"bad letter {ch!r}")
-    if not word:
-        raise ValueError("empty word")
-    if len(word) >= 2 and word[-1] == word[-2]:
-        return LieElement.zero()
-    return LieElement({word: 1})
+    return LieElement(to_lyndon_coords({word: 1}))
 
 
 def right_normed(a: LieElement) -> LieElement:
-    """A copy of the element, which is always written with chains.
+    """A copy of the element, which is always written in the Lyndon basis.
 
     The name stays because the benchmark's span tracer
     (``perfbench/tracer.py``) instruments it by name, and its ``install``
@@ -242,97 +224,28 @@ def right_normed(a: LieElement) -> LieElement:
 # Graded series
 # ---------------------------------------------------------------------------
 
-# A Lie series is written as its Lyndon coordinates.
-_LYNDON = _Codec("lyndon", (), (_Table("terms", "word"),), ("degree", "word", "c"))
-
-
 class LieSeries(TruncatedSeries):
-    """A Lie series cut at a total degree: a map from chain word to
-    coefficient, graded by word length."""
+    """A Lie series cut at a total degree: a map from Lyndon word to
+    coefficient, graded by word length.  It prints, and is written as
+    JSON and CSV, as its Lyndon coordinates."""
 
     __slots__ = ()
     _degree = staticmethod(len)
     _constant_key = None
-    _CODEC = _LYNDON
+    _CODEC = _Codec("lyndon", (), (_Table("terms", "word"),), ("degree", "word", "c"))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         if coeffs:
-            _refuse_non_chains(coeffs)
+            _refuse_non_lyndon(coeffs)
         super().__init__(truncation, coeffs)
 
     def part(self, d: int) -> LieElement:
         if d > self.truncation:
             raise ValueError("degree beyond truncation")
-        return self.degree_part(d).as_element()
-
-    def as_element(self) -> LieElement:
-        return LieElement(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        """Mathematical equality: same truncation, equal Lie elements."""
-        return (
-            isinstance(other, LieSeries)
-            and self.truncation == other.truncation
-            and self.as_element() == other.as_element()
-        )
-
-    def _codec_parts(self) -> tuple:
-        return self.truncation, (), (to_lyndon_coords(self),)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LieSeries":
-        read = _Lyndon.from_json_dict(data)
-        return cls(read.truncation, from_lyndon_coords(read.coords)._coeffs)
+        return LieElement({w: c for w, c in self._coeffs.items() if len(w) == d})
 
     def __str__(self) -> str:
-        return str(_Lyndon(self.truncation, to_lyndon_coords(self)))
-
-
-class _Lyndon(_Coded):
-    """Lyndon coordinates cut at a truncation, as printed: what ``bch``
-    prints and what a ``LieSeries`` is written as and read from."""
-
-    __slots__ = ("truncation", "coords")
-    _CODEC = _LYNDON
-
-    def __init__(self, truncation: int, coords: dict[str, Fraction]):
-        self.truncation = truncation
-        self.coords = coords
-
-    def _codec_parts(self) -> tuple:
-        return self.truncation, (), (self.coords,)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "_Lyndon":
-        return cls._CODEC.from_json(data, cls._checked)
-
-    @classmethod
-    def _checked(cls, truncation: int, coords: dict) -> "_Lyndon":
-        """The reader's constructor: a truncation and Lyndon words."""
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        for w in coords:
-            if not (isinstance(w, str) and is_lyndon(w) and not w.strip("XY")):
-                raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
-        return cls(truncation, coords)
-
-    def __str__(self) -> str:
-        """A sum of standard bracketings, in order of degree, then name."""
-        order = sorted(self.coords, key=lambda w: (len(w), _lyndon_name(w)))
-        return format_terms((self.coords[w], _lyndon_name(w)) for w in order)
-
-
-@functools.cache
-def _lyndon_name(word: str) -> str:
-    """The standard bracketing of P_w as printed: P_w is the chain [w]
-    when its standard factor u is a letter and P_v is a chain (a name
-    without a comma), and [name(u),name(v)] otherwise."""
-    if len(word) == 1:
-        return word
-    u, v = standard_factorization(word)
-    if len(u) == 1 and "," not in _lyndon_name(v):
-        return _chain_name(word)
-    return f"[{_lyndon_name(u)},{_lyndon_name(v)}]"
+        return _lyndon_text(self._coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +281,7 @@ def is_lyndon(word: str) -> bool:
 def standard_factorization(word: str) -> tuple[str, str]:
     """Split a Lyndon word (length >= 2) as u v with v the longest proper
     Lyndon suffix (equivalently the lexicographically least one)."""
-    if len(word) < 2 or not is_lyndon(word):
+    if len(word) < 2 or not _is_lyndon_key(word):
         raise ValueError("needs a Lyndon word of length >= 2")
     v = min(word[i:] for i in range(1, len(word)))
     return word[: len(word) - len(v)], v
@@ -385,26 +298,29 @@ def standard_bracketing(word: str) -> str | tuple:
 
 
 # ---------------------------------------------------------------------------
-# Associative expansion and Lyndon coordinates
+# Bracket table, chains and associative expansion
 # ---------------------------------------------------------------------------
 
-def _combine_chains(terms: dict, add_bracket) -> dict:
-    """Combine an integer combination of chain words bottom-up: each letter
-    stays itself, and each chain [a v] is added into the result by
-    ``add_bracket(out, {a: 1}, q)`` from the combination q of [v].
+def _combine(terms: dict, split, left, add_bracket) -> dict:
+    """Combine an integer combination of bracketed words bottom-up.
 
-    Chains are grouped by their first letter a as [a, sum c [v]], a walk
-    over the trie of the words, so each trie node costs one bracket.
+    A letter stays itself.  ``split`` cuts a longer word w as [u, v], and
+    the words that share u are summed as [left(u), sum c v] by one
+    ``add_bracket(out, left(u), ...)``, with the v combined first by the
+    same walk, so each shared left factor costs one bracket.  Chains
+    split at their first letter, Lyndon words at their standard
+    factorization.
     """
     out: dict = {}
-    by_first: dict = {}
+    by_left: dict = {}
     for w, c in terms.items():
         if len(w) == 1:
             out[w] = out.get(w, 0) + c
         else:
-            by_first.setdefault(w[0], {})[w[1:]] = c
-    for a, rest in by_first.items():
-        add_bracket(out, {a: 1}, _combine_chains(rest, add_bracket))
+            u, v = split(w)
+            by_left.setdefault(u, {})[v] = c
+    for u, rest in by_left.items():
+        add_bracket(out, left(u), _combine(rest, split, left, add_bracket))
     return {w: c for w, c in out.items() if c}
 
 
@@ -455,12 +371,30 @@ def _lyndon_bracket(u: str, v: str) -> dict[str, int]:
     return {u + v: 1}
 
 
+def to_lyndon_coords(chains: dict) -> dict[str, Fraction]:
+    """Lyndon coordinates of a combination of right-nested chains.
+
+    ``chains`` maps a chain word w1 w2 ... wd, nonempty over X and Y, to
+    the coefficient of [w1,[w2,[...,wd]]]; the result is keyed by Lyndon
+    word.  The chains are grouped by their first letter, a walk over the
+    trie of the words, and combined through the Lyndon bracket table; no
+    word expansion is built.
+    """
+    if not _all_words(chains) or "" in chains:
+        raise ValueError("a chain word is a nonempty string over X and Y")
+    scale, ints = _scaled({w: _as_fraction(c) for w, c in chains.items()})
+    out = _combine(ints, lambda w: (w[0], w[1:]), lambda a: {a: 1}, _add_lyndon_bracket)
+    return {w: Fraction(c, scale) for w, c in out.items()}
+
+
 def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
-    """Expand into the word algebra, every [A,B] becoming AB - BA."""
-    scale, ints = _scaled(
-        {w: c for w, c in a._coeffs.items() if len(w) <= truncation}
-    )
-    words = _combine_chains(ints, _add_commutator)
+    """Expand into the word algebra, every [A,B] becoming AB - BA.
+
+    The Lyndon words are walked as in ``to_lyndon_coords``, split at their
+    standard factorization; the expansion of each left factor is cached.
+    """
+    scale, ints = _scaled({w: c for w, c in a.items() if len(w) <= truncation})
+    words = _combine(ints, standard_factorization, _lyndon_expansion, _add_commutator)
     return NCSeries(truncation, {w: Fraction(c, scale) for w, c in words.items()})
 
 
@@ -515,50 +449,12 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     return coords
 
 
-def _ordered_coords(ints: dict[str, int], scale: int) -> dict[str, Fraction]:
-    """Integer Lyndon coordinates over one denominator as ``Fraction``s,
-    zeros dropped, in order of degree, then word."""
-    return {
-        w: Fraction(ints[w], scale)
-        for w in sorted(ints, key=lambda w: (len(w), w))
-        if ints[w]
-    }
-
-
-def to_lyndon_coords(a: LieElement | LieSeries) -> dict[str, Fraction]:
-    """Coordinates in the Lyndon basis, keyed by word string in order of
-    degree, then word; the chains are combined through the Lyndon bracket
-    table, and no word expansion is built."""
-    scale, ints = _scaled(a._coeffs)
-    return _ordered_coords(_combine_chains(ints, _add_lyndon_bracket), scale)
-
-
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     """Lyndon coordinates of an NCSeries that lies in the free Lie algebra."""
     words = nc.word_dict()
     if words.get(""):
         raise ValueError("not a Lie element: constant term")
     return _lyndon_reduce(*_scaled(words))
-
-
-@functools.cache
-def _lyndon_chains(word: str) -> dict[str, int]:
-    """P_w as integer chain words: a letter is itself, and P_w is
-    [P_u, P_v] over the standard factors u, v."""
-    if len(word) == 1:
-        return {word: 1}
-    u, v = standard_factorization(word)
-    return _rn_ad(_lyndon_expansion(u), _lyndon_chains(v))
-
-
-def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
-    """The element with the given Lyndon coordinates, as chains."""
-    scale, ints = _scaled(coords)
-    out: dict[str, int] = {}
-    for w, c in ints.items():
-        for u, ic in _lyndon_chains(w).items():
-            out[u] = out.get(u, 0) + c * ic
-    return LieElement({u: Fraction(c, scale) for u, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +464,8 @@ def from_lyndon_coords(coords: dict[str, Fraction]) -> LieElement:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images may be LieElements, LieSeries, or None for zero; their Lyndon
-    coordinates are scaled to integers over one common denominator and
+    Images may be LieElements, LieSeries, or None for zero; their
+    coefficients are scaled to integers over one common denominator and
     cut at the truncation.
 
     D acts on the Lyndon basis: for a Lyndon word w with standard factors
@@ -585,7 +481,7 @@ class Derivation:
         self._scale, ints = _scaled({
             (g, w): c
             for g, img in (("X", image_x), ("Y", image_y)) if img is not None
-            for w, c in to_lyndon_coords(img).items() if len(w) <= truncation
+            for w, c in img.items() if len(w) <= truncation
         })
         # A plain dict: functools.cache on a bound method is a reference
         # cycle, which keeps the memo alive until the cyclic collector runs.
@@ -607,22 +503,18 @@ class Derivation:
             out = self._memo[w] = {t: c for t, c in out.items() if c}
         return out
 
-    def __call__(self, target):
-        """D of an element (a LieElement), of a series (a LieSeries cut at
-        the smaller truncation) or of Lyndon coordinates (a dict keyed by
-        Lyndon word, returned in the order of ``to_lyndon_coords``)."""
-        coords = target if isinstance(target, dict) else to_lyndon_coords(target)
-        scale, ints = _scaled(coords)
+    def __call__(self, target: LieElement | LieSeries) -> LieElement | LieSeries:
+        """D of an element, or of a series as a series cut at the smaller
+        truncation."""
+        scale, ints = _scaled(target._coeffs)
         out: dict[str, int] = {}
         for w, c in ints.items():
             if len(w) > self.truncation:
                 continue
             for u, ic in self._derive(w).items():
                 out[u] = out.get(u, 0) + c * ic
-        result = _ordered_coords(out, scale * self._scale)
-        if isinstance(target, dict):
-            return result
-        terms = from_lyndon_coords(result)._coeffs
+        scale *= self._scale
+        terms = {u: Fraction(c, scale) for u, c in out.items() if c}
         if isinstance(target, LieSeries):
             return LieSeries(min(self.truncation, target.truncation), terms)
         return LieElement(terms)
@@ -712,7 +604,7 @@ def _ideal_spanning_coords(ideal: str, degree: int) -> list[dict[str, int]]:
 
 def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
     """The spanning set of ``_ideal_spanning_coords`` as elements."""
-    return [from_lyndon_coords(c) for c in _ideal_spanning_coords(ideal, degree)]
+    return [LieElement(c) for c in _ideal_spanning_coords(ideal, degree)]
 
 
 @functools.cache
@@ -727,9 +619,8 @@ def ideal_membership(a: LieElement | LieSeries, ideal: str) -> bool:
     """Exact membership test against the graded spanning set of the ideal."""
     if ideal not in _IDEALS:
         raise ValueError(f"unknown ideal {ideal!r}")
-    coords = to_lyndon_coords(a)
     by_degree: dict[int, dict] = {}
-    for w, c in coords.items():
+    for w, c in a.items():
         by_degree.setdefault(len(w), {})[w] = c
     for d, vec in by_degree.items():
         if _ideal_reducer(ideal, d).reduce(vec):

@@ -134,35 +134,30 @@ class MetabelianElement(_QuotientElement):
 def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
     """Normal form of a free Lie element modulo [[L,L],[L,L]].
 
-    The element is a combination of chains.  A chain whose final two
-    letters agree is zero; a tail YX flips sign to the tail XY; the
-    remaining prefix letters commute modulo brackets of brackets and are
-    sorted into X^k Y^l, landing in B(k,l).
+    The element is read off its Lyndon coordinates: those at X and Y, and
+    B(k-1,l-1) = (-1)^(l-1) times the one at X^k Y^l; every other word is
+    dropped.  Call P_w flagged when both its standard factors have length
+    at least 2, or one of them is flagged.  A flagged P_w is a bracket of
+    brackets, or a bracket with one, so it lies in the ideal.  The
+    unflagged words are the letters and the X^k Y^l (P_w is
+    [X, P_{X^(k-1) Y^l}] or [P_{X Y^(l-1)}, Y]), d - 1 of them in each
+    degree d >= 2, the dimension of the quotient there.  So the flagged
+    P_w of degree d, independent and as many as the dimension of the
+    ideal in degree d, are a basis of it.
     """
-    a = Fraction(0)
-    b = Fraction(0)
+    a = b = Fraction(0)
     table: dict[tuple[int, int], Fraction] = {}
     for w, c in e.items():
         if len(w) > truncation:
             continue
-        if len(w) == 1:
-            if w == "X":
-                a += c
-            else:
-                b += c
-            continue
-        tail = w[-2:]
-        if tail == "XX" or tail == "YY":
-            continue
-        if tail == "YX":
-            c = -c
-        prefix = w[:-2]
-        kl = (prefix.count("X"), prefix.count("Y"))
-        v = table.get(kl, Fraction(0)) + c
-        if v:
-            table[kl] = v
-        else:
-            table.pop(kl, None)
+        if w == "X":
+            a = c
+        elif w == "Y":
+            b = c
+        elif "YX" not in w:
+            k = w.index("Y")
+            l = len(w) - k
+            table[k - 1, l - 1] = c if l % 2 else -c
     return MetabelianElement(truncation, a, b, table)
 
 
@@ -294,5 +289,5 @@ def kv_verify(F: MetabelianElement, truncation: int) -> bool:
     n = truncation
     f = MetabelianElement(n, F.a, F.b, F._table)
     lhs = f.ad_x() + f.subst_negswap().ad_y()
-    rhs = MetabelianElement(n, 0, 0, hausdorff_closed(n)._table)
-    return lhs == rhs
+    # h at n - 1, cut to n - 2 by the constructor: the series kv_solve read
+    return lhs == MetabelianElement(n, 0, 0, h_series(n - 1))

@@ -43,8 +43,7 @@ from .series import (
     bernoulli,
     format_terms,
 )
-from .assoc import _scaled
-from .freelie import LieElement, _chain_expansion, _rn_ad
+from .freelie import LieElement, _add_lyndon_bracket, to_lyndon_coords
 
 __all__ = [
     "TildeElement",
@@ -239,25 +238,20 @@ def hausdorff_tilde(truncation: int) -> TildeElement:
 def expand_to_free(e: TildeElement) -> LieElement:
     """The element as honest nested brackets in the free Lie algebra.
 
-    The coefficients are scaled to integers over one denominator, and the
-    letters, the chains {m,n} and the brackets of pairs, each [{k,l},{m,n}]
-    rewritten into chains by ``_rn_ad``, add up in one dict.
+    The letters and the chains {m,n} enter the Lyndon basis through
+    ``to_lyndon_coords``; the pairs sharing a first entry u are summed as
+    [{u}, sum c {v}], both sides in Lyndon coordinates, through the
+    bracket table.
     """
     def chain(kl: Pair) -> str:
         return "X" * kl[0] + "Y" * (kl[1] + 1) + "X"
 
-    scale, ints = _scaled({
-        "X": e.a,
-        "Y": e.b,
-        **{chain(mn): c for mn, c in e._linear.items()},
-        **{uv: c for uv, c in e._quadratic.items()},
-    })
-    out: dict[str, int] = {}
-    for key, c in ints.items():
-        if isinstance(key, str):
-            out[key] = out.get(key, 0) + c
-            continue
-        u, v = key
-        for w, ic in _rn_ad(_chain_expansion(chain(u)), {chain(v): 1}).items():
-            out[w] = out.get(w, 0) + c * ic
-    return LieElement({w: Fraction(c, scale) for w, c in out.items()})
+    out = to_lyndon_coords(
+        {"X": e.a, "Y": e.b, **{chain(mn): c for mn, c in e._linear.items()}}
+    )
+    by_first: dict[Pair, dict[str, Fraction]] = {}
+    for (u, v), c in e._quadratic.items():
+        by_first.setdefault(u, {})[chain(v)] = c
+    for u, chains in by_first.items():
+        _add_lyndon_bracket(out, to_lyndon_coords({chain(u): 1}), to_lyndon_coords(chains))
+    return LieElement(out)

@@ -228,9 +228,9 @@ def test_zassenhaus_oracle_first_factor_and_reconstruction():
     n = 6
     factors = zassenhaus_oracle(n)
     assert len(factors) == n - 1
-    from mbch.freelie import to_lyndon_coords
+    from mbch.freelie import LieSeries
 
-    assert to_lyndon_coords(factors[0]) == {"XY": F(-1, 2)}
+    assert factors[0] == LieSeries(n, {"XY": F(-1, 2)})
     x = NCSeries.generator("X", n)
     y = NCSeries.generator("Y", n)
     prod = nc_exp(x) * nc_exp(y)

@@ -12,11 +12,10 @@ from mbch.freelie import (
     LieElement,
     LieSeries,
     bracket,
-    from_lyndon_coords,
     is_lyndon,
     long_commutator,
+    standard_bracketing,
     to_assoc,
-    to_lyndon_coords,
 )
 from mbch.verify import check_bch
 
@@ -28,17 +27,17 @@ from mbch.verify import check_bch
 def test_h1_degree_two():
     # B_1 [YX] / 1! = -(1/2)[YX] = +(1/2)[XY]
     s = hausdorff_h1(2)
-    assert to_lyndon_coords(s.as_element()) == {"X": F(1), "XY": F(1, 2)}
+    assert s == LieSeries(2, {"X": F(1), "XY": F(1, 2)})
 
 
 def test_h1_degree_three():
     # B_2 / 2! = (1/6) / 2 = 1/12 on [Y^2 X] = [XYY] in the Lyndon basis
     s = hausdorff_h1(3)
-    assert to_lyndon_coords(s.as_element()) == {
+    assert s == LieSeries(3, {
         "X": F(1),
         "XY": F(1, 2),
         "XYY": F(1, 12),
-    }
+    })
 
 
 def test_h1_degree_four_term_vanishes():
@@ -56,7 +55,7 @@ def test_h1_rejects_bad_truncation():
 # ---------------------------------------------------------------------------
 
 def test_recursive_classical_display():
-    assert bch_recursive(4) == {
+    assert bch_recursive(4) == LieSeries(4, {
         "X": F(1),
         "Y": F(1),
         "XY": F(1, 2),
@@ -65,15 +64,15 @@ def test_recursive_classical_display():
         "XYY": F(1, 12),
         # -[XYXY]/24 = +(1/24) [X,[[X,Y],Y]]
         "XXYY": F(1, 24),
-    }
+    })
 
 
 def test_recursive_steps_grade_in_x():
     # H_m carries degree exactly m in X; Lyndon words make the count visible.
     steps = list(bch_recursive_steps(6))
-    assert steps[0] == {"Y": F(1)}
+    assert steps[0] == LieSeries(6, {"Y": F(1)})
     for m, h in enumerate(steps):
-        for word in h:
+        for word, _ in h.items():
             assert type(word) is str and word.count("X") == m
 
 
@@ -90,24 +89,30 @@ def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
     assert all(results.values()) and len(results) == 3
 
 
+def test_check_bch_names_the_first_differing_word(monkeypatch):
+    # A perturbed coordinate of the tuple sum is named with both values;
+    # the passing checks keep an empty detail.
+    def perturbed(truncation):
+        return bch_dynkin(truncation) + LieSeries(truncation, {"XXYY": 1, "XXXYY": 1})
+
+    monkeypatch.setattr("mbch.verify.bch_dynkin", perturbed)
+    details = {name: (passed, detail) for name, passed, detail in check_bch(5)}
+    assert details.pop("recursion equals tuple sum through degree 5") == (
+        False, "differs at XXYY: 1/24 != 25/24"
+    )
+    assert all(d == (True, "") for d in details.values())
+
+
 def test_recursive_sum_matches_steps():
     total = {}
     for h in bch_recursive_steps(5):
         for w, c in h.items():
             total[w] = total.get(w, 0) + c
-    assert total == bch_recursive(5)
+    assert LieSeries(5, total) == bch_recursive(5)
 
 
 def _tree_degree(t):
     return 1 if isinstance(t, str) else _tree_degree(t[0]) + _tree_degree(t[1])
-
-
-def _chain_tree(word):
-    """The right-nested tree [w1,[w2,[...,wd]]] of a chain word."""
-    t = word[-1]
-    for ch in reversed(word[:-1]):
-        t = (ch, t)
-    return t
 
 
 def _lie(trees):
@@ -127,8 +132,9 @@ def _lie(trees):
 def _tree_route(n):
     """Reference recursion: the Leibniz rule on bracket trees, memoized per
     tree; after every step the trees enter the element through ``bracket``,
-    which writes them as chains."""
-    image = {_chain_tree(w): c for w, c in hausdorff_h1(n).items()}
+    which writes them in the Lyndon basis, each P_w as its standard
+    bracketing."""
+    image = {standard_bracketing(w): c for w, c in hausdorff_h1(n).items()}
 
     @functools.cache
     def derive(t):
@@ -150,7 +156,7 @@ def _tree_route(n):
     for m in range(1, n + 1):
         out = {}
         for w, c in h.term_dict().items():
-            for rt, rc in derive(_chain_tree(w)).items():
+            for rt, rc in derive(standard_bracketing(w)).items():
                 out[rt] = out.get(rt, 0) + c * rc
         h = F(1, m) * _lie(out)
         total = total + h
@@ -161,7 +167,7 @@ def _tree_route(n):
 def test_recursive_term_dict_matches_tree_route(n):
     # The recursion on the Lyndon basis gives the coordinates of the
     # Leibniz rule on bracket trees.
-    assert bch_recursive(n) == to_lyndon_coords(_tree_route(n))
+    assert bch_recursive(n) == _tree_route(n)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,7 @@ def test_recursive_term_dict_matches_tree_route(n):
 
 def test_dynkin_degree_one():
     h = bch_dynkin(1)
-    assert to_lyndon_coords(h.as_element()) == {"X": F(1), "Y": F(1)}
+    assert h == LieSeries(1, {"X": F(1), "Y": F(1)})
 
 
 def test_dynkin_degree_two_by_hand():
@@ -178,7 +184,7 @@ def test_dynkin_degree_two_by_hand():
     # -(1/2)[XY]/2 and (0,1,1,0) gives -(1/2)[YX]/2 = +[XY]/4; every
     # other tuple hits [XX] or [YY].  Net: 1/2 - 1/4 + 1/4 = 1/2.
     h = bch_dynkin(2)
-    assert to_lyndon_coords(h.part(2)) == {"XY": F(1, 2)}
+    assert h.part(2) == LieElement({"XY": F(1, 2)})
 
 
 def test_dynkin_rejects_bad_truncation():
@@ -210,7 +216,7 @@ def _dynkin_by_tuples(truncation):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_dynkin_word_dp_equals_tuple_enumeration(n):
-    assert bch_dynkin(n).as_element().term_dict() == _dynkin_by_tuples(n)
+    assert dict(bch_dynkin(n).items()) == _dynkin_by_tuples(n)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +227,16 @@ def test_triple_agreement_degree_six():
     n = 6
     rec = bch_recursive(n)
     dyn = bch_dynkin(n)
-    assert rec == to_lyndon_coords(dyn)
+    assert rec == dyn
     oracle = bch_log_oracle(n)
-    assert to_assoc(from_lyndon_coords(rec), n) == oracle
+    assert to_assoc(rec, n) == oracle
     assert to_assoc(dyn, n) == oracle
 
 
 def test_recursive_is_graded():
-    # Keyed by Lyndon word, in order of degree, then word.
+    # Keyed by Lyndon word, and written in order of degree, then word.
     h = bch_recursive(8)
-    assert all(is_lyndon(w) for w in h)
-    assert list(h) == sorted(h, key=lambda w: (len(w), w))
-    assert list(h) == list(to_lyndon_coords(from_lyndon_coords(h)))
+    words = [w for w, _ in h.items()]
+    assert all(is_lyndon(w) for w in words)
+    written = [t["word"] for t in h.to_json_dict()["terms"]]
+    assert written == sorted(words, key=lambda w: (len(w), w))

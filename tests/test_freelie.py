@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbch.assoc import NCSeries, bch_log_oracle
+from mbch.assoc import NCSeries, _compress_word, bch_log_oracle
 from mbch.bch import bch_dynkin, bch_recursive, hausdorff_h1
 from mbch.freelie import (
     Derivation,
     LieElement,
     LieSeries,
     bracket,
-    from_lyndon_coords,
     ideal_membership,
     ideal_spanning_elements,
     is_lyndon,
@@ -118,7 +117,7 @@ def test_long_commutator_examples():
 def test_bracket_drops_syntactically_equal_pairs():
     assert bracket(X, X).is_zero()
     a = bracket(X, Y) + Y
-    assert to_lyndon_coords(bracket(a, a)) == {}
+    assert bracket(a, a).is_zero()
 
 
 def test_element_equality_is_mathematical_as_for_series():
@@ -136,21 +135,21 @@ def test_element_equality_is_mathematical_as_for_series():
 
 
 def test_render_and_tree_word():
-    # A chain prints as a long commutator.  A series prints its standard
-    # bracketings, nested where they are not chains; an element prints the
-    # chains that bracket wrote.
+    # Elements and series print their standard bracketings: a long
+    # commutator where that is a chain, nested brackets otherwise.
     assert str(long_commutator("XXY")) == "[X^2Y]"
     nested = bracket(bracket(X, Y), Y)
     assert str(LieSeries(3, nested.term_dict())) == "[[XY],Y]"
-    assert str(nested) == "-[YXY]"
+    assert str(nested) == "[[XY],Y]"
 
 
-def test_elements_and_series_are_keyed_by_chain_words():
+def test_elements_and_series_are_keyed_by_lyndon_words():
     assert bracket(X, Y).term_dict() == {"XY": 1}
-    assert all(type(w) is str for w, _ in bch_dynkin(10).items())
-    for bad in (("X", "Y"), "", "XZ"):
+    assert bracket(Y, X).term_dict() == {"XY": -1}
+    assert all(is_lyndon(w) for w, _ in bch_dynkin(10).items())
+    for bad in (("X", "Y"), "", "XZ", "YX", "XYXY", "YXY"):
         for build in (lambda: LieElement({bad: 1}), lambda: LieSeries(3, {bad: 1})):
-            with pytest.raises(ValueError, match="chain word"):
+            with pytest.raises(ValueError, match="not a Lyndon word over X and Y"):
                 build()
 
 
@@ -181,7 +180,7 @@ def test_jacobi_identity():
             + bracket(b, bracket(c, a))
             + bracket(c, bracket(a, b))
         )
-        assert to_lyndon_coords(j) == {}
+        assert j.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +244,27 @@ def test_lyndon_bracket_table_matches_word_commutator():
             _add_commutator(reference, _lyndon_expansion(u), _lyndon_expansion(v))
             reference = {w: c for w, c in reference.items() if c}
             coords = _lyndon_bracket(u, v)
-            assert to_assoc(from_lyndon_coords(coords), n) == NCSeries(n, reference)
+            assert to_assoc(LieElement(coords), n) == NCSeries(n, reference)
             pairs += 1
     assert pairs == 470
 
 
 def test_to_lyndon_coords_builds_no_word_expansion():
-    # Chain combinations and the recursion reach the Lyndon basis through
+    # Dynkin's chains and the recursion reach the Lyndon basis through
     # the bracket table; the word expansions of the basis are left to
-    # lyndon_coords_of_assoc and from_lyndon_coords.
+    # lyndon_coords_of_assoc and to_assoc.
     _lyndon_expansion.cache_clear()
-    coords = to_lyndon_coords(bch_dynkin(10))
+    dyn = bch_dynkin(10)
     rec = bch_recursive(10)
     assert _lyndon_expansion.cache_info().currsize == 0
-    assert coords == rec == lyndon_coords_of_assoc(bch_log_oracle(10))
+    assert dyn == rec == LieSeries(10, lyndon_coords_of_assoc(bch_log_oracle(10)))
 
 
 def test_elimination_keeps_no_top_degree_expansion():
     # The degree-12 pivots are no factor of another pivot, so the cache
     # ends with at most the Lyndon words through 11 (412 of them).
     _lyndon_expansion.cache_clear()
-    assert lyndon_coords_of_assoc(bch_log_oracle(12)) == bch_recursive(12)
+    assert LieSeries(12, lyndon_coords_of_assoc(bch_log_oracle(12))) == bch_recursive(12)
     assert sum(map(_necklace_count, range(1, 12))) == 412
     assert _lyndon_expansion.cache_info().currsize <= 412
 
@@ -280,7 +279,8 @@ def _tree_name(t):
         spine += rest[0]
         rest = rest[1]
     if isinstance(rest, str):
-        return str(LieElement({spine + rest: 1}))
+        word = spine + rest
+        return word if len(word) == 1 else f"[{_compress_word(word)}]"
     return f"[{_tree_name(t[0])},{_tree_name(t[1])}]"
 
 
@@ -294,19 +294,42 @@ def test_lyndon_names_match_tree_walk():
 
 
 def test_to_lyndon_coords_examples():
-    assert to_lyndon_coords(bracket(Y, bracket(X, Y))) == {"XYY": F(-1)}
-    assert to_lyndon_coords(X + 2 * Y) == {"X": 1, "Y": 2}
+    assert to_lyndon_coords({"YXY": 1}) == {"XYY": F(-1)}
+    assert to_lyndon_coords({"X": 1, "Y": 2}) == {"X": 1, "Y": 2}
+    assert to_lyndon_coords({"XX": 1, "YXX": 3}) == {}
+    for bad in ({"": 1}, {"XZ": 1}, {("X", "Y"): 1}):
+        with pytest.raises(ValueError, match="chain word"):
+            to_lyndon_coords(bad)
+
+
+def _chain_tree(word):
+    """The right-nested tree [w1,[w2,[...,wd]]] of a chain word."""
+    t = word[-1]
+    for ch in reversed(word[:-1]):
+        t = (ch, t)
+    return t
+
+
+def test_chains_match_their_word_expansion():
+    # A chain combination through the bracket table against its word
+    # expansion through the elimination, which shares no algorithm with it.
+    rng = random.Random(29)
+    for _ in range(40):
+        chains = {}
+        for _ in range(rng.randint(1, 6)):
+            word = "".join(rng.choice("XY") for _ in range(rng.randint(1, 9)))
+            chains[word] = F(rng.randint(-5, 5), rng.randint(1, 7))
+        words = _word_expansion({_chain_tree(w): c for w, c in chains.items()})
+        assert to_lyndon_coords(chains) == lyndon_coords_of_assoc(NCSeries(9, words))
 
 
 def test_lyndon_roundtrip_random():
+    # Lyndon coordinates to words and back.
     rng = random.Random(23)
     for _ in range(30):
         e = _random_element(rng)
-        coords = to_lyndon_coords(e)
-        back = from_lyndon_coords(coords)
         n = max(8, max(e.degree_components(), default=0))
-        assert to_assoc(back, n) == to_assoc(e, n)
-        assert to_lyndon_coords(back) == coords
+        assert LieElement(lyndon_coords_of_assoc(to_assoc(e, n))) == e
 
 
 def test_lyndon_coords_of_assoc_rejects_non_lie():
@@ -339,7 +362,7 @@ def test_lie_element_rejects_floats(bad):
 def test_lie_element_rejects_non_trees(tree):
     # Elements and series share one key check.
     for build in (lambda: LieElement({tree: 1}), lambda: LieSeries(3, {tree: 1})):
-        with pytest.raises(ValueError, match="chain word"):
+        with pytest.raises(ValueError, match="not a Lyndon word"):
             build()
 
 
@@ -406,15 +429,13 @@ def test_integer_core_identities_on_random_trees(pair):
     n = max(e.degree_components(), default=0)
     nc = to_assoc(e, n)
     assert dict(nc.terms()) == _word_expansion(trees)
-    coords = to_lyndon_coords(e)
-    assert coords == lyndon_coords_of_assoc(nc)
-    assert to_assoc(from_lyndon_coords(coords), n) == nc
-    assert coords == to_lyndon_coords(base)
-    assert to_lyndon_coords(right_normed(e)) == coords
+    assert e.term_dict() == lyndon_coords_of_assoc(nc)
+    assert e == base
+    assert right_normed(e) == e
 
 
 def test_recursive_and_oracle_coordinates_agree_at_degree_12():
-    assert bch_recursive(12) == lyndon_coords_of_assoc(bch_log_oracle(12))
+    assert bch_recursive(12) == LieSeries(12, lyndon_coords_of_assoc(bch_log_oracle(12)))
 
 
 def test_friedrichs_on_oracle_components():
@@ -422,7 +443,7 @@ def test_friedrichs_on_oracle_components():
     for d in range(1, 9):
         part = h.degree_part(d)
         coords = lyndon_coords_of_assoc(part)
-        assert to_assoc(from_lyndon_coords(coords), 8) == part
+        assert to_assoc(LieElement(coords), 8) == part
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +455,14 @@ def test_right_normed_preserves_coordinates():
     for _ in range(30):
         e = _random_element(rng)
         r = right_normed(e)
-        assert to_lyndon_coords(r) == to_lyndon_coords(e)
+        assert r == e
         assert r.term_dict() == e.term_dict()
 
 
 def test_right_normed_on_left_nested():
-    e = _lie({(("X", "Y"), "Y"): 1})  # [[X,Y],Y]
+    e = _lie({(("X", "Y"), "Y"): 1})  # [[X,Y],Y], the basis element P_XYY
     r = right_normed(e)
-    assert r.term_dict() == {"YXY": -1}
+    assert r.term_dict() == {"XYY": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +471,13 @@ def test_right_normed_on_left_nested():
 
 def test_derivation_kills_equal_pair():
     out = Derivation(None, X, 6)(bracket(X, Y))
-    assert to_lyndon_coords(out) == {}
+    assert out.is_zero()
 
 
 def test_derivation_simple_image():
     # D(X) = 0, D(Y) = [X,Y] on [X,Y] gives [X,[X,Y]].
     out = Derivation(None, long_commutator("XY"), 6)(bracket(X, Y))
-    assert to_lyndon_coords(out) == to_lyndon_coords(long_commutator("XXY"))
+    assert out == long_commutator("XXY")
 
 
 def test_derivation_leibniz_property():
@@ -467,7 +488,7 @@ def test_derivation_leibniz_property():
         b = _random_element(rng, 2, 2)
         lhs = d(bracket(a, b))
         rhs = bracket(d(a), b) + bracket(a, d(b))
-        assert to_lyndon_coords(lhs) == to_lyndon_coords(rhs)
+        assert lhs == rhs
 
 
 def test_derivation_respects_truncation():
@@ -481,9 +502,9 @@ def test_derivation_memo_holds_one_entry_per_lyndon_word(n):
     # a Lyndon word through the truncation, so the memo stays within their
     # number however many chains the steps would have written.
     d = Derivation(None, hausdorff_h1(n), n)
-    h = {"Y": F(1)}
+    h = LieSeries(n, {"Y": F(1)})
     for m in range(1, n + 1):
-        h = {w: c / m for w, c in d(h).items()}
+        h = F(1, m) * d(h)
     assert all(is_lyndon(w) and len(w) <= n for w in d._memo)
     assert len(d._memo) <= sum(len(lyndon_words(k)) for k in range(1, n + 1))
 
@@ -540,9 +561,9 @@ def test_derivation_on_chains_matches_tree_leibniz_rule():
             target = _random_trees(rng, 3, 3)
             images = [None if i is None else _lie(i) for i in (ix, iy)]
             out = Derivation(*images, n)(_lie(target))
-            assert all(type(w) is str for w, _ in out.terms())
-            coords = to_lyndon_coords(out)
-            assert coords == to_lyndon_coords(_tree_derivation(ix, iy, n)(target))
+            assert all(is_lyndon(w) for w, _ in out.terms())
+            coords = out.term_dict()
+            assert coords == _tree_derivation(ix, iy, n)(target).term_dict()
             nonzero += bool(coords)
     assert nonzero >= 90
 
@@ -606,9 +627,9 @@ def test_ideal_spanning_degrees():
 # ---------------------------------------------------------------------------
 
 def test_series_enforces_homogeneity():
-    # A LieSeries is keyed by chain words, each graded by its length, so
+    # A LieSeries is keyed by Lyndon words, each graded by its length, so
     # the old {degree: element} shape is refused as a malformed key.
-    with pytest.raises(ValueError, match="chain word"):
+    with pytest.raises(ValueError, match="not a Lyndon word"):
         LieSeries(4, {2: X + bracket(X, Y)})
 
 
@@ -636,6 +657,6 @@ def test_series_algebra_and_parts():
     s = LieSeries(3, (X + bracket(X, Y)).term_dict())
     t = LieSeries(3, Y.term_dict())
     u = s + t
-    assert to_lyndon_coords(u.part(1)) == {"X": 1, "Y": 1}
-    assert to_lyndon_coords((2 * s).part(2)) == {"XY": 2}
+    assert u.part(1) == X + Y
+    assert (2 * s).part(2) == 2 * bracket(X, Y)
     assert s.truncate(1).part(1) == X

@@ -1,5 +1,6 @@
 """Tests for the quotient modulo brackets of brackets."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -10,13 +11,16 @@ from mbch.bch import bch_recursive
 from mbch.freelie import (
     LieElement,
     bracket,
-    from_lyndon_coords,
     ideal_spanning_elements,
     long_commutator,
     lyndon_coords_of_assoc,
+    lyndon_words,
     span_rank,
+    standard_factorization,
     to_assoc,
+    to_lyndon_coords,
 )
+from mbch.freelie import _ideal_spanning_coords
 from mbch.metabelian import (
     MetabelianElement,
     goldberg_c,
@@ -28,6 +32,7 @@ from mbch.metabelian import (
     zassenhaus_closed,
 )
 from mbch.series import BiSeries
+from mbch.verify import check_metabelian
 
 
 X = LieElement.generator("X")
@@ -125,27 +130,28 @@ def test_element_truncations_one_and_two():
     assert hausdorff_closed(2) == MetabelianElement(2, 1, 1, {(0, 0): F(1, 2)})
 
 
-def _swap_letters(e: LieElement) -> LieElement:
+def _swap_letters(chains: dict) -> LieElement:
     """The free-algebra substitution X -> -Y, Y -> -X, chain by chain."""
     swap = str.maketrans("XY", "YX")
-    return LieElement(
-        {w.translate(swap): (-1) ** len(w) * c for w, c in e.term_dict().items()}
-    )
+    return LieElement(to_lyndon_coords(
+        {w.translate(swap): (-1) ** len(w) * c for w, c in chains.items()}
+    ))
 
 
 def test_quotient_bracket_matches_free_algebra():
     rng = random.Random(5)
     n = 7
     for _ in range(30):
-        e = F(rng.randint(-3, 3)) * X + F(rng.randint(-3, 3)) * Y
+        chains = {"X": F(rng.randint(-3, 3)), "Y": F(rng.randint(-3, 3))}
         for _ in range(rng.randint(1, 6)):
             word = "".join(rng.choice("XY") for _ in range(rng.randint(2, n)))
             c = F(rng.randint(-5, 5), rng.randint(1, 4))
-            e = e + c * long_commutator(word)
+            chains[word] = chains.get(word, 0) + c
+        e = LieElement(to_lyndon_coords(chains))
         p = project(e, n)
         assert project(bracket(X, e), n) == p.ad_x()
         assert project(bracket(Y, e), n) == p.ad_y()
-        assert project(_swap_letters(e), n) == p.subst_negswap()
+        assert project(_swap_letters(chains), n) == p.subst_negswap()
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,64 @@ def test_project_linear():
         u = sum((F(rng.randint(-4, 4)) * t for t in pool), LieElement.zero())
         v = sum((F(rng.randint(-4, 4)) * t for t in pool), LieElement.zero())
         assert project(u, 6) + project(v, 6) == project(u + v, 6)
+
+
+@functools.cache
+def _flagged(w: str) -> bool:
+    """P_w lies in [[L,L],[L,L]] by construction: both standard factors
+    have length at least 2, or one of them is flagged."""
+    if len(w) == 1:
+        return False
+    u, v = standard_factorization(w)
+    return (len(u) > 1 and len(v) > 1) or _flagged(u) or _flagged(v)
+
+
+def _chain_rule_project(chains: dict, truncation: int) -> MetabelianElement:
+    """The projection of a chain combination by the chain rule, as a
+    reference: a chain whose final two letters agree is zero, a tail YX
+    flips sign to the tail XY, and the prefix letters commute modulo
+    brackets of brackets, sorted into X^k Y^l, landing in B(k,l)."""
+    a = b = F(0)
+    table = {}
+    for w, c in chains.items():
+        if len(w) > truncation:
+            continue
+        if len(w) == 1:
+            a, b = (a + c, b) if w == "X" else (a, b + c)
+            continue
+        tail = w[-2:]
+        if tail in ("XX", "YY"):
+            continue
+        prefix = w[:-2]
+        kl = (prefix.count("X"), prefix.count("Y"))
+        table[kl] = table.get(kl, 0) + (-c if tail == "YX" else c)
+    return MetabelianElement(truncation, a, b, table)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_flagged_lyndon_words_span_the_ideal(d):
+    # The rule project reads coordinates by: the unflagged words are the
+    # X^k Y^l, the flagged ones are as many as the ideal's dimension, and
+    # the ideal's spanning brackets carry no X^k Y^l coordinate.
+    words = lyndon_words(d)
+    quotient = ["X" * k + "Y" * (d - k) for k in range(d - 1, 0, -1)]
+    assert [w for w in words if not _flagged(w)] == quotient
+    spanning = _ideal_spanning_coords("metabelian", d)
+    rank = span_rank({w: F(c) for w, c in v.items()} for v in spanning)
+    assert rank == len(words) - (d - 1)
+    assert not any(v.get(w) for v in spanning for w in quotient)
+
+
+def test_project_agrees_with_the_chain_rule():
+    rng = random.Random(12)
+    for _ in range(60):
+        chains = {}
+        for _ in range(rng.randint(1, 8)):
+            word = "".join(rng.choice("XY") for _ in range(rng.randint(1, 12)))
+            chains[word] = F(rng.randint(-9, 9), rng.randint(1, 5))
+        n = rng.randint(1, 12)
+        e = LieElement(to_lyndon_coords(chains))
+        assert project(e, n) == _chain_rule_project(chains, n)
 
 
 def test_basis_independence_through_degree_eight():
@@ -241,12 +305,22 @@ def test_closed_formula_low_degrees():
 
 def test_closed_equals_projected_recursion():
     for n in range(1, 9):
-        assert project(from_lyndon_coords(bch_recursive(n)), n) == hausdorff_closed(n)
+        assert project(bch_recursive(n), n) == hausdorff_closed(n)
+
+
+def test_check_metabelian_names_the_first_differing_slot(monkeypatch):
+    def perturbed(n):
+        return hausdorff_closed(n) + MetabelianElement(n, 0, 0, {(2, 1): 1, (3, 1): 1})
+
+    monkeypatch.setattr("mbch.verify.hausdorff_closed", perturbed)
+    name, passed, detail = check_metabelian(6)[0]
+    assert name == "projected recursion equals closed formula at degree 6"
+    assert (passed, detail) == (False, "differs at (2,1): -1/180 != 179/180")
 
 
 def test_closed_degree_five_against_word_oracle():
     # Second, independent path: word-level log, Lyndon extraction, project.
-    lie = from_lyndon_coords(lyndon_coords_of_assoc(bch_log_oracle(5)))
+    lie = LieElement(lyndon_coords_of_assoc(bch_log_oracle(5)))
     assert project(lie, 5).degree_part(5) == hausdorff_closed(5).degree_part(5)
 
 
@@ -331,7 +405,7 @@ def test_zassenhaus_against_log_residual():
     x = NCSeries.generator("X", n)
     y = NCSeries.generator("Y", n)
     residual = nc_log(nc_exp(-y) * nc_exp(-x) * nc_exp(x + y))
-    lie = from_lyndon_coords(lyndon_coords_of_assoc(residual))
+    lie = LieElement(lyndon_coords_of_assoc(residual))
     assert project(lie, n) == zassenhaus_closed(n)
 
 
@@ -344,6 +418,14 @@ def test_kv_particular_solution():
     assert f.a == 0 and f.b == F(1, 4)
     assert f.coefficient(0, 0) == F(1, 12)
     assert kv_verify(f, 8)
+
+
+def test_kv_solve_and_verify_share_one_h():
+    # kv_verify reads the h that kv_solve computed, h at n - 1 cut to n - 2.
+    h_series.cache_clear()
+    n = 20
+    assert kv_verify(kv_solve(n), n)
+    assert h_series.cache_info().misses == 1
 
 
 def test_kv_scalar_freedom():

@@ -367,11 +367,11 @@ def _nc(coeffs, n=4):
      "-1 - X + XY - 2/3 X^2Y + 4 Y^2X"),
     (_nc({"": 1, "X": F(1, 2)}), "1 + 1/2 X"),
     (NCSeries.zero(2), "0"),
-    # The bracket of two chains is written as chains: [[XY],[X^2Y]] is
-    # [XYX^2Y] - [YX^3Y].
+    # The bracket of two chains is written in the Lyndon basis:
+    # [[XY],[X^2Y]] is -[[X^2Y],[XY]].
     (LieElement({"X": -1, "Y": 1, "XY": F(-1, 2), "XXY": -1})
      + 3 * bracket(long_commutator("XY"), long_commutator("XXY")),
-     "-X + Y - 1/2 [XY] - [X^2Y] + 3 [XYX^2Y] - 3 [YX^3Y]"),
+     "-X + Y - 1/2 [XY] - [X^2Y] - 3 [[X^2Y],[XY]]"),
     (LieElement.zero(), "0"),
     (MetabelianElement(5, -1, 1, {(0, 0): -1, (1, 0): F(1, 2), (0, 1): 1,
                                   (1, 1): F(-2, 3)}),
@@ -535,7 +535,7 @@ def test_from_json_dict_refuses_another_containers_basis(cls, basis):
     (BiSeries, {(0, 1): F(1, 2), (1, 0): 3}),
     (PairSeries, {((1, 0), (0, 0)): F(-1, 3)}),
     (NCSeries, {"": 1, "YX": F(1, 2)}),
-    (LieSeries, {"XY": F(1, 2), "YXY": -1}),
+    (LieSeries, {"XY": F(1, 2), "XYY": -1}),
     (MetabelianElement, {(0, 1): F(1, 2)}),
     (TildeElement, {(1, 0): F(1, 2)}),
 ], ids=["BiSeries", "PairSeries", "NCSeries", "LieSeries", "MetabelianElement",
