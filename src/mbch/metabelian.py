@@ -10,9 +10,9 @@ computable in closed form:
     log(e^X e^Y) = X + Y + h(ad X, ad Y) [XY],
     h(x,y) = (1/y) (1 - ((e^x - 1)/x) ((x+y)/(e^{x+y} - 1)))
 
-This module provides the projection onto the quotient, the closed
-formula, the two-variable exponential-word coefficient series c(u,v),
-the solution of the quotient Zassenhaus equation, and a complete solver
+This module provides the projection onto the quotient (a mask on
+Lyndon coordinates), the closed formula, the two-variable coefficient
+series c(u,v), the quotient Zassenhaus solution, and a complete solver
 for the commutator equation
 
     log(e^X e^Y) - X - Y = [X, F(X,Y)] + [Y, F(-Y,-X)].
@@ -24,7 +24,7 @@ import functools
 from fractions import Fraction
 
 from .series import BiSeries, _Codec, _QuotientElement, _Table, _as_fraction, format_terms
-from .freelie import LieElement, LieSeries, _chain_name
+from .freelie import LieElement, LieSeries, _chain_name, _ideal_level
 
 __all__ = [
     "MetabelianElement",
@@ -135,15 +135,9 @@ def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
     """Normal form of a free Lie element modulo [[L,L],[L,L]].
 
     The element is read off its Lyndon coordinates: those at X and Y, and
-    B(k-1,l-1) = (-1)^(l-1) times the one at X^k Y^l; every other word is
-    dropped.  Call P_w flagged when both its standard factors have length
-    at least 2, or one of them is flagged.  A flagged P_w is a bracket of
-    brackets, or a bracket with one, so it lies in the ideal.  The
-    unflagged words are the letters and the X^k Y^l (P_w is
-    [X, P_{X^(k-1) Y^l}] or [P_{X Y^(l-1)}, Y]), d - 1 of them in each
-    degree d >= 2, the dimension of the quotient there.  So the flagged
-    P_w of degree d, independent and as many as the dimension of the
-    ideal in degree d, are a basis of it.
+    B(k-1,l-1) = (-1)^(l-1) times the one at X^k Y^l.  Every other word
+    has a P_w in the ideal, by the factor rule of ``freelie._ideal_level``,
+    and is dropped.
     """
     a = b = Fraction(0)
     table: dict[tuple[int, int], Fraction] = {}
@@ -154,7 +148,7 @@ def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
             a = c
         elif w == "Y":
             b = c
-        elif "YX" not in w:
+        elif _ideal_level(w) == 0:
             k = w.index("Y")
             l = len(w) - k
             table[k - 1, l - 1] = c if l % 2 else -c

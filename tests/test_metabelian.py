@@ -1,6 +1,5 @@
 """Tests for the quotient modulo brackets of brackets."""
 
-import functools
 import random
 from fractions import Fraction as F
 
@@ -11,16 +10,16 @@ from mbch.bch import bch_recursive
 from mbch.freelie import (
     LieElement,
     bracket,
+    ideal_membership,
     ideal_spanning_elements,
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
     span_rank,
-    standard_factorization,
     to_assoc,
     to_lyndon_coords,
 )
-from mbch.freelie import _ideal_spanning_coords
+from mbch.freelie import _IDEALS, _ideal_level, _ideal_spanning_coords
 from mbch.metabelian import (
     MetabelianElement,
     goldberg_c,
@@ -32,7 +31,7 @@ from mbch.metabelian import (
     zassenhaus_closed,
 )
 from mbch.series import BiSeries
-from mbch.verify import check_metabelian
+from mbch.verify import check_metabelian, run_suite
 
 
 X = LieElement.generator("X")
@@ -195,16 +194,6 @@ def test_project_linear():
         assert project(u, 6) + project(v, 6) == project(u + v, 6)
 
 
-@functools.cache
-def _flagged(w: str) -> bool:
-    """P_w lies in [[L,L],[L,L]] by construction: both standard factors
-    have length at least 2, or one of them is flagged."""
-    if len(w) == 1:
-        return False
-    u, v = standard_factorization(w)
-    return (len(u) > 1 and len(v) > 1) or _flagged(u) or _flagged(v)
-
-
 def _chain_rule_project(chains: dict, truncation: int) -> MetabelianElement:
     """The projection of a chain combination by the chain rule, as a
     reference: a chain whose final two letters agree is zero, a tail YX
@@ -229,16 +218,31 @@ def _chain_rule_project(chains: dict, truncation: int) -> MetabelianElement:
 
 @pytest.mark.parametrize("d", range(2, 13))
 def test_flagged_lyndon_words_span_the_ideal(d):
-    # The rule project reads coordinates by: the unflagged words are the
-    # X^k Y^l, the flagged ones are as many as the ideal's dimension, and
-    # the ideal's spanning brackets carry no X^k Y^l coordinate.
+    # The factor rule that project and ideal_membership read.  For each
+    # ideal, the words at its level are as many as the rank of its
+    # spanning brackets, and no spanning bracket has a coordinate at a
+    # word below that level, so the two spans are equal in degree d.
     words = lyndon_words(d)
     quotient = ["X" * k + "Y" * (d - k) for k in range(d - 1, 0, -1)]
-    assert [w for w in words if not _flagged(w)] == quotient
-    spanning = _ideal_spanning_coords("metabelian", d)
-    rank = span_rank({w: F(c) for w, c in v.items()} for v in spanning)
-    assert rank == len(words) - (d - 1)
-    assert not any(v.get(w) for v in spanning for w in quotient)
+    assert [w for w in words if _ideal_level(w) == 0] == quotient
+    rng = random.Random(d)
+    for ideal, level in _IDEALS.items():
+        flagged = [w for w in words if _ideal_level(w) >= level]
+        below = [w for w in words if _ideal_level(w) < level]
+        spanning = _ideal_spanning_coords(ideal, d)
+        rank = span_rank(spanning)
+        assert rank == len(flagged), ideal
+        assert not any(v.get(w) for v in spanning for w in below), ideal
+        # Membership against a rank reference, on flagged words with or
+        # without an unflagged one.
+        for i in range(6):
+            picked = rng.sample(flagged, min(len(flagged), 3))
+            if i % 2:
+                picked.append(rng.choice(below))
+            coords = {w: rng.choice((-3, -1, 1, 2)) for w in picked}
+            member = span_rank(spanning + [coords]) == rank
+            assert ideal_membership(LieElement(coords), ideal) == member, (ideal, coords)
+            assert member == (i % 2 == 0)
 
 
 def test_project_agrees_with_the_chain_rule():
@@ -426,6 +430,15 @@ def test_kv_solve_and_verify_share_one_h():
     n = 20
     assert kv_verify(kv_solve(n), n)
     assert h_series.cache_info().misses == 1
+
+
+def test_metabelian_suite_asks_for_each_h_once():
+    # The closed formula computes h at n - 2 and the suite h at n; the
+    # suite cuts its own h for the c_rs checks instead of asking again.
+    h_series.cache_clear()
+    assert all(passed for _, passed, _ in run_suite("metabelian", 9))
+    info = h_series.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
 
 
 def test_kv_scalar_freedom():

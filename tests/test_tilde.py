@@ -22,6 +22,7 @@ from mbch.tilde import (
     tilde_act,
     tilde_dy,
 )
+from mbch.verify import check_deeper
 
 
 def _coords(e) -> dict:
@@ -261,6 +262,16 @@ def test_hausdorff_tilde_matches_free_series_low_degree():
         lhs = _coords(expand_to_free(hausdorff_tilde(n)))
         rhs = _coords(bch_recursive(n))
         assert lhs == rhs, n
+
+
+def test_check_deeper_names_the_first_word_outside_the_ideal(monkeypatch):
+    def perturbed(n):
+        return hausdorff_tilde(n) + TildeElement(n, linear={(3, 3): 1, (2, 3): F(-2, 3)})
+
+    monkeypatch.setattr("mbch.verify.hausdorff_tilde", perturbed)
+    name, passed, detail = check_deeper(8)[3]
+    assert name == "deviation lies in the ideal through degree 8"
+    assert (passed, detail) == (False, "outside the ideal at XXXYYYY: -2/3")
 
 
 def test_hausdorff_tilde_deviation_lies_in_ideal():
