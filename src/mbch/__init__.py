@@ -23,7 +23,6 @@ from .assoc import (
 )
 from .freelie import (
     Derivation,
-    LieElement,
     LieSeries,
     bracket,
     ideal_membership,
@@ -85,7 +84,6 @@ __all__ = [
     "nc_log",
     "zassenhaus_oracle",
     "Derivation",
-    "LieElement",
     "LieSeries",
     "bracket",
     "ideal_membership",

@@ -1,15 +1,18 @@
 """Free Lie algebra on two generators X, Y with exact coefficients.
 
-Elements are finite rational combinations of the Lyndon basis: a Lyndon
-word w over X < Y stands for its standard bracketing P_w, a letter or
-[P_u, P_v] over the standard factors u, v of w.  ``LieElement`` and
-``LieSeries`` map Lyndon words to ``Fraction``s, as ``assoc.NCSeries``
-maps words, and since the P_w are a basis, equal elements are equal
-maps.  ``bracket`` reads a cached table of brackets [P_u, P_v], each an
-integer combination of P_w computed by the Jacobi rewriting of
-Reutenauer's standard-factorization algorithm, and ``Derivation`` acts
-on the basis by D(P_w) = [D P_u, P_v] + [P_u, D P_v], so the BCH
-recursion runs on Lyndon coordinates from start to end.
+An element is a ``LieSeries``: rational coordinates in the Lyndon basis,
+cut at a total degree.  A Lyndon word w over X < Y stands for its
+standard bracketing P_w, a letter or [P_u, P_v] over the standard
+factors u, v of w.  ``LieSeries`` maps Lyndon words to ``Fraction``s, as
+``assoc.NCSeries`` maps words, and since the P_w are a basis, equal
+series are equal maps.  ``bracket`` reads a cached table of brackets
+[P_u, P_v], each an integer combination of P_w computed by the Jacobi
+rewriting of Reutenauer's standard-factorization algorithm, and
+``Derivation`` acts on the basis by D(P_w) = [D P_u, P_v] + [P_u, D P_v],
+so the BCH recursion runs on Lyndon coordinates from start to end.  Both
+cut their result at the smaller truncation, as ``NCSeries`` cuts a
+product: factors known through degree n determine a bracket only
+through n.
 
 Right-nested chains [w1,[w2,[...,wd]]], the natural output of Dynkin's
 formula and of long commutators, enter in one place:
@@ -40,13 +43,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .assoc import NCSeries, _all_words, _compress_word, _scaled
 from .series import TruncatedSeries, _Codec, _Table, _as_fraction, format_terms
 
 __all__ = [
-    "LieElement",
     "LieSeries",
     "bracket",
     "long_commutator",
@@ -75,14 +77,6 @@ def _is_lyndon_key(w) -> bool:
     return isinstance(w, str) and not w.strip("XY") and is_lyndon(w)
 
 
-def _refuse_non_lyndon(words: Iterable) -> None:
-    """Every key is a Lyndon word over X and Y, each checked once per
-    process."""
-    for w in words:
-        if not _is_lyndon_key(w):
-            raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
-
-
 def _chain_name(word: str) -> str:
     """A letter, or the long commutator [w] in run-length notation."""
     return word if len(word) == 1 else f"[{_compress_word(word)}]"
@@ -101,134 +95,15 @@ def _lyndon_name(word: str) -> str:
     return f"[{_lyndon_name(u)},{_lyndon_name(v)}]"
 
 
-def _name_order(w: str) -> tuple:
-    """Printing order: degree, then name."""
-    return len(w), _lyndon_name(w)
-
-
-def _lyndon_text(coeffs: dict) -> str:
-    """A sum of standard bracketings, in printing order."""
-    order = sorted(coeffs, key=_name_order)
-    return format_terms((coeffs[w], _lyndon_name(w)) for w in order)
-
-
 # ---------------------------------------------------------------------------
-# Elements
-# ---------------------------------------------------------------------------
-
-class LieElement:
-    """Finite rational combination of the Lyndon basis, keyed by Lyndon
-    word (may be inhomogeneous)."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, terms: dict | None = None):
-        clean: dict[str, Fraction] = {}
-        if terms:
-            _refuse_non_lyndon(terms)
-            for w, v in terms.items():
-                c = _as_fraction(v)
-                if c:
-                    clean[w] = c
-        object.__setattr__(self, "_coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieElement is immutable")
-
-    @classmethod
-    def zero(cls) -> "LieElement":
-        return cls()
-
-    @classmethod
-    def generator(cls, letter: str) -> "LieElement":
-        if letter not in _GENERATORS:
-            raise ValueError("generator must be X or Y")
-        return cls({letter: 1})
-
-    def items(self):
-        """The nonzero (Lyndon word, coefficient) pairs, in no particular order."""
-        return self._coeffs.items()
-
-    def terms(self) -> Iterator[tuple[str, Fraction]]:
-        for w in sorted(self._coeffs, key=_name_order):
-            yield w, self._coeffs[w]
-
-    def term_dict(self) -> dict:
-        return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def degree_components(self) -> dict[int, "LieElement"]:
-        parts: dict[int, dict] = {}
-        for w, c in self._coeffs.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {d: LieElement(m) for d, m in sorted(parts.items())}
-
-    def __add__(self, other) -> "LieElement":
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return LieElement(out)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement({w: -c for w, c in self._coeffs.items()})
-
-    def __sub__(self, other) -> "LieElement":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "LieElement":
-        c = _as_fraction(scalar)
-        return LieElement({w: c * v for w, v in self._coeffs.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self._coeffs == other._coeffs
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        return _lyndon_text(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"LieElement({len(self._coeffs)} terms)"
-
-
-def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Bilinear bracket, read from the Lyndon bracket table."""
-    sa, ia = _scaled(a._coeffs)
-    sb, ib = _scaled(b._coeffs)
-    out: dict[str, int] = {}
-    _add_lyndon_bracket(out, ia, ib)
-    scale = sa * sb
-    return LieElement({w: Fraction(c, scale) for w, c in out.items() if c})
-
-
-def long_commutator(word: str) -> LieElement:
-    """Right-nested commutator [w1,[w2,[...,wd]]]; zero when it ends in a
-    repeated letter."""
-    return LieElement(to_lyndon_coords({word: 1}))
-
-
-def right_normed(a: LieElement) -> LieElement:
-    """A copy of the element, which is always written in the Lyndon basis.
-
-    The name stays because the benchmark's span tracer
-    (``perfbench/tracer.py``) instruments it by name, and its ``install``
-    fails on a name that is missing.
-    """
-    return LieElement(a._coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Graded series
+# Lie series
 # ---------------------------------------------------------------------------
 
 class LieSeries(TruncatedSeries):
     """A Lie series cut at a total degree: a map from Lyndon word to
     coefficient, graded by word length.  It prints, and is written as
-    JSON and CSV, as its Lyndon coordinates."""
+    JSON and CSV, as its Lyndon coordinates, in order of degree and then
+    of the printed bracketing."""
 
     __slots__ = ()
     _degree = staticmethod(len)
@@ -236,17 +111,51 @@ class LieSeries(TruncatedSeries):
     _CODEC = _Codec("lyndon", (), (_Table("terms", "word"),), ("degree", "word", "c"))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
-        if coeffs:
-            _refuse_non_lyndon(coeffs)
+        for w in coeffs or ():
+            if not _is_lyndon_key(w):
+                raise ValueError(f"not a Lyndon word over X and Y: {w!r}")
         super().__init__(truncation, coeffs)
 
-    def part(self, d: int) -> LieElement:
-        if d > self.truncation:
-            raise ValueError("degree beyond truncation")
-        return LieElement({w: c for w, c in self._coeffs.items() if len(w) == d})
+    @classmethod
+    def generator(cls, letter: str, truncation: int) -> "LieSeries":
+        if letter not in _GENERATORS:
+            raise ValueError("generator must be X or Y")
+        return cls(truncation, {letter: 1})
+
+    def term_dict(self) -> dict[str, Fraction]:
+        return dict(self._coeffs)
 
     def __str__(self) -> str:
-        return _lyndon_text(self._coeffs)
+        order = sorted(self._coeffs, key=lambda w: (len(w), _lyndon_name(w)))
+        return format_terms((self._coeffs[w], _lyndon_name(w)) for w in order)
+
+
+def bracket(a: LieSeries, b: LieSeries) -> LieSeries:
+    """Bilinear bracket, read from the Lyndon bracket table and cut at the
+    smaller truncation, as ``NCSeries`` cuts a product."""
+    sa, ia = _scaled(a._coeffs)
+    sb, ib = _scaled(b._coeffs)
+    out: dict[str, int] = {}
+    _add_lyndon_bracket(out, ia, ib)
+    scale = sa * sb
+    n = min(a.truncation, b.truncation)
+    return LieSeries(n, {w: Fraction(c, scale) for w, c in out.items()})
+
+
+def long_commutator(word: str, truncation: int) -> LieSeries:
+    """Right-nested commutator [w1,[w2,[...,wd]]] as a series cut at the
+    truncation; zero when it ends in a repeated letter."""
+    return LieSeries(truncation, to_lyndon_coords({word: 1}))
+
+
+def right_normed(a: LieSeries) -> LieSeries:
+    """A copy of the series, which is always written in the Lyndon basis.
+
+    The name stays because the benchmark's span tracer
+    (``perfbench/tracer.py``) instruments it by name, and its ``install``
+    fails on a name that is missing.
+    """
+    return LieSeries(a.truncation, a._coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +297,7 @@ def to_lyndon_coords(chains: dict) -> dict[str, Fraction]:
     return {w: Fraction(c, scale) for w, c in out.items()}
 
 
-def to_assoc(a: LieElement | LieSeries, truncation: int) -> NCSeries:
+def to_assoc(a: LieSeries, truncation: int) -> NCSeries:
     """Expand into the word algebra, every [A,B] becoming AB - BA.
 
     The Lyndon words are walked as in ``to_lyndon_coords``, split at their
@@ -465,9 +374,8 @@ def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images may be LieElements, LieSeries, or None for zero; their
-    coefficients are scaled to integers over one common denominator and
-    cut at the truncation.
+    Images are LieSeries, or None for zero; their coefficients are scaled
+    to integers over one common denominator and cut at the truncation.
 
     D acts on the Lyndon basis: for a Lyndon word w with standard factors
     u, v, D(P_w) = [D P_u, P_v] + [P_u, D P_v], each bracket read from the
@@ -504,9 +412,8 @@ class Derivation:
             out = self._memo[w] = {t: c for t, c in out.items() if c}
         return out
 
-    def __call__(self, target: LieElement | LieSeries) -> LieElement | LieSeries:
-        """D of an element, or of a series as a series cut at the smaller
-        truncation."""
+    def __call__(self, target: LieSeries) -> LieSeries:
+        """D of a series, as a series cut at the smaller truncation."""
         scale, ints = _scaled(target._coeffs)
         out: dict[str, int] = {}
         for w, c in ints.items():
@@ -515,10 +422,8 @@ class Derivation:
             for u, ic in self._derive(w).items():
                 out[u] = out.get(u, 0) + c * ic
         scale *= self._scale
-        terms = {u: Fraction(c, scale) for u, c in out.items() if c}
-        if isinstance(target, LieSeries):
-            return LieSeries(min(self.truncation, target.truncation), terms)
-        return LieElement(terms)
+        n = min(self.truncation, target.truncation)
+        return LieSeries(n, {u: Fraction(c, scale) for u, c in out.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +517,14 @@ def _ideal_spanning_coords(ideal: str, degree: int) -> list[dict[str, int]]:
     return out
 
 
-def ideal_spanning_elements(ideal: str, degree: int) -> list[LieElement]:
-    """The spanning set of ``_ideal_spanning_coords`` as elements."""
-    return [LieElement(c) for c in _ideal_spanning_coords(ideal, degree)]
+def ideal_spanning_elements(ideal: str, degree: int) -> list[LieSeries]:
+    """The spanning set of ``_ideal_spanning_coords`` as series cut at the
+    degree."""
+    return [LieSeries(degree, c) for c in _ideal_spanning_coords(ideal, degree)]
 
 
-def ideal_membership(a: LieElement | LieSeries, ideal: str) -> bool:
-    """Whether the element lies in the ideal: every Lyndon word with a
+def ideal_membership(a: LieSeries, ideal: str) -> bool:
+    """Whether the series lies in the ideal: every Lyndon word with a
     nonzero coordinate has at least the ideal's level."""
     if ideal not in _IDEALS:
         raise ValueError(f"unknown ideal {ideal!r}")

@@ -24,7 +24,7 @@ import functools
 from fractions import Fraction
 
 from .series import BiSeries, _Codec, _QuotientElement, _Table, _as_fraction, format_terms
-from .freelie import LieElement, LieSeries, _chain_name, _ideal_level
+from .freelie import LieSeries, _chain_name, _ideal_level
 
 __all__ = [
     "MetabelianElement",
@@ -131,7 +131,7 @@ class MetabelianElement(_QuotientElement):
 # Projection onto the quotient
 # ---------------------------------------------------------------------------
 
-def project(e: LieElement | LieSeries, truncation: int) -> MetabelianElement:
+def project(e: LieSeries, truncation: int) -> MetabelianElement:
     """Normal form of a free Lie element modulo [[L,L],[L,L]].
 
     The element is read off its Lyndon coordinates: those at X and Y, and

@@ -43,7 +43,7 @@ from .series import (
     bernoulli,
     format_terms,
 )
-from .freelie import LieElement, _add_lyndon_bracket, to_lyndon_coords
+from .freelie import LieSeries, _add_lyndon_bracket, to_lyndon_coords
 
 __all__ = [
     "TildeElement",
@@ -235,8 +235,9 @@ def hausdorff_tilde(truncation: int) -> TildeElement:
     return total
 
 
-def expand_to_free(e: TildeElement) -> LieElement:
-    """The element as honest nested brackets in the free Lie algebra.
+def expand_to_free(e: TildeElement) -> LieSeries:
+    """The element as honest nested brackets in the free Lie algebra, a
+    series at the same truncation.
 
     The letters and the chains {m,n} enter the Lyndon basis through
     ``to_lyndon_coords``; the pairs sharing a first entry u are summed as
@@ -254,4 +255,4 @@ def expand_to_free(e: TildeElement) -> LieElement:
         by_first.setdefault(u, {})[chain(v)] = c
     for u, chains in by_first.items():
         _add_lyndon_bracket(out, to_lyndon_coords({chain(u): 1}), to_lyndon_coords(chains))
-    return LieElement(out)
+    return LieSeries(e.truncation, out)

@@ -15,7 +15,7 @@ from .series import BiSeries, format_rational
 from .assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
 from .freelie import (
     Derivation,
-    LieElement,
+    LieSeries,
     bracket,
     ideal_membership,
     ideal_spanning_elements,
@@ -76,6 +76,16 @@ def _same(name: str, left, right) -> Check:
     return _check(name, False, f"differs at {slot}: {values[0]} != {values[1]}")
 
 
+def _first_differing(name: str, cases) -> Check:
+    """``_same`` over (label, left, right) cases: the first case that
+    differs fails the check, its detail prefixed by the label."""
+    for label, left, right in cases:
+        _, passed, detail = _same(name, left, right)
+        if not passed:
+            return _check(name, False, f"{label}: {detail}")
+    return _check(name, True)
+
+
 def check_bch(degree: int) -> list[Check]:
     """Triple agreement, antisymmetry and grading of log(e^X e^Y): the
     m-th step of the recursion has degree m in X."""
@@ -118,19 +128,15 @@ def check_metabelian(degree: int) -> list[Check]:
     n = max(degree, 3)
     c = goldberg_c(n)
     oracle = bch_log_oracle(n)
-    ok = all(
-        c.coefficient(r, s) == oracle.coefficient("X" * r + "Y" * s)
+    words = BiSeries(n, {
+        (r, s): oracle.coefficient("X" * r + "Y" * s)
         for r in range(1, n)
         for s in range(1, n - r + 1)
-    )
-    out.append(_check(f"c_rs matches word coefficients through degree {n}", ok))
+    })
+    out.append(_same(f"c_rs matches word coefficients through degree {n}", c, words))
     hh = h.truncate(n - 2)
-    ok = all(
-        c.coefficient(k + 1, l + 1) == (-1) ** l * hh.coefficient(k, l)
-        for k in range(n - 1)
-        for l in range(n - 1 - k)
-    )
-    out.append(_check("c_{k+1,l+1} = (-1)^l h_kl", ok))
+    signed = BiSeries(n, {(k + 1, l + 1): (-1) ** l * v for (k, l), v in hh.items()})
+    out.append(_same("c_{k+1,l+1} = (-1)^l h_kl", c, signed))
     out.append(
         _same("c(x,y) = x y h(x,-y)", c, hh.substitute(y=(0, -1)).shift(1, 1))
     )
@@ -143,7 +149,7 @@ def check_metabelian(degree: int) -> list[Check]:
     out.append(_check(f"projection kills the ideal through degree {cap}", ok))
     ok = all(
         span_rank(
-            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY"), d).word_dict()
+            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d), d).word_dict()
             for k in range(d - 1)
         )
         == d - 1
@@ -157,18 +163,19 @@ def check_zassenhaus(degree: int) -> list[Check]:
     """The closed correction terms against word-level stripping."""
     out = []
     z = zassenhaus_closed(degree)
-    ok = True
-    for d, c_d in enumerate(zassenhaus_oracle(degree), start=2):
-        if project(c_d, degree).degree_part(d) != z.degree_part(d):
-            ok = False
-            break
     out.append(
-        _check(f"per-degree terms match stripping through degree {degree}", ok)
+        _first_differing(
+            f"per-degree terms match stripping through degree {degree}",
+            (
+                (f"degree {d}", project(c_d, degree).degree_part(d), z.degree_part(d))
+                for d, c_d in enumerate(zassenhaus_oracle(degree), start=2)
+            ),
+        )
     )
     x = NCSeries.generator("X", degree)
     y = NCSeries.generator("Y", degree)
     residual = nc_log(nc_exp(-y) * nc_exp(-x) * nc_exp(x + y))
-    lie = LieElement(lyndon_coords_of_assoc(residual))
+    lie = LieSeries(degree, lyndon_coords_of_assoc(residual))
     out.append(
         _same(
             f"sum equals projected log residual through degree {degree}",
@@ -220,38 +227,42 @@ def check_deeper(degree: int) -> list[Check]:
     """Long-commutator calculus against the free Lie algebra."""
     out = []
     cap = min(degree, 6)
-    y_gen = LieElement.generator("Y")
-    ok = True
-    for m in range(cap - 1):
-        for n in range(cap - 1 - m):
-            e = TildeElement(cap + 2, linear={(m, n): Fraction(1)})
-            lhs = expand_to_free(tilde_act("Y", e))
-            rhs = bracket(y_gen, expand_to_free(e))
-            if lhs != rhs:
-                ok = False
-    out.append(_check(f"letter action exact through degree {cap}", ok))
     work = cap + 2
-    h1 = hausdorff_h1(work)
-    ok = True
-    for m in range(cap - 1):
-        for n in range(cap - 1 - m):
-            e = TildeElement(work, linear={(m, n): Fraction(1)})
-            lhs = expand_to_free(tilde_dy(e, work))
-            rhs = Derivation(None, h1, work)(expand_to_free(e))
-            if lhs != rhs:
-                ok = False
-    out.append(_check(f"derivation formulas exact through degree {cap}", ok))
+
+    def chains(left, right):
+        """(label, left side, right side) for each chain {m,n} through the
+        cap: ``left`` acts in the quotient, ``right`` in the free algebra."""
+        for m in range(cap - 1):
+            for n in range(cap - 1 - m):
+                e = TildeElement(work, linear={(m, n): Fraction(1)})
+                yield f"{{{m},{n}}}", expand_to_free(left(e)), right(expand_to_free(e))
+
+    y_gen = LieSeries.generator("Y", work)
+    out.append(
+        _first_differing(
+            f"letter action exact through degree {cap}",
+            chains(lambda e: tilde_act("Y", e), lambda f: bracket(y_gen, f)),
+        )
+    )
+    d = Derivation(None, hausdorff_h1(work), work)
+    out.append(
+        _first_differing(
+            f"derivation formulas exact through degree {cap}",
+            chains(lambda e: tilde_dy(e, work), d),
+        )
+    )
     ht = expand_to_free(hausdorff_tilde(degree))
-    hr = LieElement(dict(bch_recursive(degree).items()))
+    hr = bch_recursive(degree)
+    out.append(
+        _same("matches the free series through degree 6", ht.truncate(cap), hr.truncate(cap))
+    )
     deviation = ht - hr
-    ok = all(len(w) > min(degree, 6) for w, _ in deviation.items())
-    out.append(_check("matches the free series through degree 6", ok))
     name = f"deviation lies in the ideal through degree {degree}"
     if ideal_membership(deviation, "deeper"):
         out.append(_check(name, True))
     else:
         terms = deviation.term_dict()
-        outside = (w for w in terms if not ideal_membership(LieElement({w: 1}), "deeper"))
+        outside = (w for w in terms if not ideal_membership(LieSeries(degree, {w: 1}), "deeper"))
         w = min(outside, key=lambda w: (len(w), w))
         out.append(_check(name, False, f"outside the ideal at {w}: {format_rational(terms[w])}"))
     out.append(

@@ -9,7 +9,6 @@ import pytest
 from mbch.assoc import bch_log_oracle
 from mbch.bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h1
 from mbch.freelie import (
-    LieElement,
     LieSeries,
     bracket,
     is_lyndon,
@@ -42,7 +41,7 @@ def test_h1_degree_three():
 
 def test_h1_degree_four_term_vanishes():
     # B_3 = 0, so nothing of degree 4 shows up
-    assert hausdorff_h1(4).part(4).is_zero()
+    assert hausdorff_h1(4).degree_part(4).is_zero()
 
 
 def test_h1_rejects_bad_truncation():
@@ -115,15 +114,16 @@ def _tree_degree(t):
     return 1 if isinstance(t, str) else _tree_degree(t[0]) + _tree_degree(t[1])
 
 
-def _lie(trees):
-    """A combination of bracket trees as an element, each [A,B] by ``bracket``."""
+def _lie(trees, n):
+    """A combination of bracket trees as a series cut at n, each [A,B] by
+    ``bracket``."""
 
     def build(t):
         if isinstance(t, str):
-            return LieElement.generator(t)
+            return LieSeries.generator(t, n)
         return bracket(build(t[0]), build(t[1]))
 
-    out = LieElement.zero()
+    out = LieSeries.zero(n)
     for t, c in trees.items():
         out = out + c * build(t)
     return out
@@ -152,15 +152,15 @@ def _tree_route(n):
                 out[a, tb] = out.get((a, tb), 0) + cb
         return out
 
-    h = total = LieElement.generator("Y")
+    h = total = LieSeries.generator("Y", n)
     for m in range(1, n + 1):
         out = {}
-        for w, c in h.term_dict().items():
+        for w, c in h.items():
             for rt, rc in derive(standard_bracketing(w)).items():
                 out[rt] = out.get(rt, 0) + c * rc
-        h = F(1, m) * _lie(out)
+        h = F(1, m) * _lie(out, n)
         total = total + h
-    return LieSeries(n, total.term_dict())
+    return total
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -184,7 +184,7 @@ def test_dynkin_degree_two_by_hand():
     # -(1/2)[XY]/2 and (0,1,1,0) gives -(1/2)[YX]/2 = +[XY]/4; every
     # other tuple hits [XX] or [YY].  Net: 1/2 - 1/4 + 1/4 = 1/2.
     h = bch_dynkin(2)
-    assert h.part(2) == LieElement({"XY": F(1, 2)})
+    assert h.degree_part(2) == LieSeries(2, {"XY": F(1, 2)})
 
 
 def test_dynkin_rejects_bad_truncation():
@@ -209,7 +209,7 @@ def _dynkin_by_tuples(truncation):
     extend("", 0, 0, 1)
     terms = {}
     for word, c in totals.items():
-        for t, tc in long_commutator(word).term_dict().items():
+        for t, tc in long_commutator(word, truncation).items():
             terms[t] = terms.get(t, F(0)) + c * tc
     return {t: c for t, c in terms.items() if c}
 

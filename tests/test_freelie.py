@@ -12,7 +12,6 @@ from mbch.assoc import NCSeries, _compress_word, bch_log_oracle
 from mbch.bch import bch_dynkin, bch_recursive, hausdorff_h1
 from mbch.freelie import (
     Derivation,
-    LieElement,
     LieSeries,
     bracket,
     ideal_membership,
@@ -36,8 +35,11 @@ from mbch.freelie import (
 )
 
 F = Fraction
-X = LieElement.generator("X")
-Y = LieElement.generator("Y")
+# The truncation of the elements built here: above every degree a test
+# builds (random trees reach 8, derivations 12), so no term is cut.
+N = 12
+X = LieSeries.generator("X", N)
+Y = LieSeries.generator("Y", N)
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +68,15 @@ def _necklace_count(d):
 # ---------------------------------------------------------------------------
 
 def _lie(trees):
-    """A combination of bracket trees as an element, each [A,B] by ``bracket``."""
+    """A combination of bracket trees as a series cut at N, each [A,B] by
+    ``bracket``."""
 
     def build(t):
         if isinstance(t, str):
-            return LieElement.generator(t)
+            return LieSeries.generator(t, N)
         return bracket(build(t[0]), build(t[1]))
 
-    out = LieElement.zero()
+    out = LieSeries.zero(N)
     for t, c in trees.items():
         out = out + c * build(t)
     return out
@@ -106,12 +109,13 @@ def _random_element(rng, max_depth=3, nterms=3):
 # ---------------------------------------------------------------------------
 
 def test_long_commutator_examples():
-    assert long_commutator("XY").term_dict() == {"XY": 1}
-    assert long_commutator("XXY").term_dict() == {"XXY": 1}
-    assert long_commutator("XX").is_zero()
-    assert long_commutator("XYY").is_zero()
+    assert long_commutator("XY", 2).term_dict() == {"XY": 1}
+    assert long_commutator("XXY", 3).term_dict() == {"XXY": 1}
+    assert long_commutator("XXY", 3).truncation == 3
+    assert long_commutator("XX", 2).is_zero()
+    assert long_commutator("XYY", 3).is_zero()
     with pytest.raises(ValueError):
-        long_commutator("XZ")
+        long_commutator("XZ", 2)
 
 
 def test_bracket_drops_syntactically_equal_pairs():
@@ -121,23 +125,22 @@ def test_bracket_drops_syntactically_equal_pairs():
 
 
 def test_element_equality_is_mathematical_as_for_series():
-    # Antisymmetry and Jacobi hold under ==, as they do for LieSeries.
+    # Antisymmetry and Jacobi hold under ==, at any truncation.
     assert bracket(X, Y) == -bracket(Y, X)
     assert LieSeries(2, bracket(X, Y).term_dict()) == LieSeries(
         2, (-bracket(Y, X)).term_dict()
     )
     a, b, c = X, Y, bracket(X, Y)
     jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
-    assert jacobi == LieElement.zero()
+    assert jacobi == LieSeries.zero(N)
     assert bracket(X, Y) != bracket(Y, X)
-    assert bracket(X, Y) != LieSeries(2, bracket(X, Y).term_dict())
     assert X != "X"
 
 
 def test_render_and_tree_word():
-    # Elements and series print their standard bracketings: a long
-    # commutator where that is a chain, nested brackets otherwise.
-    assert str(long_commutator("XXY")) == "[X^2Y]"
+    # Series print their standard bracketings: a long commutator where
+    # that is a chain, nested brackets otherwise.
+    assert str(long_commutator("XXY", 3)) == "[X^2Y]"
     nested = bracket(bracket(X, Y), Y)
     assert str(LieSeries(3, nested.term_dict())) == "[[XY],Y]"
     assert str(nested) == "[[XY],Y]"
@@ -148,13 +151,12 @@ def test_elements_and_series_are_keyed_by_lyndon_words():
     assert bracket(Y, X).term_dict() == {"XY": -1}
     assert all(is_lyndon(w) for w, _ in bch_dynkin(10).items())
     for bad in (("X", "Y"), "", "XZ", "YX", "XYXY", "YXY"):
-        for build in (lambda: LieElement({bad: 1}), lambda: LieSeries(3, {bad: 1})):
-            with pytest.raises(ValueError, match="not a Lyndon word over X and Y"):
-                build()
+        with pytest.raises(ValueError, match="not a Lyndon word over X and Y"):
+            LieSeries(3, {bad: 1})
 
 
 def test_expansion_of_double_bracket():
-    nc = to_assoc(long_commutator("XXY"), 3)
+    nc = to_assoc(long_commutator("XXY", 3), 3)
     assert nc.coefficient("XXY") == 1
     assert nc.coefficient("XYX") == -2
     assert nc.coefficient("YXX") == 1
@@ -169,6 +171,38 @@ def test_to_assoc_is_a_homomorphism():
         lhs = to_assoc(bracket(a, b), n)
         ea, eb = to_assoc(a, n), to_assoc(b, n)
         assert lhs == ea * eb - eb * ea
+
+
+def test_bracket_and_derivation_cut_at_the_smaller_truncation():
+    # Factors known through degree 3 fix their bracket only through degree
+    # 4, and the degree-5 part of the bracket of the cut series is wrong;
+    # the bracket is cut at the smaller truncation, where it agrees with
+    # the bracket of the full series.
+    h, h1 = bch_recursive(6), hausdorff_h1(6)
+    full = bracket(h, h1)
+    assert full.degree_part(5).term_dict() == {"XXXYY": F(-1, 24), "XXYXY": F(1, 24)}
+    for a, b in ((h.truncate(3), h1.truncate(3)), (h.truncate(3), h1.truncate(5)),
+                 (h.truncate(5), h1.truncate(4))):
+        cut = bracket(a, b)
+        assert cut.truncation == min(a.truncation, b.truncation)
+        assert cut.agrees_with(full)
+    # A derivation, on a series or with a truncation of its own.
+    d = Derivation(None, h1, 6)
+    assert d(h.truncate(4)).truncation == 4 and d(h.truncate(4)).agrees_with(d(h))
+    assert Derivation(None, h1, 4)(h) == d(h).truncate(4)
+    # A long commutator at the word's own length brackets to nothing.
+    assert long_commutator("XXY", 5).truncation == 5
+    assert bracket(long_commutator("XY", 2), long_commutator("XXY", 3)).is_zero()
+    assert bracket(long_commutator("XY", 5), long_commutator("XXY", 6)).term_dict() == {
+        "XXYXY": -1
+    }
+    # The word expansion of a bracket of series at different truncations
+    # is AB - BA of their expansions.
+    n = 5
+    a, b = h, h1.truncate(n)
+    ea, eb = to_assoc(a, n), to_assoc(b, n)
+    assert to_assoc(bracket(a, b), n) == ea * eb - eb * ea
+    assert not to_assoc(bracket(a, b), n).is_zero()
 
 
 def test_jacobi_identity():
@@ -244,7 +278,7 @@ def test_lyndon_bracket_table_matches_word_commutator():
             _add_commutator(reference, _lyndon_expansion(u), _lyndon_expansion(v))
             reference = {w: c for w, c in reference.items() if c}
             coords = _lyndon_bracket(u, v)
-            assert to_assoc(LieElement(coords), n) == NCSeries(n, reference)
+            assert to_assoc(LieSeries(n, coords), n) == NCSeries(n, reference)
             pairs += 1
     assert pairs == 470
 
@@ -328,8 +362,7 @@ def test_lyndon_roundtrip_random():
     rng = random.Random(23)
     for _ in range(30):
         e = _random_element(rng)
-        n = max(8, max(e.degree_components(), default=0))
-        assert LieElement(lyndon_coords_of_assoc(to_assoc(e, n))) == e
+        assert LieSeries(N, lyndon_coords_of_assoc(to_assoc(e, N))) == e
 
 
 def test_lyndon_coords_of_assoc_rejects_non_lie():
@@ -342,14 +375,14 @@ def test_non_lie_residual_raises_under_a_large_common_denominator():
     # X Y / 7 + [X,Y] / 3 is not a Lie element; its degree-2 residual must
     # survive scaling by the common denominator lcm(7, 3, 1001) = 3003.
     xy = NCSeries(3, {"XY": F(1, 7)})
-    lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY")
+    lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY", 3)
     with pytest.raises(ValueError, match="nonzero associative residual"):
         lyndon_coords_of_assoc(xy + to_assoc(lie, 3))
     assert lyndon_coords_of_assoc(to_assoc(lie, 3)) == {"XY": F(1, 3), "XXY": F(-5, 1001)}
 
 
 @pytest.mark.parametrize("bad", [
-    lambda: LieElement({"X": 0.1}),
+    lambda: LieSeries(N, {"X": 0.1}),
     lambda: 0.1 * X,
     lambda: X * 0.5,
 ])
@@ -360,10 +393,8 @@ def test_lie_element_rejects_floats(bad):
 
 @pytest.mark.parametrize("tree", ["Z", ("X",), ("X", "Y", "X"), ("X", ("Y",))])
 def test_lie_element_rejects_non_trees(tree):
-    # Elements and series share one key check.
-    for build in (lambda: LieElement({tree: 1}), lambda: LieSeries(3, {tree: 1})):
-        with pytest.raises(ValueError, match="not a Lyndon word"):
-            build()
+    with pytest.raises(ValueError, match="not a Lyndon word"):
+        LieSeries(3, {tree: 1})
 
 
 def _tree_of_degree(draw, d):
@@ -426,8 +457,7 @@ def _word_expansion(trees):
 def test_integer_core_identities_on_random_trees(pair):
     base, trees = pair
     e = _lie(trees)
-    n = max(e.degree_components(), default=0)
-    nc = to_assoc(e, n)
+    nc = to_assoc(e, N)
     assert dict(nc.terms()) == _word_expansion(trees)
     assert e.term_dict() == lyndon_coords_of_assoc(nc)
     assert e == base
@@ -443,7 +473,7 @@ def test_friedrichs_on_oracle_components():
     for d in range(1, 9):
         part = h.degree_part(d)
         coords = lyndon_coords_of_assoc(part)
-        assert to_assoc(LieElement(coords), 8) == part
+        assert to_assoc(LieSeries(8, coords), 8) == part
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +506,13 @@ def test_derivation_kills_equal_pair():
 
 def test_derivation_simple_image():
     # D(X) = 0, D(Y) = [X,Y] on [X,Y] gives [X,[X,Y]].
-    out = Derivation(None, long_commutator("XY"), 6)(bracket(X, Y))
-    assert out == long_commutator("XXY")
+    out = Derivation(None, long_commutator("XY", 6), 6)(bracket(X, Y))
+    assert out == long_commutator("XXY", 6)
 
 
 def test_derivation_leibniz_property():
     rng = random.Random(41)
-    d = Derivation(long_commutator("XY"), X, 12)
+    d = Derivation(long_commutator("XY", N), X, 12)
     for _ in range(20):
         a = _random_element(rng, 2, 2)
         b = _random_element(rng, 2, 2)
@@ -492,7 +522,7 @@ def test_derivation_leibniz_property():
 
 
 def test_derivation_respects_truncation():
-    d = Derivation(None, long_commutator("XY"), 2)
+    d = Derivation(None, long_commutator("XY", 2), 2)
     assert d(bracket(X, Y)).is_zero()  # image would be degree 3
 
 
@@ -561,7 +591,7 @@ def test_derivation_on_chains_matches_tree_leibniz_rule():
             target = _random_trees(rng, 3, 3)
             images = [None if i is None else _lie(i) for i in (ix, iy)]
             out = Derivation(*images, n)(_lie(target))
-            assert all(is_lyndon(w) for w, _ in out.terms())
+            assert all(is_lyndon(w) for w, _ in out.items())
             coords = out.term_dict()
             assert coords == _tree_derivation(ix, iy, n)(target).term_dict()
             nonzero += bool(coords)
@@ -594,15 +624,15 @@ def test_span_helpers():
 
 
 def test_ideal_membership_metabelian():
-    e = bracket(long_commutator("XY"), long_commutator("XXY"))
+    e = bracket(long_commutator("XY", 5), long_commutator("XXY", 5))
     assert ideal_membership(e, "metabelian")
-    assert not ideal_membership(long_commutator("XXY"), "metabelian")
+    assert not ideal_membership(long_commutator("XXY", 3), "metabelian")
     assert not ideal_membership(e, "deeper")  # degree 5 < 6
 
 
 def test_ideal_membership_deeper():
-    inner = bracket(long_commutator("XY"), long_commutator("XXY"))
-    e = bracket(long_commutator("XY"), inner)
+    inner = bracket(long_commutator("XY", 7), long_commutator("XXY", 7))
+    e = bracket(long_commutator("XY", 7), inner)
     assert ideal_membership(e, "deeper")
     assert ideal_membership(e, "metabelian")
     with pytest.raises(ValueError):
@@ -657,6 +687,6 @@ def test_series_algebra_and_parts():
     s = LieSeries(3, (X + bracket(X, Y)).term_dict())
     t = LieSeries(3, Y.term_dict())
     u = s + t
-    assert u.part(1) == X + Y
-    assert (2 * s).part(2) == 2 * bracket(X, Y)
-    assert s.truncate(1).part(1) == X
+    assert u.degree_part(1) == (X + Y).truncate(3)
+    assert (2 * s).degree_part(2) == 2 * bracket(X, Y).truncate(3)
+    assert s.truncate(1).degree_part(1) == X.truncate(1)

@@ -8,7 +8,7 @@ import pytest
 from mbch.assoc import bch_log_oracle, zassenhaus_oracle, nc_exp, nc_log, NCSeries
 from mbch.bch import bch_recursive
 from mbch.freelie import (
-    LieElement,
+    LieSeries,
     bracket,
     ideal_membership,
     ideal_spanning_elements,
@@ -34,8 +34,11 @@ from mbch.series import BiSeries
 from mbch.verify import check_metabelian, run_suite
 
 
-X = LieElement.generator("X")
-Y = LieElement.generator("Y")
+# The truncation of the free elements built here: above every degree a
+# test builds (random chains reach 12), so no term is cut.
+N = 12
+X = LieSeries.generator("X", N)
+Y = LieSeries.generator("Y", N)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +132,10 @@ def test_element_truncations_one_and_two():
     assert hausdorff_closed(2) == MetabelianElement(2, 1, 1, {(0, 0): F(1, 2)})
 
 
-def _swap_letters(chains: dict) -> LieElement:
+def _swap_letters(chains: dict) -> LieSeries:
     """The free-algebra substitution X -> -Y, Y -> -X, chain by chain."""
     swap = str.maketrans("XY", "YX")
-    return LieElement(to_lyndon_coords(
+    return LieSeries(N, to_lyndon_coords(
         {w.translate(swap): (-1) ** len(w) * c for w, c in chains.items()}
     ))
 
@@ -146,7 +149,7 @@ def test_quotient_bracket_matches_free_algebra():
             word = "".join(rng.choice("XY") for _ in range(rng.randint(2, n)))
             c = F(rng.randint(-5, 5), rng.randint(1, 4))
             chains[word] = chains.get(word, 0) + c
-        e = LieElement(to_lyndon_coords(chains))
+        e = LieSeries(N, to_lyndon_coords(chains))
         p = project(e, n)
         assert project(bracket(X, e), n) == p.ad_x()
         assert project(bracket(Y, e), n) == p.ad_y()
@@ -169,12 +172,12 @@ def test_project_normal_forms():
     assert e.is_zero()
 
     # prefix letters sort: [Y,[X,[X,Y]]] = B(1,1)
-    e = project(long_commutator("YXXY"), 4)
+    e = project(long_commutator("YXXY", 4), 4)
     assert dict(e.terms()) == {(1, 1): F(1)}
 
 
 def test_project_generators_and_truncation():
-    e = project(2 * X - Y + long_commutator("XXY"), 2)
+    e = project(2 * X - Y + long_commutator("XXY", N), 2)
     assert e.a == 2 and e.b == -1
     assert not list(e.terms())  # degree 3 dropped at truncation 2
 
@@ -187,10 +190,10 @@ def test_project_kills_ideal():
 
 def test_project_linear():
     rng = random.Random(7)
-    pool = [long_commutator(w) for w in ("XY", "XXY", "YXY", "XYXY", "YYXXY")]
+    pool = [long_commutator(w, 6) for w in ("XY", "XXY", "YXY", "XYXY", "YYXXY")]
     for _ in range(20):
-        u = sum((F(rng.randint(-4, 4)) * t for t in pool), LieElement.zero())
-        v = sum((F(rng.randint(-4, 4)) * t for t in pool), LieElement.zero())
+        u = sum((F(rng.randint(-4, 4)) * t for t in pool), LieSeries.zero(6))
+        v = sum((F(rng.randint(-4, 4)) * t for t in pool), LieSeries.zero(6))
         assert project(u, 6) + project(v, 6) == project(u + v, 6)
 
 
@@ -241,7 +244,7 @@ def test_flagged_lyndon_words_span_the_ideal(d):
                 picked.append(rng.choice(below))
             coords = {w: rng.choice((-3, -1, 1, 2)) for w in picked}
             member = span_rank(spanning + [coords]) == rank
-            assert ideal_membership(LieElement(coords), ideal) == member, (ideal, coords)
+            assert ideal_membership(LieSeries(d, coords), ideal) == member, (ideal, coords)
             assert member == (i % 2 == 0)
 
 
@@ -253,7 +256,7 @@ def test_project_agrees_with_the_chain_rule():
             word = "".join(rng.choice("XY") for _ in range(rng.randint(1, 12)))
             chains[word] = F(rng.randint(-9, 9), rng.randint(1, 5))
         n = rng.randint(1, 12)
-        e = LieElement(to_lyndon_coords(chains))
+        e = LieSeries(N, to_lyndon_coords(chains))
         assert project(e, n) == _chain_rule_project(chains, n)
 
 
@@ -261,7 +264,7 @@ def test_basis_independence_through_degree_eight():
     # The B(k,l) of one degree expand to independent word vectors.
     for d in range(2, 9):
         vecs = [
-            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY"), d).word_dict()
+            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d), d).word_dict()
             for k in range(d - 1)
         ]
         assert span_rank(vecs) == d - 1
@@ -322,9 +325,33 @@ def test_check_metabelian_names_the_first_differing_slot(monkeypatch):
     assert (passed, detail) == (False, "differs at (2,1): -1/180 != 179/180")
 
 
+def test_check_metabelian_names_the_first_differing_word_coefficient(monkeypatch):
+    def perturbed(n):
+        return goldberg_c(n) + BiSeries.monomial(2, 3, n, F(1, 5))
+
+    monkeypatch.setattr("mbch.verify.goldberg_c", perturbed)
+    checks = check_metabelian(8)
+    assert checks[2] == (
+        "c_rs matches word coefficients through degree 8",
+        False,
+        "differs at (2,3): 37/180 != 1/180",
+    )
+    assert checks[3] == ("c_{k+1,l+1} = (-1)^l h_kl", False, "differs at (2,3): 37/180 != 1/180")
+
+
+def test_check_zassenhaus_names_the_degree_and_slot(monkeypatch):
+    def perturbed(n):
+        return zassenhaus_closed(n) + MetabelianElement(n, table={(1, 2): F(1, 3)})
+
+    monkeypatch.setattr("mbch.verify.zassenhaus_closed", perturbed)
+    name, passed, detail = run_suite("zassenhaus", 8)[0]
+    assert name == "per-degree terms match stripping through degree 8"
+    assert (passed, detail) == (False, "degree 5: differs at (1,2): 1/20 != 23/60")
+
+
 def test_closed_degree_five_against_word_oracle():
     # Second, independent path: word-level log, Lyndon extraction, project.
-    lie = LieElement(lyndon_coords_of_assoc(bch_log_oracle(5)))
+    lie = LieSeries(5, lyndon_coords_of_assoc(bch_log_oracle(5)))
     assert project(lie, 5).degree_part(5) == hausdorff_closed(5).degree_part(5)
 
 
@@ -409,7 +436,7 @@ def test_zassenhaus_against_log_residual():
     x = NCSeries.generator("X", n)
     y = NCSeries.generator("Y", n)
     residual = nc_log(nc_exp(-y) * nc_exp(-x) * nc_exp(x + y))
-    lie = LieElement(lyndon_coords_of_assoc(residual))
+    lie = LieSeries(n, lyndon_coords_of_assoc(residual))
     assert project(lie, n) == zassenhaus_closed(n)
 
 

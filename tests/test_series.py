@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbch.assoc import NCSeries
-from mbch.freelie import LieElement, LieSeries, bracket, long_commutator
+from mbch.freelie import LieSeries, bracket, long_commutator
 from mbch.metabelian import MetabelianElement
 from mbch.series import (
     BiSeries,
@@ -369,10 +369,10 @@ def _nc(coeffs, n=4):
     (NCSeries.zero(2), "0"),
     # The bracket of two chains is written in the Lyndon basis:
     # [[XY],[X^2Y]] is -[[X^2Y],[XY]].
-    (LieElement({"X": -1, "Y": 1, "XY": F(-1, 2), "XXY": -1})
-     + 3 * bracket(long_commutator("XY"), long_commutator("XXY")),
+    (LieSeries(5, {"X": -1, "Y": 1, "XY": F(-1, 2), "XXY": -1})
+     + 3 * bracket(long_commutator("XY", 5), long_commutator("XXY", 5)),
      "-X + Y - 1/2 [XY] - [X^2Y] - 3 [[X^2Y],[XY]]"),
-    (LieElement.zero(), "0"),
+    (LieSeries.zero(2), "0"),
     (MetabelianElement(5, -1, 1, {(0, 0): -1, (1, 0): F(1, 2), (0, 1): 1,
                                   (1, 1): F(-2, 3)}),
      "-X + Y - [XY] + [YXY] + 1/2 [X^2Y] - 2/3 [XYXY]"),
@@ -386,7 +386,7 @@ def _nc(coeffs, n=4):
 ], ids=[
     "BiSeries-mixed", "BiSeries-constant-1", "BiSeries-zero",
     "NCSeries-mixed", "NCSeries-constant-1", "NCSeries-zero",
-    "LieElement-mixed", "LieElement-zero",
+    "LieSeries-mixed", "LieSeries-zero",
     "Metabelian-mixed", "Metabelian-no-X", "Metabelian-zero",
     "Tilde-mixed", "Tilde-generators", "Tilde-zero",
 ])

@@ -8,7 +8,7 @@ import pytest
 from mbch.bch import bch_recursive, bch_recursive_steps, hausdorff_h1
 from mbch.freelie import (
     Derivation,
-    LieElement,
+    LieSeries,
     bracket,
     ideal_membership,
     long_commutator,
@@ -26,7 +26,7 @@ from mbch.verify import check_deeper
 
 
 def _coords(e) -> dict:
-    """Lyndon coordinates of an element or a series."""
+    """Lyndon coordinates of a series."""
     return dict(e.items())
 
 
@@ -123,7 +123,7 @@ def test_act_y_binomial_corrections():
 
 
 def test_act_exactness_through_degree_six():
-    y = LieElement.generator("Y")
+    y = LieSeries.generator("Y", 8)
     for m in range(5):
         for n in range(5 - m):
             if m + n + 2 > 6:
@@ -182,7 +182,7 @@ def test_actions_on_pairs_agree_with_the_free_algebra_through_degree_9():
     # the deeper ideal, degree by degree.
     n_work = 10
     h1 = hausdorff_h1(n_work)
-    letters = {g: LieElement.generator(g) for g in "XY"}
+    letters = {g: LieSeries.generator(g, n_work) for g in "XY"}
     indices = [(k, l) for k in range(6) for l in range(6 - k)]
     pairs = [(u, v) for u in indices for v in indices if u > v and sum(u) + sum(v) <= 5]
     assert len(pairs) == 60
@@ -197,8 +197,8 @@ def test_actions_on_pairs_agree_with_the_free_algebra_through_degree_9():
             expand_to_free(tilde_dy(e, n_work)) - Derivation(None, h1, n_work)(free)
         )
         for name, diff in deviations.items():
-            for d, comp in diff.degree_components().items():
-                assert ideal_membership(comp, "deeper"), (name, u, v, d)
+            for d in range(1, n_work + 1):
+                assert ideal_membership(diff.degree_part(d), "deeper"), (name, u, v, d)
             nonzero[name] += bool(_coords(diff))
     # Not vacuous: the quotient drops terms that the free algebra keeps.
     assert nonzero["Y"] and nonzero["D"]
@@ -274,15 +274,33 @@ def test_check_deeper_names_the_first_word_outside_the_ideal(monkeypatch):
     assert (passed, detail) == (False, "outside the ideal at XXXYYYY: -2/3")
 
 
+def test_check_deeper_names_the_first_differing_chain_and_word(monkeypatch):
+    # D {1,2} gains 1/7 {2,2} = -1/7 P_XXXYYY in the quotient only.
+    def perturbed(e, n):
+        out = tilde_dy(e, n)
+        if dict(e.linear_terms()).get((1, 2)):
+            out = out + TildeElement(n, linear={(2, 2): F(1, 7)})
+        return out
+
+    monkeypatch.setattr("mbch.verify.tilde_dy", perturbed)
+    checks = check_deeper(8)
+    assert checks[0] == ("letter action exact through degree 6", True, "")
+    assert checks[1] == (
+        "derivation formulas exact through degree 6",
+        False,
+        "{1,2}: differs at XXXYYY: -9/14 != -1/2",
+    )
+
+
 def test_hausdorff_tilde_deviation_lies_in_ideal():
     n = 7
-    diff = expand_to_free(hausdorff_tilde(n)) - LieElement(_coords(bch_recursive(n)))
-    for d, comp in diff.degree_components().items():
-        assert ideal_membership(comp, "deeper"), d
+    diff = expand_to_free(hausdorff_tilde(n)) - bch_recursive(n)
+    for d in range(1, n + 1):
+        assert ideal_membership(diff.degree_part(d), "deeper"), d
     # the degree-7 deviation is genuinely nonzero: quotient and free
     # algebra part ways exactly where brackets of brackets of brackets
     # first fit
-    assert _coords(diff.degree_components()[7])
+    assert _coords(diff.degree_part(7))
 
 
 def test_second_piece_matches_classical_recursion():
