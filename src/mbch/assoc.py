@@ -19,9 +19,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator
 
-from .series import TruncatedSeries, _Codec, _Table, format_terms
+from .series import TruncatedSeries, _Codec, _Table
 
 __all__ = [
     "NCSeries",
@@ -50,6 +49,19 @@ def _all_words(keys) -> bool:
         return False
 
 
+def _compress_word(s: str) -> str:
+    """Run-length notation: XXYX -> X^2YX."""
+    out = []
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and s[j] == s[i]:
+            j += 1
+        out.append(s[i] if j - i == 1 else f"{s[i]}^{j - i}")
+        i = j
+    return "".join(out)
+
+
 class NCSeries(TruncatedSeries):
     """Noncommutative series truncated at a total word length.
 
@@ -61,7 +73,7 @@ class NCSeries(TruncatedSeries):
     __slots__ = ()
     _degree = staticmethod(len)
     _constant_key = ""
-    _CODEC = _Codec("words", (), (_Table("terms", "word"),))
+    _CODEC = _Codec("words", (), (_Table("terms", "word", _compress_word),))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         if coeffs and not _all_words(coeffs):
@@ -84,11 +96,6 @@ class NCSeries(TruncatedSeries):
         if len(word) > self.truncation:
             raise ValueError("word beyond truncation")
         return self._coeffs.get(word, Fraction(0))
-
-    def terms(self) -> Iterator[tuple[str, Fraction]]:
-        """Nonzero terms sorted by (length, word)."""
-        for w in sorted(self._coeffs, key=lambda w: (len(w), w)):
-            yield w, self._coeffs[w]
 
     def word_dict(self) -> dict[str, Fraction]:
         return dict(self._coeffs)
@@ -115,9 +122,6 @@ class NCSeries(TruncatedSeries):
             {w.translate(_NEGSWAP): -c if len(w) % 2 else c for w, c in self._coeffs.items()},
         )
 
-    def __str__(self) -> str:
-        return format_terms((c, _compress_word(w)) for w, c in self.terms())
-
 
 def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
     """Product of two integer word dicts, words longer than ``n`` dropped."""
@@ -131,19 +135,6 @@ def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
             w = w1 + w2
             out[w] = out.get(w, 0) + c1 * c2
     return {w: c for w, c in out.items() if c}
-
-
-def _compress_word(s: str) -> str:
-    """Run-length notation: XXYX -> X^2YX."""
-    out = []
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        out.append(s[i] if j - i == 1 else f"{s[i]}^{j - i}")
-        i = j
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .metabelian import (
     zassenhaus_closed,
 )
 from .tilde import hausdorff_tilde
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "entry"]
 
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run cross-check suites and report pass/fail")
     p.add_argument(
         "--suite",
-        choices=("all", "bch", "metabelian", "zassenhaus", "kv", "deeper"),
+        choices=("all", *SUITES),
         default="all",
         help="which suite to run (default all)",
     )
@@ -187,7 +187,7 @@ def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:
     element = hausdorff_closed(ns.degree)
-    h = element.table_series()
+    h = element.table
     if ns.fmt == "json":
         payload = {"element": element.to_json_dict(), "h": h.to_json_dict()}
         return json.dumps(payload, indent=2), 0

@@ -35,7 +35,7 @@ L'' = [L',L'] and in [L',L''] is a mask on the same coordinates.
 
 All of this runs on integers: coefficients are scaled once by the least
 common multiple of their denominators, and ``Fraction`` reappears only
-in the results.  The printers render each Lyndon word as its standard
+in the results.  Text renders each Lyndon word as its standard
 bracketing: [X^2Y] where that is a chain, [[XY],Y] otherwise.
 """
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .assoc import NCSeries, _all_words, _compress_word, _scaled
-from .series import TruncatedSeries, _Codec, _Table, _as_fraction, format_terms
+from .series import TruncatedSeries, _Codec, _Table, _as_fraction
 
 __all__ = [
     "LieSeries",
@@ -101,14 +101,18 @@ def _lyndon_name(word: str) -> str:
 
 class LieSeries(TruncatedSeries):
     """A Lie series cut at a total degree: a map from Lyndon word to
-    coefficient, graded by word length.  It prints, and is written as
-    JSON and CSV, as its Lyndon coordinates, in order of degree and then
-    of the printed bracketing."""
+    coefficient, graded by word length.  It is written as its Lyndon
+    coordinates: as JSON and CSV in order of degree and then of the word,
+    as text under its standard bracketing, in order of degree and then of
+    that printed bracketing."""
 
     __slots__ = ()
     _degree = staticmethod(len)
     _constant_key = None
-    _CODEC = _Codec("lyndon", (), (_Table("terms", "word"),), ("degree", "word", "c"))
+    _CODEC = _Codec(
+        "lyndon", (), (_Table("terms", "word", _lyndon_name, text_key=_lyndon_name),),
+        ("degree", "word", "c"),
+    )
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         for w in coeffs or ():
@@ -124,10 +128,6 @@ class LieSeries(TruncatedSeries):
 
     def term_dict(self) -> dict[str, Fraction]:
         return dict(self._coeffs)
-
-    def __str__(self) -> str:
-        order = sorted(self._coeffs, key=lambda w: (len(w), _lyndon_name(w)))
-        return format_terms((self._coeffs[w], _lyndon_name(w)) for w in order)
 
 
 def bracket(a: LieSeries, b: LieSeries) -> LieSeries:
@@ -297,15 +297,16 @@ def to_lyndon_coords(chains: dict) -> dict[str, Fraction]:
     return {w: Fraction(c, scale) for w, c in out.items()}
 
 
-def to_assoc(a: LieSeries, truncation: int) -> NCSeries:
-    """Expand into the word algebra, every [A,B] becoming AB - BA.
+def to_assoc(a: LieSeries) -> NCSeries:
+    """Expand into the word algebra, every [A,B] becoming AB - BA, at the
+    series' truncation.
 
     The Lyndon words are walked as in ``to_lyndon_coords``, split at their
     standard factorization; the expansion of each left factor is cached.
     """
-    scale, ints = _scaled({w: c for w, c in a.items() if len(w) <= truncation})
+    scale, ints = _scaled(a._coeffs)
     words = _combine(ints, standard_factorization, _lyndon_expansion, _add_commutator)
-    return NCSeries(truncation, {w: Fraction(c, scale) for w, c in words.items()})
+    return NCSeries(a.truncation, {w: Fraction(c, scale) for w, c in words.items()})
 
 
 @functools.cache

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .series import BiSeries, _Codec, _QuotientElement, _Table, _as_fraction, format_terms
+from .series import BiSeries, _Codec, _QuotientElement, _Table, _as_fraction
 from .freelie import LieSeries, _chain_name, _ideal_level
 
 __all__ = [
@@ -46,51 +46,34 @@ class MetabelianElement(_QuotientElement):
     sum c_{kl} x^k y^l, a BiSeries truncated at degree n - 2 (empty when
     n = 1), so sums, scalar multiples and the quotient bracket are series
     arithmetic: ad X and ad Y act on the table as multiplication by x and
-    y.  A table given as a dict or a shorter BiSeries is read as a
-    polynomial; entries beyond the truncation are dropped.
+    y.  The table is the public read-only attribute ``table``; a table
+    given as a dict or a shorter BiSeries is read as a polynomial, and
+    entries beyond the truncation are dropped.
     """
 
-    __slots__ = ("_table",)
-    _CODEC = _Codec(
-        "metabelian", ("X", "Y"), (_Table("terms", ("k", "l"), 2, "_table", BiSeries),),
-        ("k", "l", "c"),
-    )
+    __slots__ = ("table",)
+    _CODEC = _Codec("metabelian", ("X", "Y"), (
+        _Table("terms", ("k", "l"),
+               lambda kl: _chain_name("X" * kl[0] + "Y" * kl[1] + "XY"),
+               2, "table", BiSeries),
+    ), ("k", "l", "c"))
 
     def __init__(
         self, truncation: int, a=0, b=0, table: dict | BiSeries | None = None
     ):
         super().__init__(truncation, a, b, table)
 
-    # -- construction ---------------------------------------------------------
-
     @classmethod
     def from_table_series(cls, s: BiSeries, a=0, b=0) -> "MetabelianElement":
         """Read a BiSeries as a B-table: x^k y^l becomes B(k,l)."""
         return cls(s.truncation + 2, a, b, s)
-
-    # -- access ---------------------------------------------------------------
-
-    def coefficient(self, k: int, l: int) -> Fraction:
-        if k + l + 2 > self.truncation:
-            raise ValueError("term beyond truncation")
-        return self._table.coefficient(k, l)
-
-    def terms(self):
-        """Table entries as ((k, l), coefficient), sorted by (k+l, k)."""
-        return [((k, l), c) for k, l, c in self._table.terms()]
-
-    def table_series(self) -> BiSeries:
-        """The table as a commutative series, B(k,l) read as x^k y^l."""
-        if self.truncation < 2:
-            raise ValueError("no table below degree 2")
-        return self._table
 
     # -- the quotient bracket -------------------------------------------------
 
     def ad_x(self) -> "MetabelianElement":
         """[X, self]: b goes to B(0,0), B(k,l) to B(k+1,l); the table
         becomes x * table + b."""
-        table = self._table.shift(1, 0) + self.b
+        table = self.table.shift(1, 0) + self.b
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def ad_y(self) -> "MetabelianElement":
@@ -100,7 +83,7 @@ class MetabelianElement(_QuotientElement):
         Prepending Y to the chain sorts into the prefix modulo brackets
         of brackets, which is exactly the quotient relation.
         """
-        table = self._table.shift(0, 1) - self.a
+        table = self.table.shift(0, 1) - self.a
         return MetabelianElement(self.truncation, 0, 0, table)
 
     def subst_negswap(self) -> "MetabelianElement":
@@ -109,30 +92,17 @@ class MetabelianElement(_QuotientElement):
         B(k,l) maps to (-1)^{k+l+1} B(l,k): the k+l+2 letter signs give
         (-1)^{k+l}, the flipped tail [YX] = -[XY] one more.
         """
-        table = self._table.substitute(x=(0, -1), y=(-1, 0))
+        table = self.table.substitute(x=(0, -1), y=(-1, 0))
         return MetabelianElement(self.truncation, -self.b, -self.a, -table)
-
-    def __str__(self) -> str:
-        named = [(self.a, "X"), (self.b, "Y")]
-        named += [
-            (c, _chain_name("X" * k + "Y" * l + "XY"))
-            for (k, l), c in self.terms()
-        ]
-        return format_terms(named)
-
-    def __repr__(self) -> str:
-        return (
-            f"MetabelianElement(truncation={self.truncation}, "
-            f"{len(self.terms())} table terms)"
-        )
 
 
 # ---------------------------------------------------------------------------
 # Projection onto the quotient
 # ---------------------------------------------------------------------------
 
-def project(e: LieSeries, truncation: int) -> MetabelianElement:
-    """Normal form of a free Lie element modulo [[L,L],[L,L]].
+def project(e: LieSeries) -> MetabelianElement:
+    """Normal form of a free Lie element modulo [[L,L],[L,L]], at the
+    series' truncation.
 
     The element is read off its Lyndon coordinates: those at X and Y, and
     B(k-1,l-1) = (-1)^(l-1) times the one at X^k Y^l.  Every other word
@@ -142,8 +112,6 @@ def project(e: LieSeries, truncation: int) -> MetabelianElement:
     a = b = Fraction(0)
     table: dict[tuple[int, int], Fraction] = {}
     for w, c in e.items():
-        if len(w) > truncation:
-            continue
         if w == "X":
             a = c
         elif w == "Y":
@@ -152,7 +120,7 @@ def project(e: LieSeries, truncation: int) -> MetabelianElement:
             k = w.index("Y")
             l = len(w) - k
             table[k - 1, l - 1] = c if l % 2 else -c
-    return MetabelianElement(truncation, a, b, table)
+    return MetabelianElement(e.truncation, a, b, table)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +249,7 @@ def kv_verify(F: MetabelianElement, truncation: int) -> bool:
     dropped, missing ones count as zero).
     """
     n = truncation
-    f = MetabelianElement(n, F.a, F.b, F._table)
+    f = MetabelianElement(n, F.a, F.b, F.table)
     lhs = f.ad_x() + f.subst_negswap().ad_y()
     # h at n - 1, cut to n - 2 by the constructor: the series kv_solve read
     return lhs == MetabelianElement(n, 0, 0, h_series(n - 1))

@@ -18,12 +18,13 @@ the sparse exact series that ``BiSeries``, ``PairSeries``,
 ``assoc.NCSeries`` and ``freelie.LieSeries`` extend.  ``_QuotientElement``
 is the shared shape of the two quotient elements,
 ``metabelian.MetabelianElement`` and ``tilde.TildeElement``: X and Y
-coefficients plus tables stored as series.
+coefficients plus tables stored as series, in public read-only slots.
 
-The codec is the one reader and writer of JSON and CSV.  A container
-declares its ``basis`` tag, the names of its scalars (X and Y) and, per
-table, the JSON name and the key fields; ``_Coded`` turns that into
-``to_json_dict``, ``from_json_dict`` and ``to_csv``.
+The codec is the one reader and writer of JSON, CSV and text.  A
+container declares its ``basis`` tag, the names of its scalars (X and Y)
+and, per table, the JSON name, the key fields and the printed label of a
+key; ``_Coded`` turns that into ``to_json_dict``, ``from_json_dict``,
+``to_csv``, ``__str__`` and ``__repr__``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import io
 import re
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "InexactDivision",
@@ -174,23 +175,30 @@ def _csv_text(header: Iterable[str], rows: Iterable[dict]) -> str:
 
 
 class _Table(NamedTuple):
-    """One table of terms: its JSON list name (the CSV ``kind``) and key
-    fields ("word", a pair of index names, or a pair of such pairs); a key
-    of degree d is a term of degree d + ``offset``.  In a quotient element
-    the table is the series of type ``series`` held in ``slot``."""
+    """One table of terms: its JSON list name (the CSV ``kind``), key
+    fields ("word", a pair of index names, or a pair of such pairs) and
+    the printed ``label`` of a key; a key of degree d is a term of degree
+    d + ``offset``.  In a quotient element the table is the series of
+    type ``series`` held in ``slot``.  Text lists the terms in the
+    codec's order, or by degree and then ``text_key`` when one is given.
+    """
 
     name: str
     fields: object
+    label: Callable[..., str]
     offset: int = 0
     slot: str | None = None
     series: type | None = None
+    text_key: Callable | None = None
 
     def degree(self, key) -> int:
         return self.offset + (len(key) if isinstance(key, str) else sum(_flat(key)))
 
-    def terms(self, table) -> list:
-        """The (key, coefficient) pairs in order of degree, then key."""
-        return sorted(table.items(), key=lambda kc: (self.degree(kc[0]), kc[0]))
+    def terms(self, table, by=None) -> list:
+        """The (key, coefficient) pairs in order of degree, then key (or
+        ``by(key)``)."""
+        by = by or (lambda k: k)
+        return sorted(table.items(), key=lambda kc: (self.degree(kc[0]), by(kc[0])))
 
     def row(self, key, c, **extra) -> dict:
         """A term as its fields and ``c``, after ``extra``."""
@@ -265,9 +273,9 @@ class _Codec(NamedTuple):
 
 
 class _Coded:
-    """``to_json_dict``, ``from_json_dict`` and ``to_csv`` through the
-    class's ``_CODEC``, from the parts ``_codec_parts`` gives:
-    (truncation, scalars, tables)."""
+    """``to_json_dict``, ``from_json_dict``, ``to_csv``, ``__str__`` and
+    ``__repr__`` through the class's ``_CODEC``, from the parts
+    ``_codec_parts`` gives: (truncation, scalars, tables)."""
 
     __slots__ = ()
     _CODEC: _Codec
@@ -283,6 +291,20 @@ class _Coded:
         """One row per term, under the container's header or ``header``."""
         _, scalars, tables = self._codec_parts()
         return self._CODEC.to_csv(scalars, tables, header)
+
+    def __str__(self) -> str:
+        """The scalars under their names, then each table's terms under
+        its labels, joined by ``format_terms``."""
+        _, scalars, tables = self._codec_parts()
+        pairs = list(zip(scalars, self._CODEC.scalars))
+        for spec, table in zip(self._CODEC.tables, tables):
+            pairs += [(c, spec.label(k)) for k, c in spec.terms(table, spec.text_key)]
+        return format_terms(pairs)
+
+    def __repr__(self) -> str:
+        n, scalars, tables = self._codec_parts()
+        count = sum(map(bool, scalars)) + sum(len(t.items()) for t in tables)
+        return f"{type(self).__name__}(truncation={n}, {count} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +358,7 @@ class TruncatedSeries(_Coded):
     refuses constants, so scalar ``+`` and ``-`` too.  Instances are
     immutable and compare equal only to a series of the same type and
     truncation with the same terms.  Its ``_CODEC`` has one table: the
-    series itself.
+    series itself, whose order ``terms`` lists.
     """
 
     __slots__ = ("truncation", "_coeffs")
@@ -384,6 +406,11 @@ class TruncatedSeries(_Coded):
     def items(self):
         """The nonzero (key, coefficient) pairs, in no particular order."""
         return self._coeffs.items()
+
+    def terms(self) -> list:
+        """The nonzero (key, coefficient) pairs in the codec's order: by
+        degree, then key."""
+        return self._CODEC.tables[0].terms(self)
 
     def min_degree(self) -> int | None:
         return min(map(self._degree, self._coeffs), default=None)
@@ -449,16 +476,17 @@ class TruncatedSeries(_Coded):
             return self
         return type(self)(n, self._coeffs)
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(truncation={self.truncation}, "
-            f"{len(self._coeffs)} terms)"
-        )
-
 
 # ---------------------------------------------------------------------------
 # BiSeries
 # ---------------------------------------------------------------------------
+
+def _monomial(key: tuple[int, int]) -> str:
+    """x^i y^j as printed: ``x^2 y``, ``x``, and empty for the constant."""
+    return " ".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip("xy", key) if e
+    )
+
 
 class BiSeries(TruncatedSeries):
     """Commutative power series in x, y truncated at a total degree.
@@ -467,7 +495,7 @@ class BiSeries(TruncatedSeries):
     """
 
     __slots__ = ()
-    _CODEC = _Codec(None, (), (_Table("terms", ("i", "j")),), ("i", "j", "c"))
+    _CODEC = _Codec(None, (), (_Table("terms", ("i", "j"), _monomial),), ("i", "j", "c"))
 
     @staticmethod
     def _degree(key: tuple[int, int]) -> int:
@@ -502,11 +530,6 @@ class BiSeries(TruncatedSeries):
         if self._degree((i, j)) > self.truncation:
             raise ValueError("coefficient beyond truncation")
         return self._coeffs.get((i, j), Fraction(0))
-
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Nonzero terms sorted by (total degree, x-exponent)."""
-        for (i, j) in sorted(self._coeffs, key=lambda k: (k[0] + k[1], k[0])):
-            yield i, j, self._coeffs[(i, j)]
 
     # -- ring operations ---------------------------------------------------
 
@@ -611,18 +634,6 @@ class BiSeries(TruncatedSeries):
         coeffs = {k: val for part in q for k, val in part.items()}
         return BiSeries(nq, coeffs)
 
-    def __str__(self) -> str:
-        pairs = []
-        for i, j, c in self.terms():
-            factors = []
-            for name, e in (("x", i), ("y", j)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            pairs.append((c, " ".join(factors)))
-        return format_terms(pairs)
-
 
 def _linear_powers(form, n: int) -> list[dict[tuple[int, int], Fraction]]:
     """(a x + b y)^i for i = 0..n, each without zero terms, for form (a, b).
@@ -686,18 +697,24 @@ def _divide_homogeneous(
 # PairSeries
 # ---------------------------------------------------------------------------
 
+def _pair_name(key) -> str:
+    """[x^k y^l, x^m y^n] as printed."""
+    return "[{}, {}]".format(*(_monomial(u) or "1" for u in key))
+
+
 class PairSeries(TruncatedSeries):
     """Brackets of two bivariate monomials, truncated at a total degree.
 
     A key ((k, l), (m, n)) stands for [x^k y^l, x^m y^n] and has degree
     k + l + m + n.  Keys are kept in the normal order (k, l) > (m, n):
     a reversed key flips the sign of its coefficient, so mirrored keys
-    merge, and a bracket [A, A] is dropped.
+    merge, and a bracket [A, A] is dropped.  A key prints as
+    ``[x^2 y, 1]``, the constant monomial as 1.
     """
 
     __slots__ = ()
     _constant_key = None
-    _CODEC = _Codec(None, (), (_Table("terms", (("k", "l"), ("m", "n"))),))
+    _CODEC = _Codec(None, (), (_Table("terms", (("k", "l"), ("m", "n")), _pair_name),))
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         normal: dict = {}
@@ -726,10 +743,6 @@ class PairSeries(TruncatedSeries):
             return -self._coeffs.get((v, u), Fraction(0))
         return self._coeffs.get((u, v), Fraction(0))
 
-    def terms(self) -> list:
-        """Nonzero (key, coefficient) pairs sorted by (total degree, key)."""
-        return sorted(self._coeffs.items(), key=lambda kc: (self._degree(kc[0]), kc[0]))
-
 
 # ---------------------------------------------------------------------------
 # The shape of a quotient element
@@ -739,13 +752,15 @@ class _QuotientElement(_Coded):
     """a X + b Y plus tables of bracket coefficients, cut at a total degree.
 
     A subclass declares its tables in the ``_CODEC`` it reads and writes
-    JSON and CSV with, each a ``_Table`` with a slot, a series type and an
-    offset: a table key of degree d stands for a bracket of degree
-    d + offset, so the table is cut at ``truncation - offset`` and is
-    empty below that.  A table given as a dict or as a series at another
-    truncation is read as a polynomial.  Sums truncate at the smaller
-    bound; instances are immutable and compare equal only to an element
-    of the same type and truncation with the same terms.
+    JSON, CSV and text with, each a ``_Table`` with a slot, a series type
+    and an offset.  The slot is a public read-only attribute holding the
+    table as a series, which callers read directly.  A table key of degree
+    d stands for a bracket of degree d + offset, so the table is cut at
+    ``truncation - offset`` and is empty below that.  A table given as a
+    dict or as a series at another truncation is read as a polynomial.
+    Sums truncate at the smaller bound; instances are immutable and
+    compare equal only to an element of the same type and truncation with
+    the same terms.
     """
 
     __slots__ = ("truncation", "a", "b")

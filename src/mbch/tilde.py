@@ -34,15 +34,7 @@ import functools
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import (
-    BiSeries,
-    PairSeries,
-    _Codec,
-    _QuotientElement,
-    _Table,
-    bernoulli,
-    format_terms,
-)
+from .series import BiSeries, PairSeries, _Codec, _QuotientElement, _Table, bernoulli
 from .freelie import LieSeries, _add_lyndon_bracket, to_lyndon_coords
 
 __all__ = [
@@ -65,13 +57,17 @@ class TildeElement(_QuotientElement):
     ``MetabelianElement``'s table; the quadratic table is a PairSeries
     keyed ((k,l),(m,n)) cut at n - 4, kept in the normal order
     (k,l) > (m,n): building with keys in the opposite order flips the
-    sign, and [A,A] vanishes.
+    sign, and [A,A] vanishes.  The tables are the public read-only
+    attributes ``linear`` and ``quadratic``.
     """
 
-    __slots__ = ("_linear", "_quadratic")
+    __slots__ = ("linear", "quadratic")
     _CODEC = _Codec(None, ("X", "Y"), (
-        _Table("linear", ("m", "n"), 2, "_linear", BiSeries),
-        _Table("quadratic", (("k", "l"), ("m", "n")), 4, "_quadratic", PairSeries),
+        _Table("linear", ("m", "n"), lambda mn: "{{{},{}}}".format(*mn),
+               2, "linear", BiSeries),
+        _Table("quadratic", (("k", "l"), ("m", "n")),
+               lambda uv: "[{{{},{}}},{{{},{}}}]".format(*uv[0], *uv[1]),
+               4, "quadratic", PairSeries),
     ), ("kind", "k", "l", "m", "n", "c"))
 
     def __init__(
@@ -83,42 +79,6 @@ class TildeElement(_QuotientElement):
         quadratic: dict | PairSeries | None = None,
     ):
         super().__init__(truncation, a, b, linear, quadratic)
-
-    # -- access ---------------------------------------------------------------
-
-    def linear_terms(self):
-        """((m, n), coefficient) sorted by degree then indices."""
-        return [((m, n), c) for m, n, c in self._linear.terms()]
-
-    def quadratic_terms(self):
-        """(((k,l), (m,n)), coefficient) sorted by degree then indices."""
-        return self._quadratic.terms()
-
-    def linear_coefficient(self, m: int, n: int) -> Fraction:
-        if m + n + 2 > self.truncation:
-            raise ValueError("term beyond truncation")
-        return self._linear.coefficient(m, n)
-
-    def quadratic_coefficient(self, u: Pair, v: Pair) -> Fraction:
-        if sum(u) + sum(v) + 4 > self.truncation:
-            raise ValueError("term beyond truncation")
-        return self._quadratic.coefficient(u, v)
-
-    def __str__(self) -> str:
-        named = [(self.a, "X"), (self.b, "Y")]
-        named += [(c, f"{{{m},{n}}}") for (m, n), c in self.linear_terms()]
-        named += [
-            (c, f"[{{{k},{l}}},{{{m},{n}}}]")
-            for ((k, l), (m, n)), c in self.quadratic_terms()
-        ]
-        return format_terms(named)
-
-    def __repr__(self) -> str:
-        return (
-            f"TildeElement(truncation={self.truncation}, "
-            f"{len(self._linear.items())} linear, "
-            f"{len(self._quadratic.items())} quadratic)"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +111,12 @@ def tilde_act(gen: str, e: TildeElement) -> TildeElement:
     """
     g = gen.upper()
     if g == "X":
-        linear = e._linear.shift(1, 0) - e.b
-        quad = _leibniz(e._quadratic, lambda u: [((u[0] + 1, u[1]), 1)])
+        linear = e.linear.shift(1, 0) - e.b
+        quad = _leibniz(e.quadratic, lambda u: [((u[0] + 1, u[1]), 1)])
     elif g == "Y":
-        linear = e._linear.shift(0, 1) + e.a
-        quad = _leibniz(e._quadratic, lambda u: [((u[0], u[1] + 1), 1)])
-        for (m, n), c in e._linear.items():
+        linear = e.linear.shift(0, 1) + e.a
+        quad = _leibniz(e.quadratic, lambda u: [((u[0], u[1] + 1), 1)])
+        for (m, n), c in e.linear.items():
             for k in range(1, m + 1):
                 key = ((k - 1, 0), (m - k, n))
                 quad[key] = quad.get(key, 0) + comb(m, k) * c
@@ -196,18 +156,20 @@ def _dy_linear(m: int, n: int, truncation: int) -> TildeElement:
     return tilde_act("Y", _dy_linear(0, n - 1, truncation)) + piece
 
 
-def tilde_dy(e: TildeElement, truncation: int) -> TildeElement:
-    """The derivation sending X to 0 and Y to X + sum (B_l/l!) {0,l-1}.
+def tilde_dy(e: TildeElement) -> TildeElement:
+    """The derivation sending X to 0 and Y to X + sum (B_l/l!) {0,l-1},
+    at the element's truncation.
 
     On quadratic terms it acts by the Leibniz rule.
     """
+    truncation = e.truncation
     out = TildeElement.zero(truncation)
     if e.b:
         out = e.b * TildeElement(truncation, 1, 0, _h1_tail(0, truncation))
-    for (m, n), c in e._linear.items():
+    for (m, n), c in e.linear.items():
         out = out + c * _dy_linear(m, n, truncation)
     quad = _leibniz(
-        e._quadratic, lambda u: _dy_linear(*u, truncation)._linear.items()
+        e.quadratic, lambda u: _dy_linear(*u, truncation).linear.items()
     )
     return out + TildeElement(truncation, quadratic=quad)
 
@@ -228,7 +190,7 @@ def hausdorff_tilde(truncation: int) -> TildeElement:
     n = truncation
     h = total = TildeElement(n, 0, 1)
     for m in range(1, n + 1):
-        h = Fraction(1, m) * tilde_dy(h, n)
+        h = Fraction(1, m) * tilde_dy(h)
         if h.is_zero():
             break
         total = total + h
@@ -248,10 +210,10 @@ def expand_to_free(e: TildeElement) -> LieSeries:
         return "X" * kl[0] + "Y" * (kl[1] + 1) + "X"
 
     out = to_lyndon_coords(
-        {"X": e.a, "Y": e.b, **{chain(mn): c for mn, c in e._linear.items()}}
+        {"X": e.a, "Y": e.b, **{chain(mn): c for mn, c in e.linear.items()}}
     )
     by_first: dict[Pair, dict[str, Fraction]] = {}
-    for (u, v), c in e._quadratic.items():
+    for (u, v), c in e.quadratic.items():
         by_first.setdefault(u, {})[chain(v)] = c
     for u, chains in by_first.items():
         _add_lyndon_bracket(out, to_lyndon_coords({chain(u): 1}), to_lyndon_coords(chains))

@@ -235,7 +235,7 @@ def test_zassenhaus_oracle_first_factor_and_reconstruction():
     y = NCSeries.generator("Y", n)
     prod = nc_exp(x) * nc_exp(y)
     for c in factors:
-        prod = prod * nc_exp(to_assoc(c, n))
+        prod = prod * nc_exp(to_assoc(c))
     assert prod == nc_exp(x + y)
 
 
@@ -245,8 +245,8 @@ def test_zassenhaus_oracle_degree_nine_reconstructs_exp_of_sum():
     y = NCSeries.generator("Y", n)
     prod = nc_exp(x) * nc_exp(y)
     for d, c in enumerate(zassenhaus_oracle(n), start=2):
-        assert all(len(w) == d for w, _ in to_assoc(c, n).terms())
-        prod = prod * nc_exp(to_assoc(c, n))
+        assert all(len(w) == d for w, _ in to_assoc(c).terms())
+        prod = prod * nc_exp(to_assoc(c))
     assert prod == nc_exp(x + y)
 
 
@@ -256,5 +256,5 @@ def test_zassenhaus_oracle_residual_is_empty():
     y = NCSeries.generator("Y", n)
     r = nc_exp(-y) * nc_exp(-x) * nc_exp(x + y)
     for c in zassenhaus_oracle(n):
-        r = nc_exp(-to_assoc(c, n)) * r
+        r = nc_exp(-to_assoc(c)) * r
     assert nc_log(r).is_zero()

@@ -229,8 +229,8 @@ def test_triple_agreement_degree_six():
     dyn = bch_dynkin(n)
     assert rec == dyn
     oracle = bch_log_oracle(n)
-    assert to_assoc(rec, n) == oracle
-    assert to_assoc(dyn, n) == oracle
+    assert to_assoc(rec) == oracle
+    assert to_assoc(dyn) == oracle
 
 
 def test_recursive_is_graded():

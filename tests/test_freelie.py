@@ -156,7 +156,7 @@ def test_elements_and_series_are_keyed_by_lyndon_words():
 
 
 def test_expansion_of_double_bracket():
-    nc = to_assoc(long_commutator("XXY", 3), 3)
+    nc = to_assoc(long_commutator("XXY", 3))
     assert nc.coefficient("XXY") == 1
     assert nc.coefficient("XYX") == -2
     assert nc.coefficient("YXX") == 1
@@ -168,8 +168,8 @@ def test_to_assoc_is_a_homomorphism():
         a = _random_element(rng)
         b = _random_element(rng)
         n = 10
-        lhs = to_assoc(bracket(a, b), n)
-        ea, eb = to_assoc(a, n), to_assoc(b, n)
+        lhs = to_assoc(bracket(a, b).truncate(n))
+        ea, eb = to_assoc(a.truncate(n)), to_assoc(b.truncate(n))
         assert lhs == ea * eb - eb * ea
 
 
@@ -200,9 +200,9 @@ def test_bracket_and_derivation_cut_at_the_smaller_truncation():
     # is AB - BA of their expansions.
     n = 5
     a, b = h, h1.truncate(n)
-    ea, eb = to_assoc(a, n), to_assoc(b, n)
-    assert to_assoc(bracket(a, b), n) == ea * eb - eb * ea
-    assert not to_assoc(bracket(a, b), n).is_zero()
+    ea, eb = to_assoc(a.truncate(n)), to_assoc(b)
+    assert to_assoc(bracket(a, b)) == ea * eb - eb * ea
+    assert not to_assoc(bracket(a, b)).is_zero()
 
 
 def test_jacobi_identity():
@@ -278,7 +278,7 @@ def test_lyndon_bracket_table_matches_word_commutator():
             _add_commutator(reference, _lyndon_expansion(u), _lyndon_expansion(v))
             reference = {w: c for w, c in reference.items() if c}
             coords = _lyndon_bracket(u, v)
-            assert to_assoc(LieSeries(n, coords), n) == NCSeries(n, reference)
+            assert to_assoc(LieSeries(n, coords)) == NCSeries(n, reference)
             pairs += 1
     assert pairs == 470
 
@@ -362,11 +362,11 @@ def test_lyndon_roundtrip_random():
     rng = random.Random(23)
     for _ in range(30):
         e = _random_element(rng)
-        assert LieSeries(N, lyndon_coords_of_assoc(to_assoc(e, N))) == e
+        assert LieSeries(N, lyndon_coords_of_assoc(to_assoc(e))) == e
 
 
 def test_lyndon_coords_of_assoc_rejects_non_lie():
-    x = to_assoc(X, 4)
+    x = to_assoc(X.truncate(4))
     with pytest.raises(ValueError, match="not a Lie element"):
         lyndon_coords_of_assoc(x * x)
 
@@ -377,8 +377,8 @@ def test_non_lie_residual_raises_under_a_large_common_denominator():
     xy = NCSeries(3, {"XY": F(1, 7)})
     lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY", 3)
     with pytest.raises(ValueError, match="nonzero associative residual"):
-        lyndon_coords_of_assoc(xy + to_assoc(lie, 3))
-    assert lyndon_coords_of_assoc(to_assoc(lie, 3)) == {"XY": F(1, 3), "XXY": F(-5, 1001)}
+        lyndon_coords_of_assoc(xy + to_assoc(lie))
+    assert lyndon_coords_of_assoc(to_assoc(lie)) == {"XY": F(1, 3), "XXY": F(-5, 1001)}
 
 
 @pytest.mark.parametrize("bad", [
@@ -457,7 +457,7 @@ def _word_expansion(trees):
 def test_integer_core_identities_on_random_trees(pair):
     base, trees = pair
     e = _lie(trees)
-    nc = to_assoc(e, N)
+    nc = to_assoc(e)
     assert dict(nc.terms()) == _word_expansion(trees)
     assert e.term_dict() == lyndon_coords_of_assoc(nc)
     assert e == base
@@ -473,7 +473,7 @@ def test_friedrichs_on_oracle_components():
     for d in range(1, 9):
         part = h.degree_part(d)
         coords = lyndon_coords_of_assoc(part)
-        assert to_assoc(LieSeries(8, coords), 8) == part
+        assert to_assoc(LieSeries(8, coords)) == part
 
 
 # ---------------------------------------------------------------------------

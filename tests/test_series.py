@@ -118,8 +118,8 @@ def test_coefficient_beyond_truncation_raises():
 def test_negative_exponent_lookup_raises():
     lookups = (
         lambda: BiSeries.one(3).coefficient(-2, 1),
-        lambda: MetabelianElement(4).coefficient(-1, 0),
-        lambda: TildeElement(6).linear_coefficient(-1, 2),
+        lambda: MetabelianElement(4).table.coefficient(-1, 0),
+        lambda: TildeElement(6).linear.coefficient(-1, 2),
     )
     for lookup in lookups:
         with pytest.raises(ValueError, match="exponents must be nonnegative"):
@@ -191,8 +191,8 @@ def test_parity_split_recombines():
     s = BiSeries.named("t_over_expm1", 7).substitute(x=(1, 1))
     even, odd = s.parity_split()
     assert even + odd == s
-    assert all((i + j) % 2 == 0 for i, j, _ in even.terms())
-    assert all((i + j) % 2 == 1 for i, j, _ in odd.terms())
+    assert all((i + j) % 2 == 0 for (i, j), _ in even.terms())
+    assert all((i + j) % 2 == 1 for (i, j), _ in odd.terms())
 
 
 def test_shift_roundtrip():
@@ -383,12 +383,18 @@ def _nc(coeffs, n=4):
      "-2 X - {0,0} + 1/3 {0,1} - 5/2 [{0,1},{0,0}] + [{1,0},{0,0}]"),
     (TildeElement(6, 1, -1), "X - Y"),
     (TildeElement.zero(4), "0"),
+    # [1, x^2] is written in the normal order, as -[x^2, 1].
+    (PairSeries(4, {((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): F(-5, 2),
+                    ((1, 1), (0, 1)): 3, ((0, 0), (2, 0)): 1}),
+     "-5/2 [y, 1] + [x, 1] - [x^2, 1] + 3 [x y, y]"),
+    (PairSeries.zero(3), "0"),
 ], ids=[
     "BiSeries-mixed", "BiSeries-constant-1", "BiSeries-zero",
     "NCSeries-mixed", "NCSeries-constant-1", "NCSeries-zero",
     "LieSeries-mixed", "LieSeries-zero",
     "Metabelian-mixed", "Metabelian-no-X", "Metabelian-zero",
     "Tilde-mixed", "Tilde-generators", "Tilde-zero",
+    "PairSeries-mixed", "PairSeries-zero",
 ])
 def test_str_is_byte_exact_for_every_container(element, text):
     assert str(element) == text
@@ -642,9 +648,20 @@ def test_truncate_refuses_to_raise_the_truncation(cls):
         a.truncate(4)
 
 
-@_SERIES_TYPES
+def _four_terms(cls):
+    """An element of ``cls`` at truncation 3 with four nonzero terms."""
+    if cls is MetabelianElement:
+        return MetabelianElement(3, 1, 2, {(0, 0): 3, (1, 0): 4})
+    if cls is TildeElement:
+        return TildeElement(3, 1, 2, {(0, 0): 3, (0, 1): 4})
+    return _make(cls, 3, [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize(
+    "cls", [*_KEYS, MetabelianElement, TildeElement], ids=lambda cls: cls.__name__
+)
 def test_immutability_error_names_the_class(cls):
-    a = _make(cls, 3, [1, 2, 3, 4])
+    a = _four_terms(cls)
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         a.truncation = 5
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from mbch.assoc import bch_log_oracle
 from mbch.bch import bch_recursive, bch_recursive_steps, hausdorff_h1
 from mbch.freelie import (
     Derivation,
@@ -12,6 +13,7 @@ from mbch.freelie import (
     bracket,
     ideal_membership,
     long_commutator,
+    to_assoc,
 )
 from mbch.metabelian import hausdorff_closed, project
 from mbch.series import bernoulli
@@ -36,9 +38,9 @@ def _coords(e) -> dict:
 
 def test_normalize_orders_pairs():
     e = TildeElement(8, quadratic={((0, 0), (1, 0)): F(1)})
-    assert e.quadratic_coefficient((1, 0), (0, 0)) == -1
-    assert e.quadratic_coefficient((0, 0), (1, 0)) == 1
-    assert [k for k, _ in e.quadratic_terms()] == [((1, 0), (0, 0))]
+    assert e.quadratic.coefficient((1, 0), (0, 0)) == -1
+    assert e.quadratic.coefficient((0, 0), (1, 0)) == 1
+    assert [k for k, _ in e.quadratic.terms()] == [((1, 0), (0, 0))]
 
 
 def test_normalize_kills_equal_pairs():
@@ -47,21 +49,21 @@ def test_normalize_kills_equal_pairs():
 
 def test_normalize_keeps_ordered_pairs():
     e = TildeElement(16, quadratic={((2, 0), (1, 5)): F(3)})
-    assert e.quadratic_coefficient((2, 0), (1, 5)) == 3
+    assert e.quadratic.coefficient((2, 0), (1, 5)) == 3
 
 
 def test_normalize_merges_mirrored_keys():
     e = TildeElement(
         8, quadratic={((0, 0), (1, 0)): F(2), ((1, 0), (0, 0)): F(5)}
     )
-    assert e.quadratic_coefficient((1, 0), (0, 0)) == 3
+    assert e.quadratic.coefficient((1, 0), (0, 0)) == 3
 
 
 def test_element_truncation_drops():
     e = TildeElement(4, linear={(1, 1): F(1), (4, 4): F(1)})
-    assert e.linear_coefficient(1, 1) == 1
+    assert e.linear.coefficient(1, 1) == 1
     with pytest.raises(ValueError, match="beyond truncation"):
-        e.linear_coefficient(4, 4)
+        e.linear.coefficient(4, 4)
 
 
 def test_element_degree_part_and_algebra():
@@ -75,11 +77,11 @@ def test_element_degree_part_and_algebra():
     assert str(e.degree_part(1)) == "X + 2 Y"
     # [{1,0},{0,0}] and {1,2} both live in degree 5
     d5 = e.degree_part(5)
-    assert d5.quadratic_coefficient((1, 0), (0, 0)) == -1
-    assert d5.linear_coefficient(1, 2) == 3
-    assert d5.linear_coefficient(0, 0) == 0
+    assert d5.quadratic.coefficient((1, 0), (0, 0)) == -1
+    assert d5.linear.coefficient(1, 2) == 3
+    assert d5.linear.coefficient(0, 0) == 0
     assert (e - e).is_zero()
-    assert (F(2) * e).linear_coefficient(1, 2) == 6
+    assert (F(2) * e).linear.coefficient(1, 2) == 6
 
 
 def test_element_json_roundtrip():
@@ -98,28 +100,28 @@ def test_element_str():
 
 def test_act_x_on_linear():
     e = TildeElement(9, linear={(2, 3): F(1)})
-    assert tilde_act("X", e).linear_coefficient(3, 3) == 1
+    assert tilde_act("X", e).linear.coefficient(3, 3) == 1
 
 
 def test_act_y_base_case():
     e = TildeElement(9, linear={(0, 3): F(1)})
     r = tilde_act("Y", e)
-    assert r.linear_coefficient(0, 4) == 1
-    assert not r.quadratic_terms()
+    assert r.linear.coefficient(0, 4) == 1
+    assert r.quadratic.is_zero()
 
 
 def test_act_y_on_m_one_bracket_vanishes():
     # y {1,0} = {1,1} + [{0,0},{0,0}] and the bracket term is zero
     r = tilde_act("Y", TildeElement(6, linear={(1, 0): F(1)}))
-    assert r.linear_coefficient(1, 1) == 1
-    assert not r.quadratic_terms()
+    assert r.linear.coefficient(1, 1) == 1
+    assert r.quadratic.is_zero()
 
 
 def test_act_y_binomial_corrections():
     # y {2,0} = {2,1} + 2 [{0,0},{1,0}] + [{1,0},{0,0}] = {2,1} - [{1,0},{0,0}]
     r = tilde_act("Y", TildeElement(8, linear={(2, 0): F(1)}))
-    assert r.linear_coefficient(2, 1) == 1
-    assert dict(r.quadratic_terms()) == {((1, 0), (0, 0)): F(-1)}
+    assert r.linear.coefficient(2, 1) == 1
+    assert dict(r.quadratic.items()) == {((1, 0), (0, 0)): F(-1)}
 
 
 def test_act_exactness_through_degree_six():
@@ -144,23 +146,23 @@ def test_act_rejects_bad_generator():
 # ---------------------------------------------------------------------------
 
 def test_dy_of_y_low_degrees():
-    d = tilde_dy(TildeElement(3, 0, 1), 3)
+    d = tilde_dy(TildeElement(3, 0, 1))
     assert d.a == 1 and d.b == 0
-    assert d.linear_coefficient(0, 0) == F(-1, 2)
-    assert d.linear_coefficient(0, 1) == F(1, 12)
+    assert d.linear.coefficient(0, 0) == F(-1, 2)
+    assert d.linear.coefficient(0, 1) == F(1, 12)
 
 
 def test_dy_of_x_is_zero():
-    assert tilde_dy(TildeElement(5, 1, 0), 5).is_zero()
+    assert tilde_dy(TildeElement(5, 1, 0)).is_zero()
 
 
 def test_dy_of_m_zero_terms():
     # D {m,0} = -sum (B_l / l!) {m+1, l-1}
-    d = tilde_dy(TildeElement(8, linear={(2, 0): F(1)}), 8)
-    assert not d.quadratic_terms()
+    d = tilde_dy(TildeElement(8, linear={(2, 0): F(1)}))
+    assert d.quadratic.is_zero()
     for l in range(1, 5):
         b = bernoulli(l)
-        assert d.linear_coefficient(3, l - 1) == -b / factorial(l)
+        assert d.linear.coefficient(3, l - 1) == -b / factorial(l)
 
 
 def test_dy_exactness_through_degree_six():
@@ -171,7 +173,7 @@ def test_dy_exactness_through_degree_six():
             if m + n + 2 > 6:
                 continue
             e = TildeElement(n_work, linear={(m, n): F(1)})
-            lhs = expand_to_free(tilde_dy(e, n_work))
+            lhs = expand_to_free(tilde_dy(e))
             rhs = Derivation(None, h1, n_work)(expand_to_free(e))
             assert _coords(lhs) == _coords(rhs), (m, n)
 
@@ -194,7 +196,7 @@ def test_actions_on_pairs_agree_with_the_free_algebra_through_degree_9():
             g: expand_to_free(tilde_act(g, e)) - bracket(letters[g], free) for g in "XY"
         }
         deviations["D"] = (
-            expand_to_free(tilde_dy(e, n_work)) - Derivation(None, h1, n_work)(free)
+            expand_to_free(tilde_dy(e)) - Derivation(None, h1, n_work)(free)
         )
         for name, diff in deviations.items():
             for d in range(1, n_work + 1):
@@ -239,8 +241,19 @@ def test_dy_recursion_equals_explicit_formula_through_degree_14():
     for m in range(n_work - 1):
         for n in range(n_work - 1 - m):
             e = TildeElement(n_work, linear={(m, n): F(1)})
-            assert tilde_dy(e, n_work) == _explicit_dy_linear(m, n, n_work), (m, n)
+            assert tilde_dy(e) == _explicit_dy_linear(m, n, n_work), (m, n)
 
+
+def test_to_assoc_project_and_tilde_dy_keep_the_operand_truncation():
+    # Each reads its truncation off the operand: a series known through
+    # degree 3 determines its image only through degree 3.
+    h = bch_recursive(3)
+    assert to_assoc(h).truncation == 3
+    assert to_assoc(h) == bch_log_oracle(3)
+    assert project(h).truncation == 3
+    assert project(h) == hausdorff_closed(3)
+    assert tilde_dy(TildeElement(3, 0, 1)).truncation == 3
+    assert project(h.truncate(2)) == hausdorff_closed(2)
 
 # ---------------------------------------------------------------------------
 # The full series
@@ -249,12 +262,11 @@ def test_dy_recursion_equals_explicit_formula_through_degree_14():
 def test_hausdorff_tilde_linear_part_is_minus_h():
     t = hausdorff_tilde(7)
     assert t.a == 1 and t.b == 1
-    assert t.linear_coefficient(0, 0) == F(-1, 2)
-    assert t.linear_coefficient(1, 0) == F(-1, 12)
-    assert t.linear_coefficient(0, 1) == F(1, 12)
-    table = dict(hausdorff_closed(7).terms())
-    for (k, l), c in table.items():
-        assert t.linear_coefficient(k, l) == -c
+    assert t.linear.coefficient(0, 0) == F(-1, 2)
+    assert t.linear.coefficient(1, 0) == F(-1, 12)
+    assert t.linear.coefficient(0, 1) == F(1, 12)
+    for (k, l), c in hausdorff_closed(7).table.items():
+        assert t.linear.coefficient(k, l) == -c
 
 
 def test_hausdorff_tilde_matches_free_series_low_degree():
@@ -276,10 +288,10 @@ def test_check_deeper_names_the_first_word_outside_the_ideal(monkeypatch):
 
 def test_check_deeper_names_the_first_differing_chain_and_word(monkeypatch):
     # D {1,2} gains 1/7 {2,2} = -1/7 P_XXXYYY in the quotient only.
-    def perturbed(e, n):
-        out = tilde_dy(e, n)
-        if dict(e.linear_terms()).get((1, 2)):
-            out = out + TildeElement(n, linear={(2, 2): F(1, 7)})
+    def perturbed(e):
+        out = tilde_dy(e)
+        if e.linear.coefficient(1, 2):
+            out = out + TildeElement(e.truncation, linear={(2, 2): F(1, 7)})
         return out
 
     monkeypatch.setattr("mbch.verify.tilde_dy", perturbed)
@@ -322,7 +334,7 @@ def test_second_piece_matches_classical_recursion():
 
 def test_projection_forgets_quadratic_part():
     for n in range(1, 9):
-        e = project(expand_to_free(hausdorff_tilde(n)), n)
+        e = project(expand_to_free(hausdorff_tilde(n)))
         assert e == hausdorff_closed(n)
 
 
@@ -341,8 +353,8 @@ def test_expand_projects_to_negative_table_entry():
     for k in range(3):
         for l in range(3):
             e = TildeElement(8, linear={(k, l): F(1)})
-            p = project(expand_to_free(e), 8)
-            assert dict(p.terms()) == {(k, l): F(-1)}
+            p = project(expand_to_free(e))
+            assert dict(p.table.items()) == {(k, l): F(-1)}
 
 
 def test_expand_equal_pair_is_zero():
