@@ -43,8 +43,8 @@ class MetabelianElement(_QuotientElement):
 
     B(k,l) stands for the chain [X^k Y^l X Y] of degree k + l + 2.  The
     table of coefficients c_{kl} is stored as the commutative series
-    sum c_{kl} x^k y^l, a BiSeries truncated at degree n - 2 (empty when
-    n = 1), so sums, scalar multiples and the quotient bracket are series
+    sum c_{kl} x^k y^l, a BiSeries truncated at degree n - 2 (at -1 when
+    n = 1: every coefficient is beyond the truncation), so sums, scalar multiples and the quotient bracket are series
     arithmetic: ad X and ad Y act on the table as multiplication by x and
     y.  The table is the public read-only attribute ``table``; a table
     given as a dict or a shorter BiSeries is read as a polynomial, and
@@ -92,7 +92,8 @@ class MetabelianElement(_QuotientElement):
         B(k,l) maps to (-1)^{k+l+1} B(l,k): the k+l+2 letter signs give
         (-1)^{k+l}, the flipped tail [YX] = -[XY] one more.
         """
-        table = self.table.substitute(x=(0, -1), y=(-1, 0))
+        (table,) = self._tables()
+        table = table.substitute(x=(0, -1), y=(-1, 0))
         return MetabelianElement(self.truncation, -self.b, -self.a, -table)
 
 

@@ -471,9 +471,15 @@ class TruncatedSeries(_Coded):
         return type(self)(n, self._coeffs)
 
     def padded(self, n: int):
-        """Reinterpret as a polynomial known to all degrees <= ``n``."""
+        """Reinterpret as a polynomial known to all degrees <= ``n``; at
+        ``n = -1``, which the constructor refuses, no degree is known."""
         if n == self.truncation:
             return self
+        if n == -1:
+            out = object.__new__(type(self))
+            object.__setattr__(out, "truncation", -1)
+            object.__setattr__(out, "_coeffs", {})
+            return out
         return type(self)(n, self._coeffs)
 
 
@@ -756,7 +762,8 @@ class _QuotientElement(_Coded):
     and an offset.  The slot is a public read-only attribute holding the
     table as a series, which callers read directly.  A table key of degree
     d stands for a bracket of degree d + offset, so the table is cut at
-    ``truncation - offset`` and is empty below that.  A table given as a
+    ``truncation - offset``; below the offset it is cut at -1, where every
+    coefficient is beyond the truncation.  A table given as a
     dict or as a series at another truncation is read as a polynomial.
     Sums truncate at the smaller bound; instances are immutable and
     compare equal only to an element of the same type and truncation with
@@ -772,11 +779,10 @@ class _QuotientElement(_Coded):
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
         for spec, t in zip(self._CODEC.tables, tables):
-            n = truncation - spec.offset
-            cls = spec.series
-            if not isinstance(t, cls):
-                t = cls(max(n, 0), t)
-            object.__setattr__(self, spec.slot, t.padded(n) if n >= 0 else cls.zero(0))
+            n = max(truncation - spec.offset, -1)
+            if not isinstance(t, spec.series):
+                t = spec.series(max(n, 0), t)
+            object.__setattr__(self, spec.slot, t.padded(n))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -786,7 +792,10 @@ class _QuotientElement(_Coded):
         return cls(truncation)
 
     def _tables(self) -> list:
-        return [getattr(self, spec.slot) for spec in self._CODEC.tables]
+        """The tables, one cut at -1 read as zero at 0 so that sums and
+        multiples of it build; the constructor cuts it at -1 again."""
+        tables = [getattr(self, spec.slot) for spec in self._CODEC.tables]
+        return [t.padded(max(t.truncation, 0)) for t in tables]
 
     def _codec_parts(self) -> tuple:
         return self.truncation, (self.a, self.b), self._tables()

@@ -55,7 +55,8 @@ class TildeElement(_QuotientElement):
     everything beyond the truncation is dropped.  The linear table is
     the BiSeries sum c_{mn} x^m y^n cut at n - 2, the layout of
     ``MetabelianElement``'s table; the quadratic table is a PairSeries
-    keyed ((k,l),(m,n)) cut at n - 4, kept in the normal order
+    keyed ((k,l),(m,n)) cut at n - 4 (each at -1 at the least, where
+    every coefficient is beyond the truncation), kept in the normal order
     (k,l) > (m,n): building with keys in the opposite order flips the
     sign, and [A,A] vanishes.  The tables are the public read-only
     attributes ``linear`` and ``quadratic``.

@@ -110,7 +110,10 @@ def test_element_str():
 
 def test_element_truncations_one_and_two():
     e = MetabelianElement(1, 2, -1, {(0, 0): F(5)})
-    assert (e.a, e.b, e.table) == (2, -1, BiSeries.zero(0))
+    assert (e.a, e.b, e.table.truncation) == (2, -1, -1)
+    assert e.table.is_zero() and e.table.terms() == []
+    with pytest.raises(ValueError, match="beyond truncation"):
+        e.table.coefficient(0, 0)
     assert e.ad_x().is_zero() and e.ad_y().is_zero()  # degree 2 is cut
     assert e.subst_negswap() == MetabelianElement(1, 1, -2)
     assert e + hausdorff_closed(4) == MetabelianElement(1, 3, 0)

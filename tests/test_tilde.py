@@ -66,6 +66,18 @@ def test_element_truncation_drops():
         e.linear.coefficient(4, 4)
 
 
+def test_tables_below_their_degree_know_no_coefficient():
+    e = TildeElement(1, 2, -1, {(0, 0): F(5)}, {((1, 0), (0, 0)): F(1)})
+    assert (e.a, e.b, e.linear.truncation, e.quadratic.truncation) == (2, -1, -1, -1)
+    with pytest.raises(ValueError, match="beyond truncation"):
+        e.linear.coefficient(0, 0)
+    with pytest.raises(ValueError, match="beyond truncation"):
+        TildeElement(3).quadratic.coefficient((1, 0), (0, 0))
+    assert e + e == 2 * e == TildeElement(1, 4, -2)
+    assert e.degree_part(2).is_zero() and str(-e) == "-2 X + Y"
+    assert tilde_act("X", e) == TildeElement(1) and tilde_dy(e).truncation == 1
+
+
 def test_element_degree_part_and_algebra():
     e = TildeElement(
         7,
