@@ -26,7 +26,6 @@ from .freelie import (
     LieSeries,
     bracket,
     ideal_membership,
-    ideal_spanning_elements,
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
@@ -87,7 +86,6 @@ __all__ = [
     "LieSeries",
     "bracket",
     "ideal_membership",
-    "ideal_spanning_elements",
     "long_commutator",
     "lyndon_coords_of_assoc",
     "lyndon_words",

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable
 
 from .assoc import NCSeries, _all_words, _compress_word, _scaled
 from .series import TruncatedSeries, _Codec, _Table, _as_fraction
@@ -62,7 +61,6 @@ __all__ = [
     "right_normed",
     "Derivation",
     "ideal_membership",
-    "span_rank",
 ]
 
 _GENERATORS = ("X", "Y")
@@ -428,28 +426,8 @@ class Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Sparse exact linear algebra and ideal membership
+# Ideal membership
 # ---------------------------------------------------------------------------
-
-def span_rank(vectors: Iterable[dict]) -> int:
-    """The rank of sparse exact vectors, by incremental Gauss elimination."""
-    pivots: dict = {}
-    for vec in vectors:
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            key = min(vec)
-            c = vec[key]
-            if key not in pivots:
-                pivots[key] = {k: Fraction(v) / c for k, v in vec.items()}
-                break
-            for k, v in pivots[key].items():
-                nv = vec.get(k, 0) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-    return len(pivots)
-
 
 _IDEALS = {"metabelian": 1, "deeper": 2}
 
@@ -463,13 +441,15 @@ def _ideal_level(word: str) -> int:
     factors have length at least 2, at most 2.  So P_w = [P_u, P_v] is at
     a level by construction: a bracket of two elements of L' is in L'',
     one of an element of L' and one of L'' is in [L',L''], and a factor
-    in an ideal keeps the bracket there.  The words of level 0 and length
-    d >= 2 are the X^k Y^l ([X, P_{X^(k-1) Y^l}] or [P_{X Y^(l-1)}, Y]),
-    d - 1 of them, the dimension of L/L'' in degree d, so the P_w of level
-    at least 1 are a basis of L'' (Reutenauer, Free Lie Algebras, 1993,
-    section 5.1).  The words of level 2 are as many as the rank of the
-    spanning brackets of [L',L''], a count the tests check through degree
-    12; only a verdict of "not a member" rests on it.
+    in an ideal keeps the bracket there.  As the P_w are a basis of L,
+    the words at a level or above are a basis of its ideal once they are
+    as many as its dimension.  L' is free on a space W with dim W_d = d - 1 for
+    d >= 2 (Shirshov-Witt), and L''/[L',L''] is the exterior square of W
+    (Reutenauer, Free Lie Algebras, 1993, section 5.1).  So in degree d
+    the words of level 0 must be d - 1: they are the X^k Y^l, a letter
+    bracketed with an X^k' Y^l'.  Those of level 1 must be dim (W ^ W)_d.
+    The tests check both counts at every degree through 20, the highest
+    any command serves.
     """
     if len(word) == 1:
         return 0
@@ -478,50 +458,6 @@ def _ideal_level(word: str) -> int:
     if len(u) > 1 and len(v) > 1:
         level += 1
     return min(level, 2)
-
-
-def _ideal_spanning_coords(ideal: str, degree: int) -> list[dict[str, int]]:
-    """Homogeneous spanning set of the ideal in the given degree, in Lyndon
-    coordinates read off the Lyndon bracket table.
-
-    metabelian: [[L,L],[L,L]], spanned by [u, v] over Lyndon basis
-    elements u, v of degree >= 2.  deeper: [[L,L],[[L,L],[L,L]]]-style
-    brackets [u,[v,w]] with u, v, w of degree >= 2.
-    """
-    if ideal not in _IDEALS:
-        raise ValueError(f"unknown ideal {ideal!r}")
-    out = []
-    if ideal == "metabelian":
-        for d1 in range(2, degree - 1):
-            d2 = degree - d1
-            if d2 < d1:
-                break
-            for u in lyndon_words(d1):
-                for v in lyndon_words(d2):
-                    if d1 == d2 and u >= v:
-                        continue
-                    out.append(_lyndon_bracket(u, v))
-    else:
-        for d1 in range(2, degree - 3):
-            for d2 in range(2, degree - d1 - 1):
-                d3 = degree - d1 - d2
-                if d3 < d2:
-                    break
-                for u in lyndon_words(d1):
-                    for v in lyndon_words(d2):
-                        for w in lyndon_words(d3):
-                            if d2 == d3 and v >= w:
-                                continue
-                            coords: dict[str, int] = {}
-                            _add_lyndon_bracket(coords, {u: 1}, _lyndon_bracket(v, w))
-                            out.append(coords)
-    return out
-
-
-def ideal_spanning_elements(ideal: str, degree: int) -> list[LieSeries]:
-    """The spanning set of ``_ideal_spanning_coords`` as series cut at the
-    degree."""
-    return [LieSeries(degree, c) for c in _ideal_spanning_coords(ideal, degree)]
 
 
 def ideal_membership(a: LieSeries, ideal: str) -> bool:

@@ -18,10 +18,9 @@ from .freelie import (
     LieSeries,
     bracket,
     ideal_membership,
-    ideal_spanning_elements,
     long_commutator,
     lyndon_coords_of_assoc,
-    span_rank,
+    lyndon_words,
     to_assoc,
 )
 from .bch import bch_dynkin, bch_recursive, bch_recursive_steps, hausdorff_h1
@@ -104,17 +103,20 @@ def check_bch(degree: int) -> list[Check]:
     out.append(
         _same("substituting (-Y,-X) negates the series", oracle.subst_negswap(), -oracle)
     )
-    graded = all(
-        w.count("X") == m
+    wrong = (
+        f"step {m}: {w} has degree {w.count('X')} in X"
         for m, h in enumerate(bch_recursive_steps(degree))
         for w, _ in h.items()
+        if w.count("X") != m
     )
-    out.append(_check("degree components are homogeneous", graded))
+    detail = next(wrong, "")
+    out.append(_check("degree components are homogeneous", not detail, detail))
     return out
 
 
 def check_metabelian(degree: int) -> list[Check]:
-    """The closed formula against both oracles and its symmetries."""
+    """The closed formula against both oracles and its symmetries, and
+    ``project`` against the mask it reads and the basis it writes."""
     out = []
     out.append(
         _same(
@@ -141,22 +143,36 @@ def check_metabelian(degree: int) -> list[Check]:
         _same("c(x,y) = x y h(x,-y)", c, hh.substitute(y=(0, -1)).shift(1, 1))
     )
     cap = min(degree, 8)
-    ok = all(
-        project(e).is_zero()
-        for d in range(4, cap + 1)
-        for e in ideal_spanning_elements("metabelian", d)
-    )
-    out.append(_check(f"projection kills the ideal through degree {cap}", ok))
-    ok = all(
-        span_rank(
-            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d)).word_dict()
-            for k in range(d - 1)
-        )
-        == d - 1
+    out.append(_projection_kills_ideal(cap))
+    # Each chain projects to its own unit B(k,l), so the chains of one
+    # degree are independent.
+    units = (
+        (f"B({k},{d - 2 - k})", project(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d)),
+         MetabelianElement(d, 0, 0, {(k, d - 2 - k): 1}))
         for d in range(2, cap + 1)
+        for k in range(d - 1)
     )
-    out.append(_check(f"basis chains independent through degree {cap}", ok))
+    out.append(_first_differing(f"basis chains independent through degree {cap}", units))
     return out
+
+
+def _projection_kills_ideal(cap: int) -> Check:
+    """In each degree d the Lyndon words outside L'' must be the d - 1
+    words X^kY^l, as many as dim (L/L'')_d, so the flagged words are a
+    basis of L''_d; ``project`` must send each of them to zero."""
+    name = f"projection kills the ideal through degree {cap}"
+    flagged = []
+    for d in range(2, cap + 1):
+        words = lyndon_words(d)
+        unflagged = [w for w in words if not ideal_membership(LieSeries(d, {w: 1}), "metabelian")]
+        if unflagged != ["X" * k + "Y" * (d - k) for k in range(d - 1, 0, -1)]:
+            detail = f"degree {d}: {len(unflagged)} words at level 0, expected {d - 1}"
+            return _check(name, False, detail)
+        flagged += [w for w in words if w not in unflagged]
+    return _first_differing(
+        name,
+        ((w, project(LieSeries(len(w), {w: 1})), MetabelianElement.zero(len(w))) for w in flagged),
+    )
 
 
 def check_zassenhaus(degree: int) -> list[Check]:

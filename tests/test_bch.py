@@ -77,15 +77,19 @@ def test_recursive_steps_grade_in_x():
 
 def test_check_bch_grading_fails_on_mixed_x_degree(monkeypatch):
     # H_1 with a term of X-degree 2 mixed in must fail the grading check,
-    # and only that check.
+    # and only that check, naming the step and the word.
     def mixed_steps(truncation):
         yield {"Y": F(1)}
         yield {"XY": F(1), "XXY": F(1)}
 
     monkeypatch.setattr("mbch.verify.bch_recursive_steps", mixed_steps)
-    results = {name: passed for name, passed, _ in check_bch(5)}
+    checks = check_bch(5)
+    results = {name: passed for name, passed, _ in checks}
     assert results.pop("degree components are homogeneous") is False
     assert all(results.values()) and len(results) == 3
+    assert checks[3] == (
+        "degree components are homogeneous", False, "step 1: XXY has degree 2 in X"
+    )
 
 
 def test_check_bch_names_the_first_differing_word(monkeypatch):

@@ -187,7 +187,8 @@ def test_byte_identical_reruns(capsys):
 # types, of the goldberg series and of the zassenhaus factors, whole and per
 # degree, the kv-solve report and the kv suite's report) at degree 12, and
 # of the free-Lie printer (text, json and csv of one series, reached by all
-# three methods) at degree 9, pinned by sha256.
+# three methods) at degree 9, pinned by sha256; so are the three verify
+# reports the benchmark runs, whose check names it pins too.
 @pytest.mark.parametrize("argv, digest", [
     ("deeper --degree 12",
      "900b70c4cd1cc4d9936d8cab8cb39ff461aa6d453466d16877b050e301569f5a"),
@@ -239,13 +240,19 @@ def test_byte_identical_reruns(capsys):
      "083c57fdd27f84d4a1973e639c3ac46ec1069e504da3007f84e0052b8ae1c3cb"),
     ("verify --suite kv --degree 12 --format csv",
      "af9e9b8bbd3de13dfe91d2a7df37d3b9eb7b38831ba435bda083a8cb9484c278"),
+    ("verify --degree 9",
+     "c9d1a518f496ebe5cbb8b519fa72636c51d4d9e4c7b8d70123e83f898c1c162b"),
+    ("verify --suite deeper --degree 11",
+     "302a28ee8eb29190ad936981cd73ca8be0d66a54a01ca07620cac8e583c4a0f6"),
+    ("verify --suite bch --degree 10",
+     "9bef7bd1359aabbf7db057d8be5aedc7540563c01dfc4c85a4812e90aac5711b"),
 ], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text",
         "metabelian-csv", "kv-solve-json", "bch-text", "bch-json", "bch-csv",
         "bch-oracle-text", "bch-dynkin-text", "metabelian-json", "goldberg-text",
         "goldberg-json", "goldberg-csv", "zassenhaus-text", "zassenhaus-json",
         "zassenhaus-csv", "zassenhaus-per-degree-text", "zassenhaus-per-degree-json",
         "zassenhaus-per-degree-csv", "kv-solve-text", "kv-solve-csv", "verify-kv-json",
-        "verify-kv-csv"])
+        "verify-kv-csv", "verify-all-9", "verify-deeper-11", "verify-bch-10"])
 def test_quotient_outputs_are_byte_exact(capsys, argv, digest):
     rc, out, err = run(capsys, *argv.split())
     assert rc == 0 and err == ""

@@ -15,13 +15,11 @@ from mbch.freelie import (
     LieSeries,
     bracket,
     ideal_membership,
-    ideal_spanning_elements,
     is_lyndon,
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
     right_normed,
-    span_rank,
     standard_bracketing,
     standard_factorization,
     to_assoc,
@@ -33,6 +31,7 @@ from mbch.freelie import (
     _lyndon_expansion,
     _lyndon_name,
 )
+from rank_reference import ideal_spanning_elements, span_rank
 
 F = Fraction
 # The truncation of the elements built here: above every degree a test

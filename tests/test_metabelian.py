@@ -11,15 +11,14 @@ from mbch.freelie import (
     LieSeries,
     bracket,
     ideal_membership,
-    ideal_spanning_elements,
     long_commutator,
     lyndon_coords_of_assoc,
     lyndon_words,
-    span_rank,
+    standard_factorization,
     to_assoc,
     to_lyndon_coords,
 )
-from mbch.freelie import _IDEALS, _ideal_level, _ideal_spanning_coords
+from mbch.freelie import _IDEALS, _ideal_level
 from mbch.metabelian import (
     MetabelianElement,
     goldberg_c,
@@ -32,6 +31,7 @@ from mbch.metabelian import (
 )
 from mbch.series import BiSeries
 from mbch.verify import check_metabelian, run_suite
+from rank_reference import ideal_spanning_coords, ideal_spanning_elements, span_rank
 
 
 # The truncation of the free elements built here: above every degree a
@@ -233,7 +233,7 @@ def test_flagged_lyndon_words_span_the_ideal(d):
     for ideal, level in _IDEALS.items():
         flagged = [w for w in words if _ideal_level(w) >= level]
         below = [w for w in words if _ideal_level(w) < level]
-        spanning = _ideal_spanning_coords(ideal, d)
+        spanning = ideal_spanning_coords(ideal, d)
         rank = span_rank(spanning)
         assert rank == len(flagged), ideal
         assert not any(v.get(w) for v in spanning for w in below), ideal
@@ -247,6 +247,86 @@ def test_flagged_lyndon_words_span_the_ideal(d):
             member = span_rank(spanning + [coords]) == rank
             assert ideal_membership(LieSeries(d, coords), ideal) == member, (ideal, coords)
             assert member == (i % 2 == 0)
+
+
+def _mask_count_failure(level_of, d: int) -> str | None:
+    """Why the factor rule ``level_of`` is no basis of the ideals in
+    degree d, or None.
+
+    Each P_w lies in the ideal of its level by construction, so the mask
+    is a basis of each ideal once it flags as many words as the ideal's
+    dimension.  L' is free on W with dim W_a = a - 1 (a >= 2, W_1 = 0),
+    so L/L'' has the d - 1 words X^kY^l in degree d, L''/[L',L''] is the
+    exterior square of W, and level 2 holds the rest.
+    """
+    words = lyndon_words(d)
+    levels = [level_of(w) for w in words]
+    quotient = ["X" * k + "Y" * (d - k) for k in range(d - 1, 0, -1)]
+    if [w for w, level in zip(words, levels) if level == 0] != quotient:
+        return f"degree {d}: {levels.count(0)} words at level 0, expected {d - 1}"
+    dim_w = [max(a - 1, 0) for a in range(d + 1)]
+    square = sum(dim_w[a] * dim_w[d - a] for a in range(1, d))
+    exterior = (square - (dim_w[d // 2] if d % 2 == 0 else 0)) // 2
+    counts = [levels.count(level) for level in range(3)]
+    expected = [d - 1, exterior, len(words) - (d - 1) - exterior]
+    return None if counts == expected else f"degree {d}: counts {counts}, expected {expected}"
+
+
+@pytest.mark.parametrize("d", range(2, 21))
+def test_mask_counts_certify_both_ideals(d):
+    # Through degree 20, the highest any command serves (deeper at 20,
+    # bch and project at 16); the rank reference above stops at 12.
+    assert _mask_count_failure(_ideal_level, d) is None
+
+
+def _mutant_rule(bump):
+    """The factor rule with ``bump(len(u), len(v))`` in place of "both
+    factors have length at least 2"."""
+    def level(word):
+        if len(word) == 1:
+            return 0
+        u, v = standard_factorization(word)
+        return min(max(level(u), level(v)) + bump(len(u), len(v)), 2)
+
+    return level
+
+
+@pytest.mark.parametrize("bump, first_failure", [
+    (lambda m, n: m > 1 or n > 1, "degree 3: 0 words at level 0, expected 2"),
+    (lambda m, n: m > 2 and n > 2, "degree 5: 6 words at level 0, expected 4"),
+], ids=["over-flagging", "under-flagging"])
+def test_mask_mutants_fail_the_count_and_verify(monkeypatch, bump, first_failure):
+    level = _mutant_rule(bump)
+    failures = (_mask_count_failure(level, d) for d in range(2, 21))
+    assert next(f for f in failures if f) == first_failure
+    monkeypatch.setattr("mbch.freelie._ideal_level", level)
+    monkeypatch.setattr("mbch.metabelian._ideal_level", level)
+    checks = {name: (passed, detail) for name, passed, detail in check_metabelian(8)}
+    assert checks["projection kills the ideal through degree 8"] == (False, first_failure)
+
+
+def test_check_metabelian_names_the_first_flagged_word_off_zero(monkeypatch):
+    # A project that reads the level-1 words as if they were the X^kY^l:
+    # the mask is unchanged, so the count passes, and the first flagged
+    # word that reaches a table slot is named.
+    monkeypatch.setattr("mbch.metabelian._ideal_level", lambda w: max(_ideal_level(w) - 1, 0))
+    checks = {name: (passed, detail) for name, passed, detail in check_metabelian(8)}
+    assert checks["projection kills the ideal through degree 8"] == (
+        False, "XXYXY: differs at (1,2): 1 != 0"
+    )
+
+
+def test_check_metabelian_names_the_first_chain_off_its_unit(monkeypatch):
+    # A project that writes B(l,k) for B(k,l).
+    def transposed(e):
+        p = project(e)
+        return MetabelianElement(p.truncation, p.a, p.b, p.table.substitute(x=(0, 1), y=(1, 0)))
+
+    monkeypatch.setattr("mbch.verify.project", transposed)
+    checks = {name: (passed, detail) for name, passed, detail in check_metabelian(8)}
+    assert checks["basis chains independent through degree 8"] == (
+        False, "B(0,1): differs at (0,1): 0 != 1"
+    )
 
 
 def test_project_agrees_with_the_chain_rule():
