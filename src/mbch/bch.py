@@ -4,7 +4,8 @@ Two independent routes are provided.  ``bch_recursive`` runs the
 derivation recursion: with D the derivation sending X to 0 and Y to the
 series ``hausdorff_h1``, the pieces H_0 = Y, H_m = D(H_{m-1})/m sum to
 the full series, and H_m collects exactly the terms of degree m in X.
-It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis).
+It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis)
+in ``_hausdorff_steps``, the step loop ``tilde`` shares, once per degree.
 ``bch_dynkin`` evaluates the explicit double sum over tuples of block
 exponents, as a dynamic program over words whose chains enter the
 Lyndon basis through ``to_lyndon_coords``.  Both return a ``LieSeries``
@@ -15,6 +16,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Iterator
@@ -41,34 +43,37 @@ def hausdorff_h1(truncation: int) -> LieSeries:
     return LieSeries(truncation, to_lyndon_coords(chains))
 
 
-def bch_recursive_steps(truncation: int) -> Iterator[LieSeries]:
-    """Yield H_0, H_1, ... of the derivation recursion, cut at the truncation.
-
-    H_m is homogeneous of degree m in X (each substitution of the image
-    of Y consumes one Y and introduces exactly one X), so every Lyndon
-    word of H_m holds m letters X.  ``Derivation`` maps coordinates to
-    coordinates, so the term count stays bounded by the number of Lyndon
-    words of each degree.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    d = Derivation(None, hausdorff_h1(truncation), truncation)
-    h = LieSeries(truncation, {"Y": 1})
+def _hausdorff_steps(derive, start, truncation: int) -> Iterator:
+    """Yield H_0 = start, then H_m = derive(H_{m-1}) / m for m up to the
+    truncation, stopping at the first step that is zero."""
+    h = start
     yield h
     for m in range(1, truncation + 1):
-        h = Fraction(1, m) * d(h)
+        h = Fraction(1, m) * derive(h)
         if h.is_zero():
             return
         yield h
 
 
+@functools.cache
+def bch_recursive_steps(truncation: int) -> tuple[LieSeries, ...]:
+    """H_0, H_1, ... of the derivation recursion, cut at the truncation.
+
+    H_m is homogeneous of degree m in X (each substitution of the image
+    of Y consumes one Y and introduces exactly one X), so every Lyndon
+    word of H_m holds m letters X.  ``Derivation`` maps coordinates to
+    coordinates, so the term count stays bounded by the number of Lyndon
+    words of each degree.  Cached per truncation.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    d = Derivation(None, hausdorff_h1(truncation), truncation)
+    return tuple(_hausdorff_steps(d, LieSeries(truncation, {"Y": 1}), truncation))
+
+
 def bch_recursive(truncation: int) -> LieSeries:
-    """log(e^X e^Y) through the given degree, by the derivation recursion."""
-    total: dict[str, Fraction] = {}
-    for h in bch_recursive_steps(truncation):
-        for w, c in h.items():
-            total[w] = total.get(w, 0) + c
-    return LieSeries(truncation, total)
+    """log(e^X e^Y) through the given degree: the sum of the cached steps."""
+    return sum(bch_recursive_steps(truncation), LieSeries.zero(truncation))
 
 
 def bch_dynkin(truncation: int) -> LieSeries:

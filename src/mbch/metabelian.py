@@ -232,14 +232,17 @@ def kv_solve(truncation: int, a=0, g: BiSeries | None = None) -> MetabelianEleme
     return MetabelianElement(n, _as_fraction(a), Fraction(1, 4), f)
 
 
-def kv_verify(F: MetabelianElement, truncation: int) -> bool:
-    """Check [X, F] + [Y, F(-Y,-X)] against log(e^X e^Y) - X - Y.
-
-    F is reread at the requested truncation (entries beyond it are
-    dropped, missing ones count as zero).
-    """
+def _kv_sides(F: MetabelianElement, truncation: int) -> tuple:
+    """The two sides [X, F] + [Y, F(-Y,-X)] and log(e^X e^Y) - X - Y of the
+    commutator equation, with F reread at the requested truncation
+    (entries beyond it dropped, missing ones counted as zero)."""
     n = truncation
     f = MetabelianElement(n, F.a, F.b, F.table)
-    lhs = f.ad_x() + f.subst_negswap().ad_y()
     # h at n - 1, cut to n - 2 by the constructor: the series kv_solve read
-    return lhs == MetabelianElement(n, 0, 0, h_series(n - 1))
+    return f.ad_x() + f.subst_negswap().ad_y(), MetabelianElement(n, 0, 0, h_series(n - 1))
+
+
+def kv_verify(F: MetabelianElement, truncation: int) -> bool:
+    """Check [X, F] + [Y, F(-Y,-X)] against log(e^X e^Y) - X - Y."""
+    lhs, rhs = _kv_sides(F, truncation)
+    return lhs == rhs

@@ -18,10 +18,11 @@ H_1 = X + sum of (B_l / l!) {0,l-1} has the explicit description
 
 Iterating D as in the classical recursion produces log(e^X e^Y) out of
 long commutators and single brackets of long commutators; that is
-``hausdorff_tilde``.  On a pair [u,v], D and the letter actions are
-derivations and give [du,v] + [u,dv]; only the linear part of du and dv
-is kept, since the rest are brackets of brackets of long commutators,
-zero in this quotient.  That rule is written once, in ``_leibniz``.
+``hausdorff_tilde``, the step loop of ``bch`` run with D.  On a pair
+[u,v], D and the letter actions are derivations and give
+[du,v] + [u,dv]; only the linear part of du and dv is kept, since the
+rest are brackets of brackets of long commutators, zero in this
+quotient.  That rule is written once, in ``_leibniz``.
 
 ``TildeElement`` stores {m,n} as x^m y^n in a ``BiSeries``, as
 ``MetabelianElement`` stores its table, so x and y act on it by
@@ -34,6 +35,7 @@ import functools
 from fractions import Fraction
 from math import comb, factorial
 
+from .bch import _hausdorff_steps
 from .series import BiSeries, PairSeries, _Codec, _QuotientElement, _Table, bernoulli
 from .freelie import LieSeries, _add_lyndon_bracket, to_lyndon_coords
 
@@ -182,20 +184,14 @@ def tilde_dy(e: TildeElement) -> TildeElement:
 def hausdorff_tilde(truncation: int) -> TildeElement:
     """log(e^X e^Y) out of long commutators and their single brackets.
 
-    The recursion of ``bch.bch_recursive_steps`` in this quotient: the
-    sum of H_0 = Y, H_1 = D Y = X + sum (B_l/l!) {0,l-1} and each next
-    H_m = D H_{m-1} / m.
+    The step loop of ``bch.bch_recursive_steps`` run with ``tilde_dy``:
+    the sum of H_0 = Y, H_1 = D Y = X + sum (B_l/l!) {0,l-1} and each
+    next H_m = D H_{m-1} / m.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    n = truncation
-    h = total = TildeElement(n, 0, 1)
-    for m in range(1, n + 1):
-        h = Fraction(1, m) * tilde_dy(h)
-        if h.is_zero():
-            break
-        total = total + h
-    return total
+    steps = _hausdorff_steps(tilde_dy, TildeElement(truncation, 0, 1), truncation)
+    return sum(steps, TildeElement.zero(truncation))
 
 
 def expand_to_free(e: TildeElement) -> LieSeries:

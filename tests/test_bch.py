@@ -16,7 +16,7 @@ from mbch.freelie import (
     standard_bracketing,
     to_assoc,
 )
-from mbch.verify import check_bch
+from mbch.verify import check_bch, run_suite
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,16 @@ def test_recursive_sum_matches_steps():
         for w, c in h.items():
             total[w] = total.get(w, 0) + c
     assert LieSeries(5, total) == bch_recursive(5)
+
+
+@pytest.mark.parametrize("suite, degree, hits", [("all", 9, 3), ("bch", 10, 1)])
+def test_verify_runs_the_free_recursion_once_per_degree(suite, degree, hits):
+    # The bch, metabelian and deeper suites sum the steps, and the grading
+    # check reads them: one computation, every later call a cache hit.
+    bch_recursive_steps.cache_clear()
+    assert all(passed for _, passed, _ in run_suite(suite, degree))
+    info = bch_recursive_steps.cache_info()
+    assert (info.misses, info.hits) == (1, hits)
 
 
 def _tree_degree(t):

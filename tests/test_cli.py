@@ -188,7 +188,9 @@ def test_byte_identical_reruns(capsys):
 # degree, the kv-solve report and the kv suite's report) at degree 12, and
 # of the free-Lie printer (text, json and csv of one series, reached by all
 # three methods) at degree 9, pinned by sha256; so are the three verify
-# reports the benchmark runs, whose check names it pins too.
+# reports the benchmark runs, whose check names it pins too, and the
+# benchmark's other jobs but goldberg-64 (its degree-12 bytes are pinned
+# above) and the seeded kv-solve-64, which the benchmark checks by content.
 @pytest.mark.parametrize("argv, digest", [
     ("deeper --degree 12",
      "900b70c4cd1cc4d9936d8cab8cb39ff461aa6d453466d16877b050e301569f5a"),
@@ -246,13 +248,27 @@ def test_byte_identical_reruns(capsys):
      "302a28ee8eb29190ad936981cd73ca8be0d66a54a01ca07620cac8e583c4a0f6"),
     ("verify --suite bch --degree 10",
      "9bef7bd1359aabbf7db057d8be5aedc7540563c01dfc4c85a4812e90aac5711b"),
+    ("bch --method recursive --degree 13",
+     "a308d8ae493f1897c4204a785e4e75e6d06506221b7c52a7702f2a2e04db41fc"),
+    ("bch --method oracle --degree 12",
+     "02ce9dabbf361557538d2f1d5839b0234ed7c540b1004fdcf65e08b7b9fb51c7"),
+    ("bch --method dynkin --degree 10",
+     "523de48a2caffe07eea5cedcd140bcb8151e98566c8fbe6386a212d916f16f6e"),
+    ("metabelian --degree 64 --format json",
+     "bab55a1fbf66bceeb7250d2304e4c134b80a737a69a768e91d50944772304111"),
+    ("zassenhaus --degree 64 --per-degree",
+     "b7063ef9b7b83a9af8c3b2022e483613340c381d284c89887c53dbb61df29992"),
+    ("deeper --degree 18 --format csv",
+     "2751c5347a7b861b7a7bcda9c151ceefb4fab617c91c867e2b0dddd077b26a3a"),
 ], ids=["deeper-text", "deeper-json", "deeper-csv", "metabelian-text",
         "metabelian-csv", "kv-solve-json", "bch-text", "bch-json", "bch-csv",
         "bch-oracle-text", "bch-dynkin-text", "metabelian-json", "goldberg-text",
         "goldberg-json", "goldberg-csv", "zassenhaus-text", "zassenhaus-json",
         "zassenhaus-csv", "zassenhaus-per-degree-text", "zassenhaus-per-degree-json",
         "zassenhaus-per-degree-csv", "kv-solve-text", "kv-solve-csv", "verify-kv-json",
-        "verify-kv-csv", "verify-all-9", "verify-deeper-11", "verify-bch-10"])
+        "verify-kv-csv", "verify-all-9", "verify-deeper-11", "verify-bch-10",
+        "bch-recursive-13", "bch-oracle-12", "bch-dynkin-10", "metabelian-64-json",
+        "zassenhaus-64-per-degree", "deeper-18-csv"])
 def test_quotient_outputs_are_byte_exact(capsys, argv, digest):
     rc, out, err = run(capsys, *argv.split())
     assert rc == 0 and err == ""

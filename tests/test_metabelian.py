@@ -30,7 +30,7 @@ from mbch.metabelian import (
     zassenhaus_closed,
 )
 from mbch.series import BiSeries
-from mbch.verify import check_metabelian, run_suite
+from mbch.verify import check_kv, check_metabelian, run_suite
 from rank_reference import ideal_spanning_coords, ideal_spanning_elements, span_rank
 
 
@@ -589,3 +589,31 @@ def test_kv_rejects_bad_g():
 def test_kv_verify_rejects_trivial_f():
     assert not kv_verify(MetabelianElement(3, 0, F(1, 4)), 3)
     assert not kv_verify(MetabelianElement(6, 0, F(1, 4)), 6)
+
+
+# Each kv check names its witness.  kv_solve is called once for the
+# particular solution and then once per random draw; the call named by
+# ``call`` gets ``table`` added to its f.
+@pytest.mark.parametrize("call, table, name, detail", [
+    (1, {(2, 1): 1}, "particular solution satisfies the equation",
+     "differs at (1,3): 1441/1440 != 1/1440"),
+    (1, {(0, 0): F(1, 12)}, "constant coefficient of f is 1/12",
+     "differs at (0,0): 1/6 != 1/12"),
+    (1, {(1, 1): F(1, 5)}, "x f(x,y) - y f(-y,-x) = h - 1/2",
+     "differs at (1,2): -7/36 != 1/180"),
+    (4, {(1, 2): F(1, 3)}, "random (a, g) solutions satisfy the equation",
+     "draw 3: differs at (2,2): 241/360 != 1/360"),
+], ids=["particular-solution", "constant-coefficient", "series-form", "random-draw"])
+def test_check_kv_names_its_witness(monkeypatch, call, table, name, detail):
+    calls = []
+
+    def perturbed(n, a=0, g=None):
+        calls.append((a, g))
+        f = kv_solve(n, a, g)
+        return f + MetabelianElement(n, table=table) if len(calls) == call else f
+
+    monkeypatch.setattr("mbch.verify.kv_solve", perturbed)
+    checks = {check: (passed, text) for check, passed, text in check_kv(8)}
+    assert checks[name] == (False, detail)
+    # The random check stops at the first draw that fails.
+    assert len(calls) == (6 if call == 1 else call)
