@@ -1,10 +1,11 @@
 """Exact Baker-Campbell-Hausdorff computations on two generators.
 
 The package computes log(e^X e^Y) in the free Lie algebra over the
-rationals three independent ways, evaluates the closed formula for its
-image in the free metabelian Lie algebra, solves the metabelian
-analogues of the Zassenhaus product and of a commutator equation, and
-runs the same recursion one quotient deeper.  All arithmetic is exact.
+rationals by a recursion and from its word series, read into the Lyndon
+basis two ways, evaluates the closed formula for its image in the free
+metabelian Lie algebra, solves the metabelian analogues of the
+Zassenhaus product and of a commutator equation, and runs the same
+recursion one quotient deeper.  All arithmetic is exact.
 """
 
 from .series import (

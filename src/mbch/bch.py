@@ -6,21 +6,20 @@ series ``hausdorff_h1``, the pieces H_0 = Y, H_m = D(H_{m-1})/m sum to
 the full series, and H_m collects exactly the terms of degree m in X.
 It runs on Lyndon coordinates (``Derivation`` acts on the Lyndon basis)
 in ``_hausdorff_steps``, the step loop ``tilde`` shares, once per degree.
-``bch_dynkin`` evaluates the explicit double sum over tuples of block
-exponents, as a dynamic program over words whose chains enter the
-Lyndon basis through ``to_lyndon_coords``.  Both return a ``LieSeries``
-and agree, word for word, with the noncommutative oracle
-``assoc.bch_log_oracle``; the test suite checks all three against each
-other.
+``bch_dynkin`` brackets the word series of the noncommutative oracle
+``assoc.bch_log_oracle`` by Dynkin's map, whose chains enter the Lyndon
+basis through ``to_lyndon_coords``.  The recursion shares nothing with
+the word series; the test suite checks it against both.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial
 from typing import Iterator
 
+from .assoc import bch_log_oracle
 from .series import bernoulli
 from .freelie import Derivation, LieSeries, to_lyndon_coords
 
@@ -77,43 +76,18 @@ def bch_recursive(truncation: int) -> LieSeries:
 
 
 def bch_dynkin(truncation: int) -> LieSeries:
-    """log(e^X e^Y) through the given degree, by the explicit tuple sum.
+    """log(e^X e^Y) through the given degree: Dynkin's bracketing of the
+    cached word series ``bch_log_oracle``.
 
-    Sums, over every tuple (p_1, q_1, ..., p_m, q_m) with p_i + q_i > 0
-    and total degree d = sum(p_i + q_i) at most the truncation,
-
-        (-1)^(m-1) / m * [X^{p_1} Y^{q_1} ... X^{p_m} Y^{q_m}]
-            / (d * p_1! q_1! ... p_m! q_m!)
-
-    as a dynamic program over words that appends the last block.  For
-    the m-block tuples spelling w, layer_m[w] = |w|! sum 1/(p_1! ... q_m!)
-    is a sum of multinomials, an integer, and word w carries
-    sum_m (-1)^(m-1) layer_m[w] / (m |w| |w|!).  No tuple is filtered out;
-    a word ending in a repeated letter, whose long commutator vanishes,
-    is dropped, and the other chains are rewritten in the Lyndon basis.
+    Bracketing a word w into its right-nested chain [w] sends a Lie
+    polynomial of degree d to d times itself (Dynkin-Specht-Wever), so
+    the word w with coefficient c enters as the chain c [w] / |w|.  A
+    word ending in a repeated letter, whose chain vanishes, is dropped;
+    the chains reach the Lyndon basis through the bracket table, not by
+    the triangular elimination of ``bch --method oracle``.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    n = truncation
-    scale = lcm(*range(1, n + 1))
-    totals: dict[str, int] = {}
-    layer = {"": 1}
-    for m in range(1, n + 1):
-        nxt: dict[str, int] = {}
-        for word, c in layer.items():
-            for size in range(1, n - len(word) + 1):
-                # (|w|+p+q)! / (|w|! p! q!) = C(|w|+size, size) C(size, p)
-                grow = c * comb(len(word) + size, size)
-                for p in range(size + 1):
-                    w = word + "X" * p + "Y" * (size - p)
-                    nxt[w] = nxt.get(w, 0) + grow * comb(size, p)
-        for word, c in nxt.items():
-            totals[word] = totals.get(word, 0) + (-1) ** (m - 1) * (scale // m) * c
-        layer = nxt
-
-    chains = {
-        word: Fraction(c, scale * len(word) * factorial(len(word)))
-        for word, c in totals.items()
-        if c and word[-2:] not in ("XX", "YY")
-    }
+    words = bch_log_oracle(truncation).items()
+    chains = {w: c / len(w) for w, c in words if w[-2:] not in ("XX", "YY")}
     return LieSeries(truncation, to_lyndon_coords(chains))

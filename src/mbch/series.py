@@ -177,10 +177,11 @@ def _csv_text(header: Iterable[str], rows: Iterable[dict]) -> str:
 class _Table(NamedTuple):
     """One table of terms: its JSON list name (the CSV ``kind``), key
     fields ("word", a pair of index names, or a pair of such pairs) and
-    the printed ``label`` of a key; a key of degree d is a term of degree
-    d + ``offset``.  In a quotient element the table is the series of
-    type ``series`` held in ``slot``.  Text lists the terms in the
-    codec's order, or by degree and then ``text_key`` when one is given.
+    the printed ``label`` of a key; a key of degree d, by its series'
+    ``_degree``, is a term of degree d + ``offset``.  In a quotient
+    element the table is the series of type ``series`` held in ``slot``.
+    Text lists the terms in the codec's order, or by degree and then
+    ``text_key`` when one is given.
     """
 
     name: str
@@ -191,14 +192,11 @@ class _Table(NamedTuple):
     series: type | None = None
     text_key: Callable | None = None
 
-    def degree(self, key) -> int:
-        return self.offset + (len(key) if isinstance(key, str) else sum(_flat(key)))
-
     def terms(self, table, by=None) -> list:
-        """The (key, coefficient) pairs in order of degree, then key (or
-        ``by(key)``)."""
+        """The (key, coefficient) pairs of the series ``table`` in order of
+        degree, then key (or ``by(key)``)."""
         by = by or (lambda k: k)
-        return sorted(table.items(), key=lambda kc: (self.degree(kc[0]), by(kc[0])))
+        return sorted(table.items(), key=lambda kc: (table._degree(kc[0]), by(kc[0])))
 
     def row(self, key, c, **extra) -> dict:
         """A term as its fields and ``c``, after ``extra``."""
@@ -239,7 +237,7 @@ class _Codec(NamedTuple):
         ]
         for spec, table in zip(self.tables, tables):
             rows += [
-                spec.row(k, c, kind=spec.name, degree=spec.degree(k))
+                spec.row(k, c, kind=spec.name, degree=spec.offset + table._degree(k))
                 for k, c in spec.terms(table)
             ]
         return _csv_text(header, rows)
@@ -265,7 +263,8 @@ class _Codec(NamedTuple):
         out = build(n, *scalars, *map(dict, pairs))
         keys = [_refuse_repeats(p) for p in pairs]
         for spec, table in zip(self.tables, keys):
-            _refuse_beyond(n, map(spec.degree, table))
+            degree = (spec.series or build)._degree
+            _refuse_beyond(n, (spec.offset + degree(k) for k in table))
         tag = data.get("basis")
         if tag is not None and tag != self.basis:
             raise ValueError(f"basis {tag!r} names another container")

@@ -97,6 +97,7 @@ def check_bch(degree: int) -> list[Check]:
         if w.count("X") != m
     )
     detail = next(wrong, "")
+    # "tuple sum" names Dynkin's route, which brackets ``oracle``.
     return [
         _same(f"recursion equals tuple sum through degree {degree}", rec, bch_dynkin(degree)),
         _same(f"recursion matches word-level log through degree {degree}", to_assoc(rec), oracle),

@@ -124,6 +124,16 @@ def test_verify_runs_the_free_recursion_once_per_degree(suite, degree, hits):
     assert (info.misses, info.hits) == (1, hits)
 
 
+@pytest.mark.parametrize("suite, degree, hits", [("all", 9, 2), ("bch", 10, 1)])
+def test_verify_computes_the_word_series_once_per_degree(suite, degree, hits):
+    # check_bch reads the word series, and bch_dynkin brackets the same
+    # cached series; the metabelian suite reads it at the same degree.
+    bch_log_oracle.cache_clear()
+    assert all(passed for _, passed, _ in run_suite(suite, degree))
+    info = bch_log_oracle.cache_info()
+    assert (info.misses, info.hits) == (1, hits)
+
+
 def _tree_degree(t):
     return 1 if isinstance(t, str) else _tree_degree(t[0]) + _tree_degree(t[1])
 
@@ -230,6 +240,8 @@ def _dynkin_by_tuples(truncation):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_dynkin_word_dp_equals_tuple_enumeration(n):
+    # Dynkin's bracketing of the word series against the tuple sum, one
+    # block tuple at a time, each chain through ``long_commutator``.
     assert dict(bch_dynkin(n).items()) == _dynkin_by_tuples(n)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -29,7 +30,7 @@ from mbch.metabelian import (
     project,
     zassenhaus_closed,
 )
-from mbch.series import BiSeries
+from mbch.series import BiSeries, bernoulli
 from mbch.verify import check_kv, check_metabelian, run_suite
 from rank_reference import ideal_spanning_coords, ideal_spanning_elements, span_rank
 
@@ -380,6 +381,21 @@ def test_h_negswap_symmetry():
         assert h.substitute(x=(0, -1), y=(-1, 0)) == h
 
 
+def test_h_at_62_equals_its_coefficient_formula():
+    # Minus the coefficient of x^k y^(l+1) in ((e^x - 1)/x) ((x+y)/(e^(x+y) - 1)),
+    # a finite Bernoulli sum per slot: no series division.
+    n = 62
+    formula = {
+        (k, l): -sum(
+            bernoulli(r + l + 1) / (factorial(r) * factorial(l + 1) * factorial(k - r + 1))
+            for r in range(k + 1)
+        )
+        for k in range(n + 1)
+        for l in range(n + 1 - k)
+    }
+    assert h_series(n) == BiSeries(n, formula)
+
+
 def test_closed_formula_low_degrees():
     e = hausdorff_closed(4)
     assert e.a == 1 and e.b == 1
@@ -518,6 +534,19 @@ def test_zassenhaus_against_log_residual():
     residual = nc_log(nc_exp(-y) * nc_exp(-x) * nc_exp(x + y))
     lie = LieSeries(n, lyndon_coords_of_assoc(residual))
     assert project(lie) == zassenhaus_closed(n)
+
+
+def test_zassenhaus_at_64_equals_its_coefficient_formula():
+    # Modulo brackets of brackets the Zassenhaus recursion collapses to one
+    # closed coefficient per slot B(k,l): no series division.
+    n = 64
+    formula = {
+        (k, l): F((-1) ** (k + l + 1), (k + l + 2) * factorial(k + 1) * factorial(l))
+        for k in range(n - 1)
+        for l in range(n - 1 - k)
+    }
+    assert len(formula) == 2016
+    assert dict(zassenhaus_closed(n).table.items()) == formula
 
 
 # ---------------------------------------------------------------------------
