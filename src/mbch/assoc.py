@@ -9,16 +9,19 @@ lookups on word keys stay cheap.
 The kernels run on integers.  A product scales each factor once by the
 least common multiple of its denominators and multiplies integer word
 dicts in ``_word_product``; ``nc_exp`` and ``nc_log`` are power sums
-sum_k f_k a^k, evaluated by Horner's rule in integers over one common
-denominator with the same loop, so each output word becomes a
-``Fraction`` once.
+sum_k f_k a^k, evaluated by Horner's rule in ``_power_sum`` on an
+integer word dict over one common denominator, so each output word
+becomes a ``Fraction`` once.  The Zassenhaus stripping chains these
+kernels without leaving the integers: the residual stays one integer
+word dict over one denominator from the first factor to the last, and
+only the extracted factors become ``Fraction``s.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .series import TruncatedSeries, _Codec, _Table
 
@@ -108,10 +111,7 @@ class NCSeries(TruncatedSeries):
         n = min(self.truncation, other.truncation)
         s1, left = _scaled(self._coeffs)
         s2, right = _scaled(other._coeffs)
-        scale = s1 * s2
-        return NCSeries(
-            n, {w: Fraction(c, scale) for w, c in _word_product(left, right, n).items()}
-        )
+        return _from_ints(n, s1 * s2, _word_product(left, right, n))
 
     __rmul__ = __mul__
 
@@ -141,21 +141,20 @@ def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
 # exp / log
 # ---------------------------------------------------------------------------
 
-def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
-    """sum_k weights[k] a^k, in integers over one common denominator.
+def _power_sum(scale: int, ints: dict, n: int, weights: list[Fraction]) -> tuple[int, dict]:
+    """sum_k weights[k] a^k for a = ints / scale, cut at length n, as
+    (denominator, integer word dict).
 
-    With a = A / s for an integer word dict A and f_k = F_k / L over the
-    least common multiple L of the weights' denominators, the sum is
-    sum_k F_k s^(K-k) A^k / (L s^K), K the last index.  Horner's rule
-    forms it as q <- q A + F_k s^(K-k), k = K-1, ..., 0.  Every word of A
-    has length at least v, the lowest degree of a, so when k more
+    With f_k = F_k / L over the least common multiple L of the weights'
+    denominators, the sum is sum_k F_k s^(K-k) A^k / (L s^K), A = ints,
+    s = scale, K the last index.  Horner's rule forms it as
+    q <- q A + F_k s^(K-k), k = K-1, ..., 0.  Every word of A has length
+    at least v, the least length among them, so when k more
     multiplications follow, the words of q A longer than n - k v cannot
     reach the truncation n and are not formed.
     """
-    n = a.truncation
     top = len(weights) - 1
-    v = a.min_degree()
-    scale, ints = _scaled(a._coeffs)
+    v = min(map(len, ints), default=0)
     den, numerators = _scaled(dict(enumerate(weights)))
     q = {"": numerators[top]}
     for k in range(top - 1, -1, -1):
@@ -163,8 +162,15 @@ def _power_sum(a: NCSeries, weights: list[Fraction]) -> NCSeries:
         f = numerators[k] * scale ** (top - k)
         if f:
             q[""] = q.get("", 0) + f
-    den *= scale**top
-    return NCSeries(n, {w: Fraction(c, den) for w, c in q.items()})
+    return den * scale**top, q
+
+
+def _exp_weights(top: int) -> list[Fraction]:
+    return [Fraction(1, factorial(k)) for k in range(top + 1)]
+
+
+def _from_ints(n: int, den: int, ints: dict) -> NCSeries:
+    return NCSeries(n, {w: Fraction(c, den) for w, c in ints.items()})
 
 
 def nc_exp(a: NCSeries) -> NCSeries:
@@ -178,9 +184,8 @@ def nc_exp(a: NCSeries) -> NCSeries:
     n = a.truncation
     if a.is_zero():
         return NCSeries.one(n)
-    return _power_sum(
-        a, [Fraction(1, factorial(k)) for k in range(n // a.min_degree() + 1)]
-    )
+    weights = _exp_weights(n // a.min_degree())
+    return _from_ints(n, *_power_sum(*_scaled(a._coeffs), n, weights))
 
 
 def nc_log(a: NCSeries) -> NCSeries:
@@ -188,13 +193,13 @@ def nc_log(a: NCSeries) -> NCSeries:
     if a.coefficient("") != 1:
         raise ValueError("constant term must be 1")
     n = a.truncation
-    z = a - NCSeries.one(n)
-    if z.is_zero():
+    scale, z = _scaled(a._coeffs)
+    del z[""]
+    if not z:
         return NCSeries.zero(n)
-    top = n // z.min_degree()
-    return _power_sum(
-        z, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, top + 1)]
-    )
+    top = n // min(map(len, z))
+    weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, top + 1)]
+    return _from_ints(n, *_power_sum(scale, z, n, weights))
 
 
 @functools.cache
@@ -205,22 +210,40 @@ def bch_log_oracle(truncation: int) -> NCSeries:
     return nc_log(nc_exp(x) * nc_exp(y))
 
 
+@functools.cache
+def _zassenhaus_residual(truncation: int) -> NCSeries:
+    """e^(-Y) e^(-X) e^(X+Y), the product the Zassenhaus factors strip."""
+    x = NCSeries.generator("X", truncation)
+    y = NCSeries.generator("Y", truncation)
+    return nc_exp(-y) * nc_exp(-x) * nc_exp(x + y)
+
+
 def zassenhaus_oracle(truncation: int) -> list:
     """Iteratively stripped factors C_2 ... C_N of e^(X+Y) = e^X e^Y prod e^(C_n).
 
     Each factor is returned as a homogeneous LieSeries in Lyndon
-    coordinates, extracted from the word-level residual.
+    coordinates, extracted from the word-level residual.  The residual r
+    is held as one integer word dict over one denominator: after d - 1
+    steps r - 1 starts at degree d, so C_d is the degree-d part of r
+    itself, with no logarithm; the next residual is exp(-C_d) r, formed
+    in integers and reduced by the gcd of the denominator and every
+    numerator.
     """
-    from .freelie import LieSeries, lyndon_coords_of_assoc
+    from .freelie import LieSeries, _lyndon_reduce
 
     n = truncation
-    x = NCSeries.generator("X", n)
-    y = NCSeries.generator("Y", n)
-    r = nc_exp(-y) * nc_exp(-x) * nc_exp(x + y)
+    den, r = _scaled(_zassenhaus_residual(n)._coeffs)
     out = []
     for d in range(2, n + 1):
-        # r - 1 starts at degree d, so its degree-d part is that of log r
-        part = r.degree_part(d)
-        out.append(LieSeries(n, lyndon_coords_of_assoc(part)))
-        r = nc_exp(-part) * r
+        part = {w: c for w, c in r.items() if len(w) == d}
+        out.append(LieSeries(n, _lyndon_reduce(den, part)))
+        if d == n:
+            break
+        neg = {w: -c for w, c in part.items()}
+        e_den, e = _power_sum(den, neg, n, _exp_weights(n // d))
+        r = _word_product(e, r, n)
+        den *= e_den
+        g = gcd(den, *r.values())
+        den //= g
+        r = {w: c // g for w, c in r.items()}
     return out

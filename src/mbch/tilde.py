@@ -163,18 +163,21 @@ def tilde_dy(e: TildeElement) -> TildeElement:
     """The derivation sending X to 0 and Y to X + sum (B_l/l!) {0,l-1},
     at the element's truncation.
 
-    On quadratic terms it acts by the Leibniz rule.
+    On quadratic terms it acts by the Leibniz rule.  D {m,n} has no X or
+    Y term, so the linear terms of e add into one linear and one pair
+    dict, and only Y contributes to X.
     """
     truncation = e.truncation
-    out = TildeElement.zero(truncation)
-    if e.b:
-        out = e.b * TildeElement(truncation, 1, 0, _h1_tail(0, truncation))
-    for (m, n), c in e.linear.items():
-        out = out + c * _dy_linear(m, n, truncation)
+    linear = {mn: e.b * c for mn, c in _h1_tail(0, truncation).items()} if e.b else {}
     quad = _leibniz(
         e.quadratic, lambda u: _dy_linear(*u, truncation).linear.items()
     )
-    return out + TildeElement(truncation, quadratic=quad)
+    for (m, n), c in e.linear.items():
+        image = _dy_linear(m, n, truncation)
+        for table, terms in ((linear, image.linear), (quad, image.quadratic)):
+            for key, cd in terms.items():
+                table[key] = table.get(key, 0) + c * cd
+    return TildeElement(truncation, e.b, 0, linear, quad)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .series import BiSeries, format_rational
-from .assoc import NCSeries, bch_log_oracle, nc_exp, nc_log, zassenhaus_oracle
+from .assoc import _zassenhaus_residual, bch_log_oracle, nc_log, zassenhaus_oracle
 from .freelie import (
     Derivation,
     LieSeries,
@@ -180,9 +180,7 @@ def check_zassenhaus(degree: int) -> list[Check]:
             ),
         )
     )
-    x = NCSeries.generator("X", degree)
-    y = NCSeries.generator("Y", degree)
-    residual = nc_log(nc_exp(-y) * nc_exp(-x) * nc_exp(x + y))
+    residual = nc_log(_zassenhaus_residual(degree))
     lie = LieSeries(degree, lyndon_coords_of_assoc(residual))
     out.append(
         _same(

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from mbch.assoc import (
     NCSeries,
+    _from_ints,
     _power_sum,
+    _scaled,
+    _zassenhaus_residual,
     bch_log_oracle,
     nc_exp,
     nc_log,
     zassenhaus_oracle,
 )
 from mbch.freelie import to_assoc
+from mbch.verify import run_suite
+from zassenhaus_reference import stripped_factors
 
 F = Fraction
 
@@ -162,7 +167,9 @@ def test_power_sum_equals_direct_sum_of_powers(seed):
         for f in weights:
             direct = direct + power * f
             power = power * a
-        assert _power_sum(a, weights) == direct
+        den, ints = _power_sum(*_scaled(a._coeffs), a.truncation, weights)
+        assert all(type(c) is int for c in ints.values())
+        assert _from_ints(a.truncation, den, ints) == direct
 
 
 @pytest.mark.parametrize("key", [(2, 7), (-1, 0), "XZ", 5],
@@ -258,3 +265,19 @@ def test_zassenhaus_oracle_residual_is_empty():
     for c in zassenhaus_oracle(n):
         r = nc_exp(-to_assoc(c)) * r
     assert nc_log(r).is_zero()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_zassenhaus_oracle_equals_fraction_stripping(n):
+    # The integer stripping over one denominator against the plain loop on
+    # NCSeries, factor by factor.
+    assert zassenhaus_oracle(n) == stripped_factors(n)
+
+
+def test_verify_builds_the_zassenhaus_residual_once_per_degree():
+    # The oracle strips the residual and the log check reads the same
+    # cached product: one computation, the second call a cache hit.
+    _zassenhaus_residual.cache_clear()
+    assert all(passed for _, passed, _ in run_suite("zassenhaus", 9))
+    info = _zassenhaus_residual.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
