@@ -188,7 +188,7 @@ _COMMANDS = {
         {"recursive": 16, "dynkin": 12, "oracle": 14},
         [("--method", {
             "default": "recursive",
-            "help": "derivation recursion, permutation-tuple sum, or word-level log",
+            "help": "derivation recursion, Dynkin bracketing, or word-level log",
         })],
     ),
     "metabelian": (

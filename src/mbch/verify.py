@@ -1,13 +1,20 @@
 """Cross-check suites wiring the independent computation paths together.
 
-Each suite returns a list of (name, passed, detail) triples; the CLI
-``verify`` subcommand renders them.  The checks mirror the library's
-test suite at a configurable degree so a user can re-certify the
+A suite is a list of rows ``(name, check)``; ``check()`` compares two
+independent routes and returns ``(passed, detail)``, a failed detail
+naming the first term that differs.  ``_run`` runs the rows in order
+under one guard: a row that raises an ``Exception`` fails with the
+detail ``raised <Type>: <message>`` and the later rows still run, while
+``MemoryError`` and ``KeyboardInterrupt`` propagate.  A value that
+several rows read is computed on first use, once per suite run.  Each
+``check_<suite>(degree)`` returns the ``(name, passed, detail)`` triples
+that the CLI ``verify`` subcommand renders, so a user can re-certify the
 numerics from the command line.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -49,8 +56,19 @@ __all__ = [
 Check = tuple[str, bool, str]
 
 
-def _check(name: str, passed: bool, detail: str = "") -> Check:
-    return (name, bool(passed), "" if passed else detail)
+def _run(rows) -> list[Check]:
+    """Run each row's check in order; a row that raises fails, and the
+    rows after it still run."""
+    out = []
+    for name, check in rows:
+        try:
+            passed, detail = check()
+        except MemoryError:
+            raise
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        out.append((name, bool(passed), "" if passed else detail))
+    return out
 
 
 def _terms(x) -> dict:
@@ -60,82 +78,76 @@ def _terms(x) -> dict:
     return dict(x.items())
 
 
-def _same(name: str, left, right) -> Check:
+def _same(left, right) -> tuple[bool, str]:
     """An equality check whose failure names the first term that differs,
     a word or a (k,l) slot in order of degree, and its two values."""
     if left == right:
-        return _check(name, True)
+        return True, ""
     a, b = _terms(left), _terms(right)
     differ = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
     if not differ:
-        return _check(name, False, f"truncation {left.truncation} != {right.truncation}")
+        return False, f"truncation {left.truncation} != {right.truncation}"
     key = min(differ, key=lambda k: (0, len(k), k) if isinstance(k, str) else (1, sum(k), k))
     slot = key if isinstance(key, str) else "({},{})".format(*key)
     values = [format_rational(t.get(key, Fraction(0))) for t in (a, b)]
-    return _check(name, False, f"differs at {slot}: {values[0]} != {values[1]}")
+    return False, f"differs at {slot}: {values[0]} != {values[1]}"
 
 
-def _first_differing(name: str, cases) -> Check:
+def _first_differing(cases) -> tuple[bool, str]:
     """``_same`` over (label, left, right) cases: the first case that
     differs fails the check, its detail prefixed by the label."""
     for label, left, right in cases:
-        _, passed, detail = _same(name, left, right)
+        passed, detail = _same(left, right)
         if not passed:
-            return _check(name, False, f"{label}: {detail}")
-    return _check(name, True)
+            return False, f"{label}: {detail}"
+    return True, ""
 
 
 def check_bch(degree: int) -> list[Check]:
     """Triple agreement, antisymmetry and grading of log(e^X e^Y): the
     m-th step of the recursion has degree m in X."""
-    rec = bch_recursive(degree)
-    oracle = bch_log_oracle(degree)
-    wrong = (
-        f"step {m}: {w} has degree {w.count('X')} in X"
-        for m, h in enumerate(bch_recursive_steps(degree))
-        for w, _ in h.items()
-        if w.count("X") != m
-    )
-    detail = next(wrong, "")
+    rec = functools.cache(lambda: bch_recursive(degree))
+    oracle = functools.cache(lambda: bch_log_oracle(degree))
+
+    def homogeneous():
+        wrong = (
+            f"step {m}: {w} has degree {w.count('X')} in X"
+            for m, h in enumerate(bch_recursive_steps(degree))
+            for w, _ in h.items()
+            if w.count("X") != m
+        )
+        detail = next(wrong, "")
+        return not detail, detail
+
     # "tuple sum" names Dynkin's route, which brackets ``oracle``.
-    return [
-        _same(f"recursion equals tuple sum through degree {degree}", rec, bch_dynkin(degree)),
-        _same(f"recursion matches word-level log through degree {degree}", to_assoc(rec), oracle),
-        _same("substituting (-Y,-X) negates the series", oracle.subst_negswap(), -oracle),
-        _check("degree components are homogeneous", not detail, detail),
-    ]
+    return _run([
+        (f"recursion equals tuple sum through degree {degree}",
+         lambda: _same(rec(), bch_dynkin(degree))),
+        (f"recursion matches word-level log through degree {degree}",
+         lambda: _same(to_assoc(rec()), oracle())),
+        ("substituting (-Y,-X) negates the series",
+         lambda: _same(oracle().subst_negswap(), -oracle())),
+        ("degree components are homogeneous", homogeneous),
+    ])
 
 
 def check_metabelian(degree: int) -> list[Check]:
     """The closed formula against both oracles and its symmetries, and
     ``project`` against the mask it reads and the basis it writes."""
-    out = []
-    out.append(
-        _same(
-            f"projected recursion equals closed formula at degree {degree}",
-            project(bch_recursive(degree)),
-            hausdorff_closed(degree),
-        )
-    )
-    h = h_series(degree)
-    out.append(_same("h(x,y) = h(-y,-x)", h.substitute(x=(0, -1), y=(-1, 0)), h))
     n = max(degree, 3)
-    c = goldberg_c(n)
-    oracle = bch_log_oracle(n)
-    words = BiSeries(n, {
-        (r, s): oracle.coefficient("X" * r + "Y" * s)
-        for r in range(1, n)
-        for s in range(1, n - r + 1)
-    })
-    out.append(_same(f"c_rs matches word coefficients through degree {n}", c, words))
-    hh = h.truncate(n - 2)
-    signed = BiSeries(n, {(k + 1, l + 1): (-1) ** l * v for (k, l), v in hh.items()})
-    out.append(_same("c_{k+1,l+1} = (-1)^l h_kl", c, signed))
-    out.append(
-        _same("c(x,y) = x y h(x,-y)", c, hh.substitute(y=(0, -1)).shift(1, 1))
-    )
     cap = min(degree, 8)
-    out.append(_projection_kills_ideal(cap))
+    h = functools.cache(lambda: h_series(degree))
+    hh = functools.cache(lambda: h().truncate(n - 2))
+    c = functools.cache(lambda: goldberg_c(n))
+
+    def words():
+        oracle = bch_log_oracle(n)
+        return BiSeries(n, {
+            (r, s): oracle.coefficient("X" * r + "Y" * s)
+            for r in range(1, n)
+            for s in range(1, n - r + 1)
+        })
+
     # Each chain projects to its own unit B(k,l), so the chains of one
     # degree are independent.
     units = (
@@ -144,66 +156,61 @@ def check_metabelian(degree: int) -> list[Check]:
         for d in range(2, cap + 1)
         for k in range(d - 1)
     )
-    out.append(_first_differing(f"basis chains independent through degree {cap}", units))
-    return out
+    return _run([
+        (f"projected recursion equals closed formula at degree {degree}",
+         lambda: _same(project(bch_recursive(degree)), hausdorff_closed(degree))),
+        ("h(x,y) = h(-y,-x)", lambda: _same(h().substitute(x=(0, -1), y=(-1, 0)), h())),
+        (f"c_rs matches word coefficients through degree {n}", lambda: _same(c(), words())),
+        ("c_{k+1,l+1} = (-1)^l h_kl", lambda: _same(
+            c(), BiSeries(n, {(k + 1, l + 1): (-1) ** l * v for (k, l), v in hh().items()}))),
+        ("c(x,y) = x y h(x,-y)", lambda: _same(c(), hh().substitute(y=(0, -1)).shift(1, 1))),
+        (f"projection kills the ideal through degree {cap}", lambda: _projection_kills_ideal(cap)),
+        (f"basis chains independent through degree {cap}", lambda: _first_differing(units)),
+    ])
 
 
-def _projection_kills_ideal(cap: int) -> Check:
+def _projection_kills_ideal(cap: int) -> tuple[bool, str]:
     """In each degree d the Lyndon words outside L'' must be the d - 1
     words X^kY^l, as many as dim (L/L'')_d, so the flagged words are a
     basis of L''_d; ``project`` must send each of them to zero."""
-    name = f"projection kills the ideal through degree {cap}"
     flagged = []
     for d in range(2, cap + 1):
         words = lyndon_words(d)
         unflagged = [w for w in words if not ideal_membership(LieSeries(d, {w: 1}), "metabelian")]
         if unflagged != ["X" * k + "Y" * (d - k) for k in range(d - 1, 0, -1)]:
-            detail = f"degree {d}: {len(unflagged)} words at level 0, expected {d - 1}"
-            return _check(name, False, detail)
+            return False, f"degree {d}: {len(unflagged)} words at level 0, expected {d - 1}"
         flagged += [w for w in words if w not in unflagged]
     return _first_differing(
-        name,
-        ((w, project(LieSeries(len(w), {w: 1})), MetabelianElement.zero(len(w))) for w in flagged),
+        (w, project(LieSeries(len(w), {w: 1})), MetabelianElement.zero(len(w))) for w in flagged
     )
 
 
 def check_zassenhaus(degree: int) -> list[Check]:
     """The closed correction terms against word-level stripping."""
-    out = []
-    z = zassenhaus_closed(degree)
-    out.append(
-        _first_differing(
-            f"per-degree terms match stripping through degree {degree}",
-            (
-                (f"degree {d}", project(c_d).degree_part(d), z.degree_part(d))
-                for d, c_d in enumerate(zassenhaus_oracle(degree), start=2)
-            ),
-        )
-    )
-    residual = nc_log(_zassenhaus_residual(degree))
-    lie = LieSeries(degree, lyndon_coords_of_assoc(residual))
-    out.append(
-        _same(
-            f"sum equals projected log residual through degree {degree}",
-            project(lie),
-            z,
-        )
-    )
-    return out
+    z = functools.cache(lambda: zassenhaus_closed(degree))
+
+    def log_residual():
+        residual = nc_log(_zassenhaus_residual(degree))
+        return _same(project(LieSeries(degree, lyndon_coords_of_assoc(residual))), z())
+
+    return _run([
+        (f"per-degree terms match stripping through degree {degree}",
+         lambda: _first_differing(
+             (f"degree {d}", project(c_d).degree_part(d), z().degree_part(d))
+             for d, c_d in enumerate(zassenhaus_oracle(degree), start=2)
+         )),
+        (f"sum equals projected log residual through degree {degree}", log_residual),
+    ])
 
 
 def check_kv(degree: int) -> list[Check]:
     """The commutator-equation solver and its solution family."""
-    f = kv_solve(degree)
-    fb = f.table
-    lhs = fb.shift(1, 0) - fb.substitute(x=(0, -1), y=(-1, 0)).shift(0, 1)
-    rhs = h_series(degree - 1) - Fraction(1, 2)
-    one_twelfth = BiSeries.constant(0, Fraction(1, 12))
-    out = [
-        _same("particular solution satisfies the equation", *_kv_sides(f, degree)),
-        _same("constant coefficient of f is 1/12", fb.truncate(0), one_twelfth),
-        _same("x f(x,y) - y f(-y,-x) = h - 1/2", lhs, rhs),
-    ]
+    f = functools.cache(lambda: kv_solve(degree))
+
+    def equation():
+        fb = f().table
+        lhs = fb.shift(1, 0) - fb.substitute(x=(0, -1), y=(-1, 0)).shift(0, 1)
+        return _same(lhs, h_series(degree - 1) - Fraction(1, 2))
 
     def draws():
         rng = random.Random(409)
@@ -220,15 +227,21 @@ def check_kv(degree: int) -> list[Check]:
             a = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
             yield f"draw {draw}", *_kv_sides(kv_solve(degree, a, g), degree)
 
-    out.append(_first_differing("random (a, g) solutions satisfy the equation", draws()))
-    return out
+    return _run([
+        ("particular solution satisfies the equation", lambda: _same(*_kv_sides(f(), degree))),
+        ("constant coefficient of f is 1/12",
+         lambda: _same(f().table.truncate(0), BiSeries.constant(0, Fraction(1, 12)))),
+        ("x f(x,y) - y f(-y,-x) = h - 1/2", equation),
+        ("random (a, g) solutions satisfy the equation", lambda: _first_differing(draws())),
+    ])
 
 
 def check_deeper(degree: int) -> list[Check]:
     """Long-commutator calculus against the free Lie algebra."""
-    out = []
     cap = min(degree, 6)
     work = cap + 2
+    ht = functools.cache(lambda: expand_to_free(hausdorff_tilde(degree)))
+    hr = functools.cache(lambda: bch_recursive(degree))
 
     def chains(left, right):
         """(label, left side, right side) for each chain {m,n} through the
@@ -238,42 +251,29 @@ def check_deeper(degree: int) -> list[Check]:
                 e = TildeElement(work, linear={(m, n): Fraction(1)})
                 yield f"{{{m},{n}}}", expand_to_free(left(e)), right(expand_to_free(e))
 
-    y_gen = LieSeries.generator("Y", work)
-    out.append(
-        _first_differing(
-            f"letter action exact through degree {cap}",
-            chains(lambda e: tilde_act("Y", e), lambda f: bracket(y_gen, f)),
-        )
-    )
-    d = Derivation(None, hausdorff_h1(work), work)
-    out.append(
-        _first_differing(
-            f"derivation formulas exact through degree {cap}",
-            chains(tilde_dy, d),
-        )
-    )
-    ht = expand_to_free(hausdorff_tilde(degree))
-    hr = bch_recursive(degree)
-    out.append(
-        _same("matches the free series through degree 6", ht.truncate(cap), hr.truncate(cap))
-    )
-    deviation = ht - hr
-    name = f"deviation lies in the ideal through degree {degree}"
-    if ideal_membership(deviation, "deeper"):
-        out.append(_check(name, True))
-    else:
+    def in_ideal():
+        deviation = ht() - hr()
+        if ideal_membership(deviation, "deeper"):
+            return True, ""
         terms = deviation.term_dict()
         outside = (w for w in terms if not ideal_membership(LieSeries(degree, {w: 1}), "deeper"))
         w = min(outside, key=lambda w: (len(w), w))
-        out.append(_check(name, False, f"outside the ideal at {w}: {format_rational(terms[w])}"))
-    out.append(
-        _same(
-            f"projects onto the closed formula at degree {degree}",
-            project(ht),
-            hausdorff_closed(degree),
-        )
-    )
-    return out
+        return False, f"outside the ideal at {w}: {format_rational(terms[w])}"
+
+    return _run([
+        (f"letter action exact through degree {cap}",
+         lambda: _first_differing(chains(
+             functools.partial(tilde_act, "Y"),
+             functools.partial(bracket, LieSeries.generator("Y", work)),
+         ))),
+        (f"derivation formulas exact through degree {cap}",
+         lambda: _first_differing(chains(tilde_dy, Derivation(None, hausdorff_h1(work), work)))),
+        ("matches the free series through degree 6",
+         lambda: _same(ht().truncate(cap), hr().truncate(cap))),
+        (f"deviation lies in the ideal through degree {degree}", in_ideal),
+        (f"projects onto the closed formula at degree {degree}",
+         lambda: _same(project(ht()), hausdorff_closed(degree))),
+    ])
 
 
 SUITES = {
@@ -287,9 +287,6 @@ SUITES = {
 
 def run_suite(suite: str, degree: int) -> list[Check]:
     """Run one suite, or all of them with suite-prefixed check names."""
-    if suite == "all":
-        out = []
-        for name, fn in SUITES.items():
-            out.extend((f"{name}: {n}", p, d) for n, p, d in fn(degree))
-        return out
-    return SUITES[suite](degree)
+    names = list(SUITES) if suite == "all" else [suite]
+    prefix = "{}: " if suite == "all" else ""
+    return [(prefix.format(s) + n, p, d) for s in names for n, p, d in SUITES[s](degree)]

@@ -239,7 +239,7 @@ def _dynkin_by_tuples(truncation):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_dynkin_word_dp_equals_tuple_enumeration(n):
+def test_dynkin_bracketing_equals_tuple_enumeration(n):
     # Dynkin's bracketing of the word series against the tuple sum, one
     # block tuple at a time, each chain through ``long_commutator``.
     assert dict(bch_dynkin(n).items()) == _dynkin_by_tuples(n)
