@@ -2,13 +2,17 @@
 
 All coefficients are ``fractions.Fraction``; nothing is ever floated.  A
 ``BiSeries`` knows its coefficients for every total degree <= ``truncation``
-and nothing beyond, so binary operations truncate at the smaller bound.
-Division is *exact* division: if the divisor does not divide the dividend
-term-for-term the operation raises ``InexactDivision`` instead of silently
-producing a Laurent-style object (negative powers never exist here).
-Every change of variables is one linear substitution,
-``BiSeries.substitute``: the named series (``exp``, ``t_over_expm1``,
-...) are univariate, and a caller moves them to a linear form in x, y.
+and nothing beyond, so binary operations, exact division included,
+truncate at the smaller bound.  Division is *exact* division: if the
+divisor does not divide the dividend term-for-term the operation raises
+``InexactDivision`` instead of silently producing a Laurent-style object
+(negative powers never exist here).  Every change of variables is one
+linear substitution, ``BiSeries.substitute``: the named series (``exp``,
+``t_over_expm1``, ...) are univariate, and a caller moves them to a
+linear form in x, y.  One kernel, ``_add_product``, multiplies two
+coefficient dicts for ``*``, ``substitute`` and ``divide_exact``; the
+powers of a linear form are read off the binomial theorem, and division
+is long division on one running remainder.
 
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
@@ -543,15 +547,7 @@ class BiSeries(TruncatedSeries):
             return self._scaled_by(other)
         n = min(self.truncation, other.truncation)
         out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._coeffs.items():
-            d1 = i1 + j1
-            if d1 > n:
-                continue
-            for (i2, j2), c2 in other._coeffs.items():
-                if d1 + i2 + j2 > n:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        _add_product(out, self._coeffs, other._coeffs, n)
         return BiSeries(n, out)
 
     __rmul__ = __mul__
@@ -575,15 +571,11 @@ class BiSeries(TruncatedSeries):
         rational and each pair defaults to the identity, so
         ``substitute(x=(0, -1), y=(-1, 0))`` is s(-y, -x).
         """
-        px = _linear_powers(x, max((i for i, _ in self._coeffs), default=0))
-        py = _linear_powers(y, max((j for _, j in self._coeffs), default=0))
+        px = _linear_powers(x, {i for i, _ in self._coeffs})
+        py = _linear_powers(y, {j for _, j in self._coeffs})
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self._coeffs.items():
-            for (p1, q1), u in px[i].items():
-                cu = c * u
-                for (p2, q2), v in py[j].items():
-                    key = (p1 + p2, q1 + q2)
-                    out[key] = out.get(key, 0) + cu * v
+            _add_product(out, px[i], py[j], self.truncation, c)
         return BiSeries(self.truncation, out)
 
     def parity_split(self) -> tuple["BiSeries", "BiSeries"]:
@@ -594,12 +586,6 @@ class BiSeries(TruncatedSeries):
 
     # -- inversion and exact division ----------------------------------------
 
-    def _by_degree(self) -> list[dict[tuple[int, int], Fraction]]:
-        out: list[dict] = [dict() for _ in range(self.truncation + 1)]
-        for (i, j), c in self._coeffs.items():
-            out[i + j][(i, j)] = c
-        return out
-
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         if not self._coeffs.get((0, 0)):
@@ -609,93 +595,71 @@ class BiSeries(TruncatedSeries):
     def divide_exact(self, divisor: "BiSeries") -> "BiSeries":
         """Exact quotient q with q * divisor == self (up to truncation).
 
-        The quotient truncation is ``self.truncation`` minus the lowest
-        total degree of the divisor.  Raises InexactDivision when any
-        homogeneous step leaves a remainder, e.g. ``(1 + x) / y``.
+        The quotient is known through the smaller truncation of the two,
+        as for ``*``, minus the lowest total degree v of the divisor.  It
+        is long division on one running remainder, lowest degree first
+        and within a degree highest power of x first: each term is
+        divided by the divisor's degree-v term with the highest power of
+        x, and that quotient term times the divisor is subtracted.  A
+        quotient term with a negative exponent is a remainder, and raises
+        InexactDivision, e.g. for ``(1 + x) / y``.
         """
         v = divisor.min_degree()
         if v is None:
             raise ZeroDivisionError("zero divisor series")
         if self.truncation < v:
             raise ValueError("dividend truncation below divisor valuation")
-        nq = self.truncation - v
-        a = self._by_degree()
-        d = divisor._by_degree()
-        for m in range(min(v, len(a))):
-            if a[m]:
-                raise InexactDivision("inexact division")
-        d_lead = d[v]
-        q: list[dict[tuple[int, int], Fraction]] = [dict() for _ in range(nq + 1)]
-        for m in range(nq + 1):
-            rem = dict(a[m + v])
-            for i in range(1, m + 1):
-                if v + i > divisor.truncation or not d[v + i]:
+        n = min(self.truncation, divisor.truncation)
+        (a, b), lead = max((k, c) for k, c in divisor._coeffs.items() if sum(k) == v)
+        minus_divisor = {k: -c for k, c in divisor._coeffs.items()}
+        rem = dict(self._coeffs)
+        q: dict[tuple[int, int], Fraction] = {}
+        for d in range(n + 1):
+            for i in range(d, -1, -1):
+                c = rem.get((i, d - i))
+                if not c:
                     continue
-                for (i1, j1), c1 in q[m - i].items():
-                    for (i2, j2), c2 in d[v + i].items():
-                        key = (i1 + i2, j1 + j2)
-                        rem[key] = rem.get(key, Fraction(0)) - c1 * c2
-            q[m] = _divide_homogeneous(rem, m + v, d_lead, v)
-        coeffs = {k: val for part in q for k, val in part.items()}
-        return BiSeries(nq, coeffs)
+                key = (i - a, d - i - b)
+                if min(key) < 0:
+                    raise InexactDivision("inexact division")
+                q[key] = c = c / lead
+                _add_product(rem, {key: c}, minus_divisor, n)
+        return BiSeries(n - v, q)
 
 
-def _linear_powers(form, n: int) -> list[dict[tuple[int, int], Fraction]]:
-    """(a x + b y)^i for i = 0..n, each without zero terms, for form (a, b).
+def _add_product(out: dict, p: dict, q: dict, n: int, c=1) -> None:
+    """Add c p q into ``out``, dropping terms of total degree above ``n``.
 
-    A monomial form keeps one term per power.
+    The one product of two coefficient dicts: ``*``, ``substitute`` and
+    ``divide_exact`` all multiply through it.
+    """
+    for (i1, j1), c1 in p.items():
+        room = n - i1 - j1
+        if room < 0:
+            continue
+        if c != 1:
+            c1 *= c
+        for (i2, j2), c2 in q.items():
+            if i2 + j2 <= room:
+                key = (i1 + i2, j1 + j2)
+                prev = out.get(key)
+                out[key] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def _linear_powers(form, exponents: Iterable[int]) -> dict[int, dict]:
+    """(a x + b y)^i for each i in ``exponents``, for form (a, b), read
+    off the binomial theorem: sum of C(i, k) a^k b^(i-k) x^k y^(i-k).
+
+    A monomial form gives its one term, so a large exponent costs one
+    power of a scalar.
     """
     a, b = map(_as_fraction, form)
-    linear = [(step, c) for step, c in (((1, 0), a), ((0, 1), b)) if c]
-    out = [{(0, 0): Fraction(1)}]
-    for _ in range(n):
-        power: dict[tuple[int, int], Fraction] = {}
-        for (p, q), u in out[-1].items():
-            for (dp, dq), c in linear:
-                key = (p + dp, q + dq)
-                power[key] = power.get(key, 0) + u * c
-        out.append(power)
-    return out
-
-
-def _divide_homogeneous(
-    num: dict[tuple[int, int], Fraction],
-    n: int,
-    den: dict[tuple[int, int], Fraction],
-    v: int,
-) -> dict[tuple[int, int], Fraction]:
-    """Exact division of a homogeneous degree-n part by a degree-v part.
-
-    Both sides are univariate in t = x/y after pulling out powers of y, so
-    this is ordinary polynomial division with a zero-remainder requirement.
-    """
-    num = {k: c for k, c in num.items() if c}
-    if not num:
-        return {}
-    a = [Fraction(0)] * (n + 1)
-    for (i, _), c in num.items():
-        a[i] = c
-    b = [Fraction(0)] * (v + 1)
-    for (i, _), c in den.items():
-        b[i] = c
-    db = max(i for i, c in enumerate(b) if c)
-    qdeg_max = n - v
-    q = [Fraction(0)] * (n - db + 1)
-    r = a[:]
-    for k in range(n - db, -1, -1):
-        c = r[k + db]
-        if not c:
-            continue
-        if k > qdeg_max:
-            raise InexactDivision("inexact division")
-        c /= b[db]
-        q[k] = c
-        for i, bc in enumerate(b):
-            if bc:
-                r[k + i] -= c * bc
-    if any(r):
-        raise InexactDivision("inexact division")
-    return {(i, n - v - i): c for i, c in enumerate(q) if c and i <= qdeg_max}
+    if not (a and b):
+        return {i: {(i, 0) if a else (0, i): (a or b) ** i} for i in exponents}
+    return {
+        i: {(k, i - k): comb(i, k) * a**k * b ** (i - k) for k in range(i + 1)}
+        for i in exponents
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,14 @@ def test_antisymmetry_violation_is_usage_error(capsys):
     assert "antisymmetry" in err
 
 
+def test_antisymmetry_check_of_a_high_power_is_cheap(capsys):
+    # g = x^(10^6): checking g(-y,-x) = -g costs one term, not 10^6 powers.
+    g = json.dumps({"truncation": 10**6, "terms": [{"i": 10**6, "j": 0, "c": "1"}]})
+    rc, out, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
+    assert (rc, out) == (2, "")
+    assert "g violates antisymmetry" in err
+
+
 def test_unknown_flag_and_missing_command(capsys):
     rc, _, _ = run(capsys, "bch", "--nope")
     assert rc == 2
@@ -480,6 +488,30 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # In a fresh interpreter, so that what site-packages imports at start-up
+    # is already loaded and does not count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import mbch, mbch.cli\n"
+        "for m in pkgutil.iter_modules(mbch.__path__):\n"
+        "    importlib.import_module('mbch.' + m.name)\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(top - {'mbch'} - set(sys.stdlib_module_names)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

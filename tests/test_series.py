@@ -1,5 +1,6 @@
 """Tests for the exact bivariate series kernel."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,33 @@ def test_divide_exact_rejects_remainder():
     # x^2 / (x*y) is not a polynomial even though the univariate division works
     with pytest.raises(InexactDivision):
         BiSeries.monomial(2, 0, 5).divide_exact(BiSeries.monomial(1, 1, 5))
+
+
+def test_divide_exact_stops_where_the_divisor_is_known():
+    # x^2 / (x + O(x^2)): the divisor's degree-2 term, unknown here, moves
+    # the quotient's degree-1 term, so only degree 0 is claimed.
+    x2 = BiSeries.monomial(2, 0, 10)
+    assert x2.divide_exact(BiSeries.monomial(1, 0, 1)) == BiSeries.zero(0)
+    x_plus_x2 = BiSeries(10, {(1, 0): 1, (2, 0): 1})
+    assert x2.divide_exact(x_plus_x2) == BiSeries(
+        9, {(k, 0): (-1) ** (k - 1) for k in range(1, 10)}
+    )
+    # A shorter dividend cuts the quotient as before.
+    assert BiSeries.monomial(2, 0, 3).divide_exact(x_plus_x2) == BiSeries(
+        2, {(1, 0): 1, (2, 0): -1}
+    )
+
+
+def test_substitute_costs_the_terms_not_the_exponent():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        swapped = BiSeries.monomial(n, 0, n).substitute(x=(0, -1), y=(-1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swapped == BiSeries.monomial(0, n, n)
+    assert peak < 2**22
 
 
 def test_divide_exact_by_zero():
@@ -339,11 +367,17 @@ def test_inverse_on_units(a, c0):
 @settings(max_examples=60, deadline=None)
 @given(_series)
 def test_exact_division_roundtrip(q):
+    x_minus_y = BiSeries.monomial(1, 0, 6) - BiSeries.monomial(0, 1, 6)
     for d in (
         BiSeries.monomial(0, 1, 6),
-        BiSeries.monomial(1, 0, 6) - BiSeries.monomial(0, 1, 6),
+        x_minus_y,
         BiSeries.monomial(1, 0, 6, 2),
         BiSeries.monomial(1, 0, 6) + BiSeries.monomial(0, 1, 6),
+        # Divisors with terms above their lowest degree, which the running
+        # remainder has to carry.
+        x_minus_y * BiSeries.named("exp", 6).substitute(x=(1, 1)),
+        BiSeries(6, {(2, 1): 1, (1, 2): 1, (4, 0): 1}),
+        BiSeries(6, {(0, 0): 1, (1, 0): 1, (0, 2): -1}),
     ):
         v = d.min_degree()
         assert (q * d).divide_exact(d) == q.truncate(6 - v)
