@@ -4,7 +4,7 @@ Every subcommand computes with exact rationals and renders to JSON, CSV
 or plain text.  Output is deterministic: running the same command twice
 produces byte-identical results.  Exit codes: 0 on success (and on
 all-checks-pass for ``verify``), 1 when a verification fails, 2 on usage
-errors, 3 when an internal exact division leaves a remainder.
+errors and unwritable output, 3 when an exact division leaves a remainder.
 
 Each command is declared once, as a row of ``_COMMANDS``; the parser and
 the degree checks are read off that table.
@@ -13,6 +13,7 @@ the degree checks are read off that table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -295,14 +296,17 @@ def main(argv=None) -> int:
 
     if not text.endswith("\n"):
         text += "\n"
-    if ns.output:
-        try:
-            with open(ns.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            return _usage_error(f"cannot write {ns.output!r}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+    try:
+        with (open(ns.output, "w", encoding="utf-8") if ns.output
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        if not ns.output:  # so that the flush at exit cannot fail again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        where = repr(ns.output) if ns.output else "stdout"
+        return _usage_error(f"cannot write {where}: {exc.strerror}")
     return rc
 
 

@@ -27,8 +27,9 @@ coefficients plus tables stored as series, in public read-only slots.
 The codec is the one reader and writer of JSON, CSV and text.  A
 container declares its ``basis`` tag, the names of its scalars (X and Y)
 and, per table, the JSON name, the key fields and the printed label of a
-key; ``_Coded`` turns that into ``to_json_dict``, ``from_json_dict``,
-``to_csv``, ``__str__`` and ``__repr__``.
+key; ``_Coded``, the one base of every container, turns that into
+``to_json_dict``, ``from_json_dict``, ``to_csv``, ``__str__`` and
+``__repr__``, and holds ``zero``, immutability and ``==``.
 """
 
 from __future__ import annotations
@@ -223,31 +224,40 @@ class _Codec(NamedTuple):
     tables: tuple[_Table, ...]
     csv: tuple[str, ...] = ()
 
-    def to_json(self, truncation: int, scalars, tables) -> dict:
-        out: dict = {"truncation": truncation}
-        if self.basis:
-            out["basis"] = self.basis
-        out.update(zip(self.scalars, map(format_rational, scalars)))
-        for spec, table in zip(self.tables, tables):
+
+class _Coded:
+    """The one base of every container: JSON, CSV, text and ``repr`` from
+    ``_CODEC`` and the parts ``_codec_parts`` gives (truncation, scalars,
+    tables); ``zero``; immutability; ``==`` by type and ``_key()``."""
+
+    __slots__ = ()
+    _CODEC: _Codec
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, truncation: int):
+        return cls(truncation)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    __hash__ = None
+
+    def to_json_dict(self) -> dict:
+        n, scalars, tables = self._codec_parts()
+        out: dict = {"truncation": n}
+        if self._CODEC.basis:
+            out["basis"] = self._CODEC.basis
+        out.update(zip(self._CODEC.scalars, map(format_rational, scalars)))
+        for spec, table in zip(self._CODEC.tables, tables):
             out[spec.name] = [spec.row(k, c) for k, c in spec.terms(table)]
         return out
 
-    def to_csv(self, scalars, tables, header=None) -> str:
-        header = header or self.csv
-        rows = [
-            {"kind": name, "c": format_rational(c)}
-            for name, c in zip(self.scalars, scalars)
-            if c and "kind" in header
-        ]
-        for spec, table in zip(self.tables, tables):
-            rows += [
-                spec.row(k, c, kind=spec.name, degree=spec.offset + table._degree(k))
-                for k, c in spec.terms(table)
-            ]
-        return _csv_text(header, rows)
-
-    def from_json(self, data: dict, build):
-        """Read what ``to_json`` writes, through the constructor ``build``.
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        """Read what ``to_json_dict`` writes.
 
         Checks run in one order: integers and rationals are parsed, the
         constructor checks the truncation and the keys, then a repeated
@@ -255,45 +265,41 @@ class _Codec(NamedTuple):
         another container are refused.  A series needs its term list; the
         scalars and tables of a quotient element may be absent, as zero.
         """
+        codec = cls._CODEC
         n = parse_int(data["truncation"])
-        scalars = [parse_rational(data.get(name, 0)) for name in self.scalars]
+        scalars = [parse_rational(data.get(name, 0)) for name in codec.scalars]
         pairs = [
             [
                 (_read_key(t, spec.fields), parse_rational(t["c"]))
-                for t in (data.get(spec.name, ()) if self.scalars else data[spec.name])
+                for t in (data.get(spec.name, ()) if codec.scalars else data[spec.name])
             ]
-            for spec in self.tables
+            for spec in codec.tables
         ]
-        out = build(n, *scalars, *map(dict, pairs))
+        out = cls(n, *scalars, *map(dict, pairs))
         keys = [_refuse_repeats(p) for p in pairs]
-        for spec, table in zip(self.tables, keys):
-            degree = (spec.series or build)._degree
+        for spec, table in zip(codec.tables, keys):
+            degree = (spec.series or cls)._degree
             _refuse_beyond(n, (spec.offset + degree(k) for k in table))
         tag = data.get("basis")
-        if tag is not None and tag != self.basis:
+        if tag is not None and tag != codec.basis:
             raise ValueError(f"basis {tag!r} names another container")
         return out
 
-
-class _Coded:
-    """``to_json_dict``, ``from_json_dict``, ``to_csv``, ``__str__`` and
-    ``__repr__`` through the class's ``_CODEC``, from the parts
-    ``_codec_parts`` gives: (truncation, scalars, tables)."""
-
-    __slots__ = ()
-    _CODEC: _Codec
-
-    def to_json_dict(self) -> dict:
-        return self._CODEC.to_json(*self._codec_parts())
-
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        return cls._CODEC.from_json(data, cls)
-
     def to_csv(self, header=None) -> str:
         """One row per term, under the container's header or ``header``."""
+        header = header or self._CODEC.csv
         _, scalars, tables = self._codec_parts()
-        return self._CODEC.to_csv(scalars, tables, header)
+        rows = [
+            {"kind": name, "c": format_rational(c)}
+            for name, c in zip(self._CODEC.scalars, scalars)
+            if c and "kind" in header
+        ]
+        for spec, table in zip(self._CODEC.tables, tables):
+            rows += [
+                spec.row(k, c, kind=spec.name, degree=spec.offset + table._degree(k))
+                for k, c in spec.terms(table)
+            ]
+        return _csv_text(header, rows)
 
     def __str__(self) -> str:
         """The scalars under their names, then each table's terms under
@@ -358,10 +364,9 @@ class TruncatedSeries(_Coded):
     construction, sums truncate at the smaller bound, and the constant
     monomial is the key named in ``_constant_key``, ``(0, 0)`` unless a
     subclass says otherwise; a subclass without one sets it to None and
-    refuses constants, so scalar ``+`` and ``-`` too.  Instances are
-    immutable and compare equal only to a series of the same type and
-    truncation with the same terms.  Its ``_CODEC`` has one table: the
-    series itself, whose order ``terms`` lists.
+    refuses constants, so scalar ``+`` and ``-`` too.  Its key for
+    ``==`` is the truncation and the terms.  Its ``_CODEC`` has one table:
+    the series itself, whose order ``terms`` lists.
     """
 
     __slots__ = ("truncation", "_coeffs")
@@ -382,13 +387,6 @@ class TruncatedSeries(_Coded):
                     clean[k] = c
         object.__setattr__(self, "_coeffs", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def zero(cls, truncation: int):
-        return cls(truncation)
-
     @classmethod
     def constant(cls, truncation: int, c):
         c = _as_fraction(c)
@@ -405,6 +403,9 @@ class TruncatedSeries(_Coded):
 
     def _codec_parts(self) -> tuple:
         return self.truncation, (), (self,)
+
+    def _key(self) -> tuple:
+        return self.truncation, self._coeffs
 
     def items(self):
         """The nonzero (key, coefficient) pairs, in no particular order."""
@@ -451,15 +452,6 @@ class TruncatedSeries(_Coded):
         return type(self)(self.truncation, {k: s * c for k, c in self._coeffs.items()})
 
     __mul__ = __rmul__ = _scaled_by
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.truncation == other.truncation
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
 
     def agrees_with(self, other, through: int | None = None) -> bool:
         """Equality up to the smaller truncation (or ``through``)."""
@@ -726,11 +718,10 @@ class _QuotientElement(_Coded):
     table as a series, which callers read directly.  A table key of degree
     d stands for a bracket of degree d + offset, so the table is cut at
     ``truncation - offset``; below the offset it is cut at -1, where every
-    coefficient is beyond the truncation.  A table given as a
-    dict or as a series at another truncation is read as a polynomial.
-    Sums truncate at the smaller bound; instances are immutable and
-    compare equal only to an element of the same type and truncation with
-    the same terms.
+    coefficient is beyond the truncation.  A table given as a dict or as
+    a series at another truncation is read as a polynomial.  Sums truncate
+    at the smaller bound; the key for ``==`` is the truncation, X, Y and
+    the tables.
     """
 
     __slots__ = ("truncation", "a", "b")
@@ -747,13 +738,6 @@ class _QuotientElement(_Coded):
                 t = spec.series(max(n, 0), t)
             object.__setattr__(self, spec.slot, t.padded(n))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def zero(cls, truncation: int):
-        return cls(truncation)
-
     def _tables(self) -> list:
         """The tables, one cut at -1 read as zero at 0 so that sums and
         multiples of it build; the constructor cuts it at -1 again."""
@@ -762,6 +746,9 @@ class _QuotientElement(_Coded):
 
     def _codec_parts(self) -> tuple:
         return self.truncation, (self.a, self.b), self._tables()
+
+    def _key(self) -> tuple:
+        return self.truncation, self.a, self.b, self._tables()
 
     def is_zero(self) -> bool:
         return not self.a and not self.b and all(t.is_zero() for t in self._tables())
@@ -794,14 +781,3 @@ class _QuotientElement(_Coded):
         s = _as_fraction(scalar)
         tables = [t * s for t in self._tables()]
         return type(self)(self.truncation, s * self.a, s * self.b, *tables)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.truncation == other.truncation
-            and self.a == other.a
-            and self.b == other.b
-            and self._tables() == other._tables()
-        )
-
-    __hash__ = None

@@ -358,6 +358,25 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
     assert str(target) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_stdout_is_usage_error():
+    # A full device: the write fails, one line reaches stderr, and the
+    # interpreter's own flush at exit finds nothing left to fail on.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbch.cli", "goldberg", "--degree", "4"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "mbch: error: cannot write stdout: No space left on device\n"
+
+
 def test_antisymmetry_violation_is_usage_error(capsys):
     g = json.dumps({"truncation": 2, "terms": [{"i": 0, "j": 1, "c": "1"}]})
     rc, _, err = run(capsys, "kv-solve", "--degree", "4", "--g", g)
@@ -478,6 +497,21 @@ def test_python_m_mbch_cli_matches_entry(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_benchmark_smoke_check_passes():
+    # The benchmark wraps methods by name on their classes and checks
+    # every job against its golden digest; a refactor breaks either here.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "smoke: ok"
 
 
 @pytest.mark.parametrize(
