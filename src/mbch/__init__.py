@@ -8,59 +8,22 @@ Zassenhaus product and of a commutator equation, and runs the same
 recursion one quotient deeper.  All arithmetic is exact.
 """
 
-from .series import (
-    BiSeries,
-    InexactDivision,
-    bernoulli,
-    format_rational,
-    parse_rational,
-)
-from .assoc import (
-    NCSeries,
-    bch_log_oracle,
-    nc_exp,
-    nc_log,
-    zassenhaus_oracle,
-)
-from .freelie import (
-    Derivation,
-    LieSeries,
-    bracket,
-    ideal_membership,
-    long_commutator,
-    lyndon_coords_of_assoc,
-    lyndon_words,
-    right_normed,
-    standard_bracketing,
-    to_assoc,
-    to_lyndon_coords,
-)
-from .bch import (
-    bch_dynkin,
-    bch_recursive,
-    bch_recursive_steps,
-    hausdorff_h1,
-)
-from .metabelian import (
-    MetabelianElement,
-    goldberg_c,
-    h_series,
-    hausdorff_closed,
-    kv_solve,
-    kv_verify,
-    project,
-    zassenhaus_closed,
-)
-from .tilde import (
-    TildeElement,
-    expand_to_free,
-    hausdorff_tilde,
-    tilde_act,
-    tilde_dy,
-)
-from .verify import run_suite
+from . import series, assoc, freelie, bch, metabelian, tilde, verify
+from .series import *
+from .assoc import *
+from .freelie import *
+from .bch import *
+from .metabelian import *
+from .tilde import *
+from .verify import *
 
 __version__ = "0.1.0"
+
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = [
+    *series.__all__, *assoc.__all__, *freelie.__all__, *bch.__all__,
+    *metabelian.__all__, *tilde.__all__, *verify.__all__, "main",
+]
 
 
 def __getattr__(name):
@@ -71,46 +34,3 @@ def __getattr__(name):
 
         return main
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "BiSeries",
-    "InexactDivision",
-    "bernoulli",
-    "format_rational",
-    "parse_rational",
-    "NCSeries",
-    "bch_log_oracle",
-    "nc_exp",
-    "nc_log",
-    "zassenhaus_oracle",
-    "Derivation",
-    "LieSeries",
-    "bracket",
-    "ideal_membership",
-    "long_commutator",
-    "lyndon_coords_of_assoc",
-    "lyndon_words",
-    "right_normed",
-    "standard_bracketing",
-    "to_assoc",
-    "to_lyndon_coords",
-    "bch_dynkin",
-    "bch_recursive",
-    "bch_recursive_steps",
-    "hausdorff_h1",
-    "MetabelianElement",
-    "goldberg_c",
-    "h_series",
-    "hausdorff_closed",
-    "kv_solve",
-    "kv_verify",
-    "project",
-    "zassenhaus_closed",
-    "TildeElement",
-    "expand_to_free",
-    "hausdorff_tilde",
-    "tilde_act",
-    "tilde_dy",
-    "run_suite",
-    "main",
-]

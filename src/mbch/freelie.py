@@ -44,7 +44,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .assoc import NCSeries, _all_words, _compress_word, _scaled
+from .assoc import NCSeries, _all_words, _compress_word, _generator, _scaled
 from .series import TruncatedSeries, _Codec, _Table, _as_fraction
 
 __all__ = [
@@ -120,12 +120,7 @@ class LieSeries(TruncatedSeries):
 
     @classmethod
     def generator(cls, letter: str, truncation: int) -> "LieSeries":
-        if letter not in _GENERATORS:
-            raise ValueError("generator must be X or Y")
-        return cls(truncation, {letter: 1})
-
-    def term_dict(self) -> dict[str, Fraction]:
-        return dict(self._coeffs)
+        return cls(truncation, {_generator(letter): 1})
 
 
 def bracket(a: LieSeries, b: LieSeries) -> LieSeries:
@@ -354,13 +349,13 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
                 else:
                     acc.pop(w, None)
         if acc:
-            raise ValueError("not a Lie element: nonzero associative residual")
+            raise ValueError(f"not a Lie element: nonzero associative residual in degree {d}")
     return coords
 
 
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     """Lyndon coordinates of an NCSeries that lies in the free Lie algebra."""
-    words = nc.word_dict()
+    words = dict(nc.items())
     if words.get(""):
         raise ValueError("not a Lie element: constant term")
     return _lyndon_reduce(*_scaled(words))

@@ -16,7 +16,8 @@ is long division on one running remainder.
 
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
-the JSON/CLI readers ``parse_rational`` and ``parse_int``, the term
+the JSON/CLI readers ``parse_rational`` and ``parse_int``, the second also
+the truncation rule of every constructor, the term
 printer ``format_terms``, the term codec ``_Codec`` and ``TruncatedSeries``,
 the sparse exact series that ``BiSeries``, ``PairSeries``,
 ``assoc.NCSeries`` and ``freelie.LieSeries`` extend.  ``_QuotientElement``
@@ -85,7 +86,7 @@ def parse_rational(s: str | int) -> Fraction:
 
 
 def parse_int(v: int) -> int:
-    """Read a JSON index or truncation: an ``int``, never float, bool or str."""
+    """Read an index or a truncation: an ``int``, never float, bool or str."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     raise TypeError(f"expected an integer, got {type(v).__name__}")
@@ -373,9 +374,10 @@ class TruncatedSeries(_Coded):
     _constant_key = (0, 0)
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
+        truncation = parse_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        object.__setattr__(self, "truncation", int(truncation))
+        object.__setattr__(self, "truncation", truncation)
         clean: dict = {}
         if coeffs:
             degree = self._degree
@@ -727,6 +729,7 @@ class _QuotientElement(_Coded):
     __slots__ = ("truncation", "a", "b")
 
     def __init__(self, truncation: int, a=0, b=0, *tables):
+        truncation = parse_int(truncation)
         if truncation < 1:
             raise ValueError("truncation must be at least 1")
         object.__setattr__(self, "truncation", truncation)

@@ -35,6 +35,7 @@ import functools
 from fractions import Fraction
 from math import comb, factorial
 
+from .assoc import _generator
 from .bch import _hausdorff_steps
 from .series import BiSeries, PairSeries, _Codec, _QuotientElement, _Table, bernoulli
 from .freelie import LieSeries, _add_lyndon_bracket, to_lyndon_coords
@@ -112,19 +113,16 @@ def tilde_act(gen: str, e: TildeElement) -> TildeElement:
     leaves the brackets sum C(m,k) [{k-1,0},{m-k,n}].  On quadratic
     terms the letter acts by the Leibniz rule.
     """
-    g = gen.upper()
-    if g == "X":
+    if _generator(gen) == "X":
         linear = e.linear.shift(1, 0) - e.b
         quad = _leibniz(e.quadratic, lambda u: [((u[0] + 1, u[1]), 1)])
-    elif g == "Y":
+    else:
         linear = e.linear.shift(0, 1) + e.a
         quad = _leibniz(e.quadratic, lambda u: [((u[0], u[1] + 1), 1)])
         for (m, n), c in e.linear.items():
             for k in range(1, m + 1):
                 key = ((k - 1, 0), (m - k, n))
                 quad[key] = quad.get(key, 0) + comb(m, k) * c
-    else:
-        raise ValueError("generator must be X or Y")
     return TildeElement(e.truncation, 0, 0, linear, quad)
 
 

@@ -255,7 +255,7 @@ def check_deeper(degree: int) -> list[Check]:
         deviation = ht() - hr()
         if ideal_membership(deviation, "deeper"):
             return True, ""
-        terms = deviation.term_dict()
+        terms = dict(deviation.items())
         outside = (w for w in terms if not ideal_membership(LieSeries(degree, {w: 1}), "deeper"))
         w = min(outside, key=lambda w: (len(w), w))
         return False, f"outside the ideal at {w}: {format_rational(terms[w])}"

@@ -5,7 +5,8 @@ old text occurs there exactly once.  ``verify --suite <suite> --degree
 <degree>`` on the mutated copy must exit 1 with a ``FAIL <row>`` line, so
 a refactor that weakens a second route shows up as a surviving mutant
 (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
-selection", Computer 11 (1978) 34).  A mutant that no row kills yet says
+selection", Computer 11 (1978) 34).  Where ``detail`` is set, the FAIL
+line of that row must also contain it.  A mutant that no row kills yet says
 why in ``survives``; its test is a strict xfail, so the route that
 kills it must also move it into the table proper.
 
@@ -24,6 +25,7 @@ class Mutant(NamedTuple):
     degree: int
     row: str
     survives: str = ""
+    detail: str = ""
 
 
 MUTANTS = [
@@ -54,6 +56,7 @@ MUTANTS = [
         "_power_sum(den, neg, n, _exp_weights(n // d))",
         "_power_sum(den, neg, n, [-w if k == 2 else w for k, w in enumerate(_exp_weights(n // d))])",
         "zassenhaus", 9, "per-degree terms match stripping through degree 9",
+        detail="nonzero associative residual in degree 4",
     ),
     Mutant(
         "h plus 10^-9 x^5 y^5",

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import doctest
 import hashlib
 import importlib
 import json
@@ -522,6 +523,27 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_the_package_reexports_each_modules_names_once():
+    # Each module's ``__all__`` is the one list of its public names.
+    modules = ["series", "assoc", "freelie", "bch", "metabelian", "tilde", "verify"]
+    joined = [name for m in modules for name in importlib.import_module(f"mbch.{m}").__all__]
+    assert mbch.__all__ == [*joined, "main"]
+    assert len(set(mbch.__all__)) == len(mbch.__all__)
+
+
+def test_readme_library_example_runs():
+    # The ``>>>`` block after "A small taste of the library API", as README
+    # has it; the block ends at its closing fence.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("A small taste of the library API"))
+    start += len("```python\n")
+    block = readme[start:readme.index("```", start)]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    assert test.examples
+    result = doctest.DocTestRunner().run(test)
+    assert (result.failed, result.attempted) == (0, len(test.examples))
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -108,8 +108,8 @@ def _random_element(rng, max_depth=3, nterms=3):
 # ---------------------------------------------------------------------------
 
 def test_long_commutator_examples():
-    assert long_commutator("XY", 2).term_dict() == {"XY": 1}
-    assert long_commutator("XXY", 3).term_dict() == {"XXY": 1}
+    assert dict(long_commutator("XY", 2).items()) == {"XY": 1}
+    assert dict(long_commutator("XXY", 3).items()) == {"XXY": 1}
     assert long_commutator("XXY", 3).truncation == 3
     assert long_commutator("XX", 2).is_zero()
     assert long_commutator("XYY", 3).is_zero()
@@ -126,8 +126,8 @@ def test_bracket_drops_syntactically_equal_pairs():
 def test_element_equality_is_mathematical_as_for_series():
     # Antisymmetry and Jacobi hold under ==, at any truncation.
     assert bracket(X, Y) == -bracket(Y, X)
-    assert LieSeries(2, bracket(X, Y).term_dict()) == LieSeries(
-        2, (-bracket(Y, X)).term_dict()
+    assert LieSeries(2, dict(bracket(X, Y).items())) == LieSeries(
+        2, dict((-bracket(Y, X)).items())
     )
     a, b, c = X, Y, bracket(X, Y)
     jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
@@ -141,13 +141,13 @@ def test_render_and_tree_word():
     # that is a chain, nested brackets otherwise.
     assert str(long_commutator("XXY", 3)) == "[X^2Y]"
     nested = bracket(bracket(X, Y), Y)
-    assert str(LieSeries(3, nested.term_dict())) == "[[XY],Y]"
+    assert str(LieSeries(3, dict(nested.items()))) == "[[XY],Y]"
     assert str(nested) == "[[XY],Y]"
 
 
 def test_elements_and_series_are_keyed_by_lyndon_words():
-    assert bracket(X, Y).term_dict() == {"XY": 1}
-    assert bracket(Y, X).term_dict() == {"XY": -1}
+    assert dict(bracket(X, Y).items()) == {"XY": 1}
+    assert dict(bracket(Y, X).items()) == {"XY": -1}
     assert all(is_lyndon(w) for w, _ in bch_dynkin(10).items())
     for bad in (("X", "Y"), "", "XZ", "YX", "XYXY", "YXY"):
         with pytest.raises(ValueError, match="not a Lyndon word over X and Y"):
@@ -179,7 +179,7 @@ def test_bracket_and_derivation_cut_at_the_smaller_truncation():
     # the bracket of the full series.
     h, h1 = bch_recursive(6), hausdorff_h1(6)
     full = bracket(h, h1)
-    assert full.degree_part(5).term_dict() == {"XXXYY": F(-1, 24), "XXYXY": F(1, 24)}
+    assert dict(full.degree_part(5).items()) == {"XXXYY": F(-1, 24), "XXYXY": F(1, 24)}
     for a, b in ((h.truncate(3), h1.truncate(3)), (h.truncate(3), h1.truncate(5)),
                  (h.truncate(5), h1.truncate(4))):
         cut = bracket(a, b)
@@ -192,7 +192,7 @@ def test_bracket_and_derivation_cut_at_the_smaller_truncation():
     # A long commutator at the word's own length brackets to nothing.
     assert long_commutator("XXY", 5).truncation == 5
     assert bracket(long_commutator("XY", 2), long_commutator("XXY", 3)).is_zero()
-    assert bracket(long_commutator("XY", 5), long_commutator("XXY", 6)).term_dict() == {
+    assert dict(bracket(long_commutator("XY", 5), long_commutator("XXY", 6)).items()) == {
         "XXYXY": -1
     }
     # The word expansion of a bracket of series at different truncations
@@ -375,7 +375,7 @@ def test_non_lie_residual_raises_under_a_large_common_denominator():
     # survive scaling by the common denominator lcm(7, 3, 1001) = 3003.
     xy = NCSeries(3, {"XY": F(1, 7)})
     lie = F(1, 3) * bracket(X, Y) + F(-5, 1001) * long_commutator("XXY", 3)
-    with pytest.raises(ValueError, match="nonzero associative residual"):
+    with pytest.raises(ValueError, match="nonzero associative residual in degree 2$"):
         lyndon_coords_of_assoc(xy + to_assoc(lie))
     assert lyndon_coords_of_assoc(to_assoc(lie)) == {"XY": F(1, 3), "XXY": F(-5, 1001)}
 
@@ -458,7 +458,7 @@ def test_integer_core_identities_on_random_trees(pair):
     e = _lie(trees)
     nc = to_assoc(e)
     assert dict(nc.terms()) == _word_expansion(trees)
-    assert e.term_dict() == lyndon_coords_of_assoc(nc)
+    assert dict(e.items()) == lyndon_coords_of_assoc(nc)
     assert e == base
     assert right_normed(e) == e
 
@@ -485,13 +485,13 @@ def test_right_normed_preserves_coordinates():
         e = _random_element(rng)
         r = right_normed(e)
         assert r == e
-        assert r.term_dict() == e.term_dict()
+        assert dict(r.items()) == dict(e.items())
 
 
 def test_right_normed_on_left_nested():
     e = _lie({(("X", "Y"), "Y"): 1})  # [[X,Y],Y], the basis element P_XYY
     r = right_normed(e)
-    assert r.term_dict() == {"XYY": 1}
+    assert dict(r.items()) == {"XYY": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +591,8 @@ def test_derivation_on_chains_matches_tree_leibniz_rule():
             images = [None if i is None else _lie(i) for i in (ix, iy)]
             out = Derivation(*images, n)(_lie(target))
             assert all(is_lyndon(w) for w, _ in out.items())
-            coords = out.term_dict()
-            assert coords == _tree_derivation(ix, iy, n)(target).term_dict()
+            coords = dict(out.items())
+            assert coords == dict(_tree_derivation(ix, iy, n)(target).items())
             nonzero += bool(coords)
     assert nonzero >= 90
 
@@ -603,11 +603,11 @@ def test_derivation_of_series_is_series_at_smaller_truncation():
         ix, iy = _random_trees(rng, 2, 2), _random_trees(rng, 2, 2)
         ix["Y"], iy["X"] = ix.get("Y", 0) + 1, iy.get("X", 0) + 1
         target = _random_trees(rng, 3, 4)
-        out = Derivation(_lie(ix), _lie(iy), n)(LieSeries(m, _lie(target).term_dict()))
+        out = Derivation(_lie(ix), _lie(iy), n)(LieSeries(m, dict(_lie(target).items())))
         assert isinstance(out, LieSeries) and out.truncation == min(n, m)
         cut = {t: c for t, c in target.items() if _tree_degree(t) <= m}
         ref = _tree_derivation(ix, iy, n)(cut)
-        assert out == LieSeries(min(n, m), ref.term_dict())
+        assert out == LieSeries(min(n, m), dict(ref.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +663,7 @@ def test_series_enforces_homogeneity():
 
 
 def test_series_roundtrip_json():
-    s = LieSeries(4, (X + Y + F(1, 2) * bracket(X, Y)).term_dict())
+    s = LieSeries(4, dict((X + Y + F(1, 2) * bracket(X, Y)).items()))
     d = s.to_json_dict()
     assert d["basis"] == "lyndon"
     assert [t["word"] for t in d["terms"]] == ["X", "Y", "XY"]
@@ -671,20 +671,20 @@ def test_series_roundtrip_json():
 
 
 def test_lie_series_has_no_constant_term():
-    s = LieSeries(3, (X + bracket(X, Y)).term_dict())
+    s = LieSeries(3, dict((X + bracket(X, Y)).items()))
     for refused in (lambda: s + 1, lambda: 1 - s, lambda: LieSeries.one(3)):
         with pytest.raises(TypeError, match="LieSeries has no constant term"):
             refused()
 
 
 def test_series_str():
-    s = LieSeries(3, (X + F(1, 2) * bracket(X, Y)).term_dict())
+    s = LieSeries(3, dict((X + F(1, 2) * bracket(X, Y)).items()))
     assert str(s) == "X + 1/2 [XY]"
 
 
 def test_series_algebra_and_parts():
-    s = LieSeries(3, (X + bracket(X, Y)).term_dict())
-    t = LieSeries(3, Y.term_dict())
+    s = LieSeries(3, dict((X + bracket(X, Y)).items()))
+    t = LieSeries(3, dict(Y.items()))
     u = s + t
     assert u.degree_part(1) == (X + Y).truncate(3)
     assert (2 * s).degree_part(2) == 2 * bracket(X, Y).truncate(3)

@@ -346,7 +346,7 @@ def test_basis_independence_through_degree_eight():
     # The B(k,l) of one degree expand to independent word vectors.
     for d in range(2, 9):
         vecs = [
-            to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d)).word_dict()
+            dict(to_assoc(long_commutator("X" * k + "Y" * (d - 2 - k) + "XY", d)).items())
             for k in range(d - 1)
         ]
         assert span_rank(vecs) == d - 1

@@ -62,4 +62,6 @@ def test_the_named_row_kills_the_mutant(tmp_path, mutant):
     proc = _verify(target.parents[1], mutant.suite, mutant.degree)
     fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL ")]
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert any(line[len("FAIL "):].startswith(mutant.row) for line in fails), fails
+    named = [line for line in fails if line[len("FAIL "):].startswith(mutant.row)]
+    assert named, fails
+    assert all(mutant.detail in line for line in named), named

@@ -704,6 +704,17 @@ def test_immutability_error_names_the_class(cls):
     assert repr(a) == f"{cls.__name__}(truncation=3, 4 terms)"
 
 
+@pytest.mark.parametrize(
+    "cls", [*_KEYS, MetabelianElement, TildeElement], ids=lambda cls: cls.__name__
+)
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"], ids=["float", "whole-float", "bool", "str"])
+def test_truncation_must_be_an_integer(cls, bad):
+    # One rule for every constructor, the one the JSON reader applies.
+    with pytest.raises(TypeError, match="expected an integer"):
+        cls(bad)
+    assert type(cls(3).truncation) is int
+
+
 @_SERIES_TYPES
 def test_malformed_keys_are_refused(cls):
     with pytest.raises((ValueError, TypeError)):

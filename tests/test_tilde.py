@@ -149,8 +149,10 @@ def test_act_exactness_through_degree_six():
 
 
 def test_act_rejects_bad_generator():
-    with pytest.raises(ValueError, match="generator"):
-        tilde_act("Z", TildeElement.zero(4))
+    # Lower case too, as NCSeries.generator and LieSeries.generator refuse it.
+    for letter in ("Z", "x"):
+        with pytest.raises(ValueError, match="generator must be X or Y"):
+            tilde_act(letter, TildeElement(4, 0, 1))
 
 
 # ---------------------------------------------------------------------------
