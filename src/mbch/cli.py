@@ -48,28 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, _, cap, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
+        for flag, options in arguments + _SHARED_FLAGS:
             if flag == "--method":  # a cap by method names the choices
                 options = {"choices": tuple(cap), **options}
             p.add_argument(flag, **options)
-        p.add_argument(
-            "--degree",
-            type=int,
-            default=8,
-            help="truncation degree (default 8)",
-        )
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "text"),
-            default="text",
-            dest="fmt",
-            help="output format (default text)",
-        )
-        p.add_argument(
-            "--output",
-            default=None,
-            help="write to this file instead of stdout",
-        )
     return parser
 
 
@@ -78,11 +60,18 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _render(e, fmt: str) -> str:
-    """A container through its term codec as JSON or CSV, or as text."""
+def _render(e, fmt: str, field=None) -> str:
+    """A container through its term codec as JSON or CSV, or as text; an
+    optional ``field`` (key, JSON value, text line) makes the JSON
+    {"element": ..., key: value} and ends the text with the line."""
     if fmt == "json":
-        return json.dumps(e.to_json_dict(), indent=2)
-    return e.to_csv() if fmt == "csv" else str(e)
+        payload = e.to_json_dict()
+        if field:
+            payload = {"element": payload, field[0]: field[1]}
+        return json.dumps(payload, indent=2)
+    if fmt == "csv":
+        return e.to_csv()
+    return f"{e}\n{field[2]}" if field else str(e)
 
 
 def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
@@ -99,12 +88,7 @@ def _cmd_bch(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_metabelian(ns: argparse.Namespace) -> tuple[str, int]:
     element = hausdorff_closed(ns.degree)
     h = element.table
-    if ns.fmt == "json":
-        payload = {"element": element.to_json_dict(), "h": h.to_json_dict()}
-        return json.dumps(payload, indent=2), 0
-    if ns.fmt == "csv":
-        return element.to_csv(), 0
-    return f"{element}\nh(x,y) = {h}", 0
+    return _render(element, ns.fmt, ("h", h.to_json_dict(), f"h(x,y) = {h}")), 0
 
 
 def _cmd_goldberg(ns: argparse.Namespace) -> tuple[str, int]:
@@ -134,14 +118,8 @@ def _cmd_zassenhaus(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_kv_solve(ns: argparse.Namespace) -> tuple[str, int]:
     solution = kv_solve(ns.degree, ns.a, ns.g)
     verified = kv_verify(solution, ns.degree)
-    rc = 0 if verified else 1
-    if ns.fmt == "json":
-        payload = {"element": solution.to_json_dict(), "verified": verified}
-        return json.dumps(payload, indent=2), rc
-    if ns.fmt == "csv":
-        return solution.to_csv(), rc
-    status = "yes" if verified else "NO"
-    return f"{solution}\nverified: {status}", rc
+    line = f"verified: {'yes' if verified else 'NO'}"
+    return _render(solution, ns.fmt, ("verified", verified, line)), 0 if verified else 1
 
 
 def _cmd_deeper(ns: argparse.Namespace) -> tuple[str, int]:
@@ -176,6 +154,14 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
     lines.append(f"{n_pass} of {len(checks)} checks passed")
     return "\n".join(lines), rc
 
+
+# The flags every command takes after its own arguments.
+_SHARED_FLAGS = [
+    ("--degree", {"type": int, "default": 8, "help": "truncation degree (default 8)"}),
+    ("--format", {"choices": ("json", "csv", "text"), "default": "text", "dest": "fmt",
+                  "help": "output format (default text)"}),
+    ("--output", {"default": None, "help": "write to this file instead of stdout"}),
+]
 
 # One row per command: handler, help line, least degree, cap (for bch a
 # map by --method) and own arguments.  Practical caps keep CLI latency in

@@ -38,7 +38,7 @@ from math import comb, factorial
 from .assoc import _generator
 from .bch import _hausdorff_steps
 from .series import BiSeries, PairSeries, _Codec, _QuotientElement, _Table, bernoulli
-from .freelie import LieSeries, _add_lyndon_bracket, to_lyndon_coords
+from .freelie import LieSeries, _add_lyndon_bracket
 
 __all__ = [
     "TildeElement",
@@ -199,20 +199,20 @@ def expand_to_free(e: TildeElement) -> LieSeries:
     """The element as honest nested brackets in the free Lie algebra, a
     series at the same truncation.
 
-    The letters and the chains {m,n} enter the Lyndon basis through
-    ``to_lyndon_coords``; the pairs sharing a first entry u are summed as
-    [{u}, sum c {v}], both sides in Lyndon coordinates, through the
-    bracket table.
+    {m,n} = [X^m Y^{n+1} X] = -B(m,n) is (-1)^(n+1) P_w for the Lyndon
+    word w = X^{m+1} Y^{n+1}, the sign rule that ``metabelian.project``
+    reads back; a pair [{u},{v}] is the product of both signs times the
+    bracket of the two words, through the bracket table.
     """
-    def chain(kl: Pair) -> str:
-        return "X" * kl[0] + "Y" * (kl[1] + 1) + "X"
+    def lyndon(mn: Pair) -> tuple[str, int]:
+        m, n = mn
+        return "X" * (m + 1) + "Y" * (n + 1), (-1) ** (n + 1)
 
-    out = to_lyndon_coords(
-        {"X": e.a, "Y": e.b, **{chain(mn): c for mn, c in e.linear.items()}}
-    )
-    by_first: dict[Pair, dict[str, Fraction]] = {}
+    out = {"X": e.a, "Y": e.b}
+    for mn, c in e.linear.items():
+        w, sign = lyndon(mn)
+        out[w] = sign * c
     for (u, v), c in e.quadratic.items():
-        by_first.setdefault(u, {})[chain(v)] = c
-    for u, chains in by_first.items():
-        _add_lyndon_bracket(out, to_lyndon_coords({chain(u): 1}), to_lyndon_coords(chains))
+        (wu, su), (wv, sv) = lyndon(u), lyndon(v)
+        _add_lyndon_bracket(out, {wu: su * c}, {wv: sv})
     return LieSeries(e.truncation, out)

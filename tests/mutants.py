@@ -74,6 +74,20 @@ MUTANTS = [
         "deeper", 9, "derivation formulas exact through degree 6",
     ),
     Mutant(
+        "sign of {m,n} in expand_to_free flipped",
+        "tilde.py",
+        '        return "X" * (m + 1) + "Y" * (n + 1), (-1) ** (n + 1)\n',
+        '        return "X" * (m + 1) + "Y" * (n + 1), (-1) ** n\n',
+        "deeper", 9, "letter action exact through degree 6",
+    ),
+    Mutant(
+        "first factor's sign dropped from a pair in expand_to_free",
+        "tilde.py",
+        "_add_lyndon_bracket(out, {wu: su * c}, {wv: sv})",
+        "_add_lyndon_bracket(out, {wu: c}, {wv: sv})",
+        "deeper", 9, "letter action exact through degree 6",
+    ),
+    Mutant(
         "constant of f in kv_solve 7/78 for 1/12",
         "metabelian.py",
         "(even_h - Fraction(1, 2)).divide_exact(two_x)\n",

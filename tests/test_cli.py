@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import mbch
 from mbch.bch import bch_recursive
 from mbch.cli import entry, main
-from mbch.freelie import LieSeries
-from mbch.series import InexactDivision
-from mbch.tilde import TildeElement, hausdorff_tilde
+from mbch.metabelian import goldberg_c, hausdorff_closed, kv_solve, zassenhaus_closed
+from mbch.series import BiSeries, InexactDivision
+from mbch.tilde import hausdorff_tilde
 
 
 def run(capsys, *argv):
@@ -54,10 +54,34 @@ def test_metabelian_json_has_element_and_h(capsys):
     assert {(t["i"], t["j"]) for t in data["h"]["terms"]} >= {(0, 0), (1, 1)}
 
 
-def test_bch_json_roundtrip(capsys):
-    rc, out, _ = run(capsys, "bch", "--degree", "6", "--format", "json")
-    assert rc == 0
-    assert LieSeries.from_json_dict(json.loads(out)) == bch_recursive(6)
+# Every command whose result is one container: the library call it prints
+# and the field that rides along in its JSON, with a test of the field's
+# value against that result.
+_ONE_CONTAINER = {
+    "bch": (bch_recursive, None),
+    "goldberg": (goldberg_c, None),
+    "zassenhaus": (zassenhaus_closed, None),
+    "deeper": (hausdorff_tilde, None),
+    "metabelian": (
+        hausdorff_closed, ("h", lambda e, v: BiSeries.from_json_dict(v) == e.table)
+    ),
+    "kv-solve": (kv_solve, ("verified", lambda e, v: v is True)),
+}
+
+
+@pytest.mark.parametrize("command", list(_ONE_CONTAINER))
+def test_json_output_reads_back(capsys, command):
+    library, field = _ONE_CONTAINER[command]
+    rc, out, err = run(capsys, command, "--degree", "7", "--format", "json")
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    want = library(7)
+    if field:
+        key, check = field
+        assert list(data) == ["element", key]
+        assert check(want, data[key])
+        data = data["element"]
+    assert type(want).from_json_dict(data) == want
 
 
 def test_bch_methods_agree(capsys):
@@ -126,12 +150,6 @@ def test_kv_solve_accepts_a_and_g(capsys):
     assert data["element"]["X"] == "1/3"
 
 
-def test_deeper_json_roundtrip(capsys):
-    rc, out, _ = run(capsys, "deeper", "--degree", "7", "--format", "json")
-    assert rc == 0
-    assert TildeElement.from_json_dict(json.loads(out)) == hausdorff_tilde(7)
-
-
 def test_deeper_csv_has_kind_column(capsys):
     rc, out, _ = run(capsys, "deeper", "--degree", "5", "--format", "csv")
     assert rc == 0
@@ -167,15 +185,16 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL broken: boom" in out
 
 
-def test_output_flag_writes_file(capsys, tmp_path):
-    target = tmp_path / "series.json"
-    rc, out, _ = run(capsys, "bch", "--degree", "4", "--format", "json",
-                     "--output", str(target))
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", list(_ONE_CONTAINER))
+def test_output_flag_writes_file(capsys, tmp_path, command, fmt):
+    argv = (command, "--degree", "5", "--format", fmt)
+    rc, stdout, _ = run(capsys, *argv)
     assert rc == 0
-    assert out == ""
-    text = target.read_text()
-    assert text.endswith("\n")
-    assert json.loads(text)["truncation"] == 4
+    target = tmp_path / f"out.{fmt}"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == stdout.encode()
+    assert stdout.endswith("\n")
 
 
 def test_byte_identical_reruns(capsys):
@@ -439,17 +458,30 @@ _OWN_FLAGS = {
 }
 
 
+_SHARED_HELP = {
+    "[--degree DEGREE]": "truncation degree (default 8)",
+    "[--format {json,csv,text}]": "output format (default text)",
+    "[--output OUTPUT]": "write to this file instead of stdout",
+}
+
+
 @pytest.mark.parametrize("command", sorted(_OWN_FLAGS))
 def test_subcommand_help_names_its_own_flags(capsys, command):
     rc, out, err = run(capsys, command, "--help")
     assert (rc, err) == (0, "")
     assert out.startswith(f"usage: mbch {command} [-h]")
-    shared = ["[--degree DEGREE]", "[--format {json,csv,text}]", "[--output OUTPUT]"]
     for flags in _OWN_FLAGS.values():
         for flag in flags:
             assert (flag in out) == (flag in _OWN_FLAGS[command]), flag
-    for flag in shared:
-        assert flag in out
+    # The usage line, however it wraps: the row's own flags, then the
+    # shared ones in their declared order.
+    usage = " ".join(out.split("\n\n")[0].split())
+    expected = ["[-h]", *_OWN_FLAGS[command], *_SHARED_HELP]
+    positions = [usage.find(flag) for flag in expected]
+    assert -1 not in positions and positions == sorted(positions), usage
+    words = " ".join(out.split())
+    for help_line in _SHARED_HELP.values():
+        assert help_line in words
 
 
 def test_env_var_overrides_cap(capsys, monkeypatch):
