@@ -6,24 +6,21 @@ is checked against.  A word is a ``str`` over the letters X and Y, as
 everywhere else in the package; a ``str`` caches its hash, so dict
 lookups on word keys stay cheap.
 
-The kernels run on integers.  A product scales each factor once by the
-least common multiple of its denominators and multiplies integer word
-dicts in ``_word_product``; ``nc_exp`` and ``nc_log`` are power sums
-sum_k f_k a^k, evaluated by Horner's rule in ``_power_sum`` on an
-integer word dict over one common denominator, so each output word
-becomes a ``Fraction`` once.  The Zassenhaus stripping chains these
-kernels without leaving the integers: the residual stays one integer
-word dict over one denominator from the first factor to the last, and
-only the extracted factors become ``Fraction``s.
+The kernels run on integers, the numerators every series holds over its
+one denominator.  A product multiplies the integer word dicts of its
+factors in ``_word_product``; ``nc_exp`` and ``nc_log`` are power sums
+sum_k f_k a^k, evaluated by Horner's rule in ``_power_sum`` on the
+numerators of a, with the weights f_k the univariate named series.  The
+Zassenhaus stripping chains these kernels, so the residual stays one
+integer word dict over one denominator from the first factor to the
+last.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, gcd, lcm
-
-from .series import TruncatedSeries, _Codec, _Table
+from .series import BiSeries, TruncatedSeries, _Codec, _Table
 
 __all__ = [
     "NCSeries",
@@ -34,13 +31,6 @@ __all__ = [
 ]
 
 _NEGSWAP = str.maketrans("XY", "YX")
-
-
-def _scaled(coeffs: dict) -> tuple[int, dict]:
-    """(L, {k: L * c}) with L the least common multiple of the denominators,
-    so that inner loops run on integer numerators."""
-    scale = lcm(*(c.denominator for c in coeffs.values()))
-    return scale, {k: c.numerator * (scale // c.denominator) for k, c in coeffs.items()}
 
 
 def _all_words(keys) -> bool:
@@ -103,31 +93,28 @@ class NCSeries(TruncatedSeries):
             raise ValueError(f"not a word over X and Y: {word!r}")
         if len(word) > self.truncation:
             raise ValueError("word beyond truncation")
-        return self._coeffs.get(word, Fraction(0))
+        return Fraction(self._num.get(word, 0), self._den)
 
     def word_dict(self) -> dict[str, Fraction]:
         # The benchmark's tracer counts a product's terms through this;
         # ``dict(s.items())`` is the form for everything else.
-        return dict(self._coeffs)
+        return dict(self.items())
 
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other) -> "NCSeries":
         if not isinstance(other, NCSeries):
-            return self._scaled_by(other)
+            return self._times(other)
         n = min(self.truncation, other.truncation)
-        s1, left = _scaled(self._coeffs)
-        s2, right = _scaled(other._coeffs)
-        return _from_ints(n, s1 * s2, _word_product(left, right, n))
+        out = _word_product(self._num, other._num, n)
+        return NCSeries._of(n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def subst_negswap(self) -> "NCSeries":
         """Substitute X -> -Y, Y -> -X letterwise (word keeps its positions)."""
-        return NCSeries(
-            self.truncation,
-            {w.translate(_NEGSWAP): -c if len(w) % 2 else c for w, c in self._coeffs.items()},
-        )
+        swapped = {w.translate(_NEGSWAP): -c if len(w) % 2 else c for w, c in self._num.items()}
+        return NCSeries._of(self.truncation, swapped, self._den)
 
 
 def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
@@ -148,36 +135,27 @@ def _word_product(left: dict, right: dict, n: int) -> dict[str, int]:
 # exp / log
 # ---------------------------------------------------------------------------
 
-def _power_sum(scale: int, ints: dict, n: int, weights: list[Fraction]) -> tuple[int, dict]:
-    """sum_k weights[k] a^k for a = ints / scale, cut at length n, as
-    (denominator, integer word dict).
+def _power_sum(a: NCSeries, n: int, weights: BiSeries) -> NCSeries:
+    """sum_k f_k a^k cut at length n, f_k the coefficient of x^k in the
+    univariate ``weights`` (k up to its truncation K).
 
-    With f_k = F_k / L over the least common multiple L of the weights'
-    denominators, the sum is sum_k F_k s^(K-k) A^k / (L s^K), A = ints,
-    s = scale, K the last index.  Horner's rule forms it as
+    With f_k = F_k / L and a = A / s over their denominators, the sum is
+    sum_k F_k s^(K-k) A^k / (L s^K).  Horner's rule forms it as
     q <- q A + F_k s^(K-k), k = K-1, ..., 0.  Every word of A has length
     at least v, the least length among them, so when k more
     multiplications follow, the words of q A longer than n - k v cannot
     reach the truncation n and are not formed.
     """
-    top = len(weights) - 1
-    v = min(map(len, ints), default=0)
-    den, numerators = _scaled(dict(enumerate(weights)))
-    q = {"": numerators[top]}
+    top = weights.truncation
+    f = [weights._num.get((k, 0), 0) for k in range(top + 1)]
+    ints, s = a._num, a._den
+    v = a.min_degree() or 0
+    q = {"": f[top]}
     for k in range(top - 1, -1, -1):
         q = _word_product(q, ints, n - k * v)
-        f = numerators[k] * scale ** (top - k)
-        if f:
-            q[""] = q.get("", 0) + f
-    return den * scale**top, q
-
-
-def _exp_weights(top: int) -> list[Fraction]:
-    return [Fraction(1, factorial(k)) for k in range(top + 1)]
-
-
-def _from_ints(n: int, den: int, ints: dict) -> NCSeries:
-    return NCSeries(n, {w: Fraction(c, den) for w, c in ints.items()})
+        if f[k]:
+            q[""] = q.get("", 0) + f[k] * s ** (top - k)
+    return NCSeries._of(n, q, weights._den * s**top)
 
 
 def nc_exp(a: NCSeries) -> NCSeries:
@@ -191,8 +169,7 @@ def nc_exp(a: NCSeries) -> NCSeries:
     n = a.truncation
     if a.is_zero():
         return NCSeries.one(n)
-    weights = _exp_weights(n // a.min_degree())
-    return _from_ints(n, *_power_sum(*_scaled(a._coeffs), n, weights))
+    return _power_sum(a, n, BiSeries.named("exp", n // a.min_degree()))
 
 
 def nc_log(a: NCSeries) -> NCSeries:
@@ -200,13 +177,10 @@ def nc_log(a: NCSeries) -> NCSeries:
     if a.coefficient("") != 1:
         raise ValueError("constant term must be 1")
     n = a.truncation
-    scale, z = _scaled(a._coeffs)
-    del z[""]
-    if not z:
+    z = a - 1
+    if z.is_zero():
         return NCSeries.zero(n)
-    top = n // min(map(len, z))
-    weights = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, top + 1)]
-    return _from_ints(n, *_power_sum(scale, z, n, weights))
+    return _power_sum(z, n, BiSeries.named("log1p", n // z.min_degree()))
 
 
 @functools.cache
@@ -229,28 +203,20 @@ def zassenhaus_oracle(truncation: int) -> list:
     """Iteratively stripped factors C_2 ... C_N of e^(X+Y) = e^X e^Y prod e^(C_n).
 
     Each factor is returned as a homogeneous LieSeries in Lyndon
-    coordinates, extracted from the word-level residual.  The residual r
-    is held as one integer word dict over one denominator: after d - 1
+    coordinates, extracted from the word-level residual r.  After d - 1
     steps r - 1 starts at degree d, so C_d is the degree-d part of r
-    itself, with no logarithm; the next residual is exp(-C_d) r, formed
-    in integers and reduced by the gcd of the denominator and every
-    numerator.
+    itself, with no logarithm; the next residual is exp(-C_d) r.
     """
     from .freelie import LieSeries, _lyndon_reduce
 
     n = truncation
-    den, r = _scaled(_zassenhaus_residual(n)._coeffs)
+    r = _zassenhaus_residual(n)
     out = []
     for d in range(2, n + 1):
-        part = {w: c for w, c in r.items() if len(w) == d}
-        out.append(LieSeries(n, _lyndon_reduce(den, part)))
+        part = r.degree_part(d)
+        out.append(LieSeries._of(n, _lyndon_reduce(part._num), part._den))
         if d == n:
             break
-        neg = {w: -c for w, c in part.items()}
-        e_den, e = _power_sum(den, neg, n, _exp_weights(n // d))
-        r = _word_product(e, r, n)
-        den *= e_den
-        g = gcd(den, *r.values())
-        den //= g
-        r = {w: c // g for w, c in r.items()}
+        e = _power_sum(-part, n, BiSeries.named("exp", n // d))
+        r = NCSeries._of(n, _word_product(e._num, r._num, n), e._den * r._den)
     return out

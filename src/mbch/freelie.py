@@ -33,19 +33,21 @@ with the bracket table, so a comparison of the recursive and the
 word-level BCH series tests each against the other.  Membership in
 L'' = [L',L'] and in [L',L''] is a mask on the same coordinates.
 
-All of this runs on integers: coefficients are scaled once by the least
-common multiple of their denominators, and ``Fraction`` reappears only
-in the results.  Text renders each Lyndon word as its standard
-bracketing: [X^2Y] where that is a chain, [[XY],Y] otherwise.
+All of this runs on integers, the numerators every series holds over its
+one denominator; ``to_lyndon_coords`` and ``lyndon_coords_of_assoc``
+return ``Fraction``s, as their maps are public.  Text renders each
+Lyndon word as its standard bracketing: [X^2Y] where that is a chain,
+[[XY],Y] otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
-from .assoc import NCSeries, _all_words, _compress_word, _generator, _scaled
-from .series import TruncatedSeries, _Codec, _Table, _as_fraction
+from .assoc import NCSeries, _all_words, _compress_word, _generator
+from .series import TruncatedSeries, _Codec, _Table
 
 __all__ = [
     "LieSeries",
@@ -126,13 +128,10 @@ class LieSeries(TruncatedSeries):
 def bracket(a: LieSeries, b: LieSeries) -> LieSeries:
     """Bilinear bracket, read from the Lyndon bracket table and cut at the
     smaller truncation, as ``NCSeries`` cuts a product."""
-    sa, ia = _scaled(a._coeffs)
-    sb, ib = _scaled(b._coeffs)
     out: dict[str, int] = {}
-    _add_lyndon_bracket(out, ia, ib)
-    scale = sa * sb
+    _add_lyndon_bracket(out, a._num, b._num)
     n = min(a.truncation, b.truncation)
-    return LieSeries(n, {w: Fraction(c, scale) for w, c in out.items()})
+    return LieSeries._of(n, out, a._den * b._den, cut=True)
 
 
 def long_commutator(word: str, truncation: int) -> LieSeries:
@@ -142,13 +141,13 @@ def long_commutator(word: str, truncation: int) -> LieSeries:
 
 
 def right_normed(a: LieSeries) -> LieSeries:
-    """A copy of the series, which is always written in the Lyndon basis.
+    """The series itself: it is always written in the Lyndon basis.
 
     The name stays because the benchmark's span tracer
     (``perfbench/tracer.py``) instruments it by name, and its ``install``
     fails on a name that is missing.
     """
-    return LieSeries(a.truncation, a._coeffs)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +284,9 @@ def to_lyndon_coords(chains: dict) -> dict[str, Fraction]:
     """
     if not _all_words(chains) or "" in chains:
         raise ValueError("a chain word is a nonempty string over X and Y")
-    scale, ints = _scaled({w: _as_fraction(c) for w, c in chains.items()})
-    out = _combine(ints, lambda w: (w[0], w[1:]), lambda a: {a: 1}, _add_lyndon_bracket)
-    return {w: Fraction(c, scale) for w, c in out.items()}
+    s = NCSeries(max(map(len, chains), default=0), chains)
+    out = _combine(s._num, lambda w: (w[0], w[1:]), lambda a: {a: 1}, _add_lyndon_bracket)
+    return {w: Fraction(c, s._den) for w, c in out.items()}
 
 
 def to_assoc(a: LieSeries) -> NCSeries:
@@ -297,9 +296,8 @@ def to_assoc(a: LieSeries) -> NCSeries:
     The Lyndon words are walked as in ``to_lyndon_coords``, split at their
     standard factorization; the expansion of each left factor is cached.
     """
-    scale, ints = _scaled(a._coeffs)
-    words = _combine(ints, standard_factorization, _lyndon_expansion, _add_commutator)
-    return NCSeries(a.truncation, {w: Fraction(c, scale) for w, c in words.items()})
+    words = _combine(a._num, standard_factorization, _lyndon_expansion, _add_commutator)
+    return NCSeries._of(a.truncation, words, a._den)
 
 
 @functools.cache
@@ -318,9 +316,10 @@ def _lyndon_expansion(word: str) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
-    """Triangular extraction of Lyndon coordinates from an integer word
-    dict holding ``scale`` times the element, degree by degree.
+def _lyndon_reduce(words: dict) -> dict[str, int]:
+    """Triangular extraction of Lyndon coordinates from the integer word
+    dict of an element's numerators, degree by degree, over the same
+    denominator.
 
     Each standard bracketing expands to its Lyndon word with coefficient 1,
     so elimination stays in the integers.  Only pivots are expanded; the
@@ -332,7 +331,7 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
     by_degree: dict[int, dict] = {}
     for w, c in words.items():
         by_degree.setdefault(len(w), {})[w] = c
-    coords: dict[str, Fraction] = {}
+    coords: dict[str, int] = {}
     top = max(by_degree, default=0)
     for d in sorted(by_degree):
         acc = by_degree[d]
@@ -341,7 +340,7 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
             c = acc.get(word)
             if not c:
                 continue
-            coords[word] = Fraction(c, scale)
+            coords[word] = c
             for w, ic in expand(word).items():
                 v = acc.get(w, 0) - c * ic
                 if v:
@@ -355,10 +354,9 @@ def _lyndon_reduce(scale: int, words: dict) -> dict[str, Fraction]:
 
 def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
     """Lyndon coordinates of an NCSeries that lies in the free Lie algebra."""
-    words = dict(nc.items())
-    if words.get(""):
+    if nc._num.get(""):
         raise ValueError("not a Lie element: constant term")
-    return _lyndon_reduce(*_scaled(words))
+    return {w: Fraction(c, nc._den) for w, c in _lyndon_reduce(nc._num).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +366,8 @@ def lyndon_coords_of_assoc(nc: NCSeries) -> dict[str, Fraction]:
 class Derivation:
     """The derivation with given images of X and Y, truncated at a degree.
 
-    Images are LieSeries, or None for zero; their coefficients are scaled
-    to integers over one common denominator and cut at the truncation.
+    Images are LieSeries, or None for zero; their numerators are put over
+    one common denominator and cut at the truncation.
 
     D acts on the Lyndon basis: for a Lyndon word w with standard factors
     u, v, D(P_w) = [D P_u, P_v] + [P_u, D P_v], each bracket read from the
@@ -381,16 +379,13 @@ class Derivation:
 
     def __init__(self, image_x, image_y, truncation: int):
         self.truncation = truncation
-        self._scale, ints = _scaled({
-            (g, w): c
-            for g, img in (("X", image_x), ("Y", image_y)) if img is not None
-            for w, c in img.items() if len(w) <= truncation
-        })
+        images = {g: img for g, img in (("X", image_x), ("Y", image_y)) if img is not None}
+        self._scale = lcm(*(img._den for img in images.values()))
         # A plain dict: functools.cache on a bound method is a reference
         # cycle, which keeps the memo alive until the cyclic collector runs.
         self._memo: dict[str, dict[str, int]] = {"X": {}, "Y": {}}
-        for (g, w), c in ints.items():
-            self._memo[g][w] = c
+        for g, img in images.items():
+            self._memo[g] = img.padded(truncation)._over(self._scale)
 
     def _derive(self, w: str) -> dict[str, int]:
         """D(P_w) in Lyndon coordinates, times ``self._scale``."""
@@ -408,16 +403,14 @@ class Derivation:
 
     def __call__(self, target: LieSeries) -> LieSeries:
         """D of a series, as a series cut at the smaller truncation."""
-        scale, ints = _scaled(target._coeffs)
         out: dict[str, int] = {}
-        for w, c in ints.items():
+        for w, c in target._num.items():
             if len(w) > self.truncation:
                 continue
             for u, ic in self._derive(w).items():
                 out[u] = out.get(u, 0) + c * ic
-        scale *= self._scale
         n = min(self.truncation, target.truncation)
-        return LieSeries(n, {u: Fraction(c, scale) for u, c in out.items()})
+        return LieSeries._of(n, out, target._den * self._scale, cut=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,4 +454,4 @@ def ideal_membership(a: LieSeries, ideal: str) -> bool:
     if ideal not in _IDEALS:
         raise ValueError(f"unknown ideal {ideal!r}")
     level = _IDEALS[ideal]
-    return all(_ideal_level(w) >= level for w, _ in a.items())
+    return all(_ideal_level(w) >= level for w in a._num)

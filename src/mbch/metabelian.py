@@ -105,18 +105,15 @@ def project(e: LieSeries) -> MetabelianElement:
     has a P_w in the ideal, by the factor rule of ``freelie._ideal_level``,
     and is dropped.
     """
-    a = b = Fraction(0)
-    table: dict[tuple[int, int], Fraction] = {}
-    for w, c in e.items():
-        if w == "X":
-            a = c
-        elif w == "Y":
-            b = c
-        elif _ideal_level(w) == 0:
+    n, den = e.truncation, e._den
+    table: dict[tuple[int, int], int] = {}
+    for w, c in e._num.items():
+        if len(w) > 1 and _ideal_level(w) == 0:
             k = w.index("Y")
             l = len(w) - k
             table[k - 1, l - 1] = c if l % 2 else -c
-    return MetabelianElement(e.truncation, a, b, table)
+    a, b = (Fraction(e._num.get(g, 0), den) for g in "XY")
+    return MetabelianElement(n, a, b, BiSeries._of(n - 2, table, den))
 
 
 # ---------------------------------------------------------------------------

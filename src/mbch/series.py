@@ -1,6 +1,10 @@
 """Exact truncated power series in two commuting variables x, y.
 
-All coefficients are ``fractions.Fraction``; nothing is ever floated.  A
+Every coefficient is rational and nothing is ever floated: a series holds
+one positive denominator and a dict of nonzero integer numerators, with no
+common factor among them all, so equal series store equal integers and
+``==`` compares integers.  A ``Fraction`` is built only where a value
+leaves: ``coefficient``, ``items``, ``terms``, printing and JSON.  A
 ``BiSeries`` knows its coefficients for every total degree <= ``truncation``
 and nothing beyond, so binary operations, exact division included,
 truncate at the smaller bound.  Division is *exact* division: if the
@@ -10,9 +14,10 @@ divisor does not divide the dividend term-for-term the operation raises
 linear substitution, ``BiSeries.substitute``: the named series (``exp``,
 ``t_over_expm1``, ...) are univariate, and a caller moves them to a
 linear form in x, y.  One kernel, ``_add_product``, multiplies two
-coefficient dicts for ``*``, ``substitute`` and ``divide_exact``; the
-powers of a linear form are read off the binomial theorem, and division
-is long division on one running remainder.
+coefficient dicts: integer numerators for ``*`` and ``substitute``,
+``Fraction``s for ``divide_exact``, which is long division on one running
+remainder and stores its quotient once.  The powers of a linear form are
+read off the binomial theorem.
 
 This module also holds what every container in the package shares: the
 coefficient rule ``_as_fraction`` (Fraction or int, never float or bool),
@@ -40,7 +45,7 @@ import functools
 import io
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
@@ -357,7 +362,7 @@ def _named_coefficient(kind: str, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries(_Coded):
-    """A sparse map from monomials to ``Fraction``s, cut at a total degree.
+    """A sparse map from monomials to rationals, cut at a total degree.
 
     A subclass names the total degree of its monomial keys in the static
     ``_degree``; it, or the subclass constructor, refuses a malformed key.
@@ -365,29 +370,55 @@ class TruncatedSeries(_Coded):
     construction, sums truncate at the smaller bound, and the constant
     monomial is the key named in ``_constant_key``, ``(0, 0)`` unless a
     subclass says otherwise; a subclass without one sets it to None and
-    refuses constants, so scalar ``+`` and ``-`` too.  Its key for
-    ``==`` is the truncation and the terms.  Its ``_CODEC`` has one table:
-    the series itself, whose order ``terms`` lists.
+    refuses constants, so scalar ``+`` and ``-`` too.  The terms are
+    stored as ``_num``, nonzero integer numerators, over ``_den``, one
+    positive denominator with no factor common to them all; its key for
+    ``==`` is the truncation and that pair.  Kernels read and write the
+    pair directly and build their result with ``_of``.  Its ``_CODEC``
+    has one table: the series itself, whose order ``terms`` lists.
     """
 
-    __slots__ = ("truncation", "_coeffs")
+    __slots__ = ("truncation", "_den", "_num")
     _constant_key = (0, 0)
 
     def __init__(self, truncation: int, coeffs: dict | None = None):
         truncation = parse_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative")
+        degree = self._degree
+        terms = {k: _as_fraction(v) for k, v in (coeffs or {}).items() if degree(k) <= truncation}
+        den = lcm(*(c.denominator for c in terms.values()))
+        num = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        self._fill(truncation, num, den)
+
+    def _fill(self, truncation: int, num: dict, den: int) -> None:
+        """Store ``num / den`` for a positive ``den``: zero numerators
+        dropped and the factor common to all divided out."""
+        num = {k: c for k, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
         object.__setattr__(self, "truncation", truncation)
-        clean: dict = {}
-        if coeffs:
-            degree = self._degree
-            for k, v in coeffs.items():
-                if degree(k) > truncation:
-                    continue
-                c = _as_fraction(v)
-                if c:
-                    clean[k] = c
-        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", num)
+
+    @classmethod
+    def _of(cls, truncation: int, num: dict, den: int = 1, cut: bool = False):
+        """The series ``num / den`` from integer numerators under keys a
+        kernel made, so unchecked; with ``cut``, keys beyond the
+        truncation are dropped."""
+        if cut:
+            degree = cls._degree
+            num = {k: c for k, c in num.items() if degree(k) <= truncation}
+        out = object.__new__(cls)
+        out._fill(truncation, num, den)
+        return out
+
+    def _over(self, den: int) -> dict:
+        """The numerators over ``den``, a multiple of the denominator."""
+        f = den // self._den
+        return {k: c * f for k, c in self._num.items()}
 
     @classmethod
     def constant(cls, truncation: int, c):
@@ -401,17 +432,18 @@ class TruncatedSeries(_Coded):
         return cls.constant(truncation, 1)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def _codec_parts(self) -> tuple:
         return self.truncation, (), (self,)
 
     def _key(self) -> tuple:
-        return self.truncation, self._coeffs
+        return self.truncation, self._den, self._num
 
     def items(self):
         """The nonzero (key, coefficient) pairs, in no particular order."""
-        return self._coeffs.items()
+        den = self._den
+        return {k: Fraction(c, den) for k, c in self._num.items()}.items()
 
     def terms(self) -> list:
         """The nonzero (key, coefficient) pairs in the codec's order: by
@@ -419,27 +451,29 @@ class TruncatedSeries(_Coded):
         return self._CODEC.tables[0].terms(self)
 
     def min_degree(self) -> int | None:
-        return min(map(self._degree, self._coeffs), default=None)
+        return min(map(self._degree, self._num), default=None)
 
     def degree_part(self, d: int):
         """The terms of total degree ``d``, at the same truncation."""
         degree = self._degree
-        return type(self)(
-            self.truncation, {k: c for k, c in self._coeffs.items() if degree(k) == d}
-        )
+        part = {k: c for k, c in self._num.items() if degree(k) == d}
+        return self._of(self.truncation, part, self._den)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             other = self.constant(self.truncation, other)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
+        n = min(self.truncation, other.truncation)
+        a, b = self.padded(n), other.padded(n)
+        den = lcm(a._den, b._den)
+        out = a._over(den)
+        for k, c in b._over(den).items():
             out[k] = out.get(k, 0) + c
-        return type(self)(min(self.truncation, other.truncation), out)
+        return self._of(n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.truncation, {k: -c for k, c in self._coeffs.items()})
+        return self._of(self.truncation, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -449,11 +483,12 @@ class TruncatedSeries(_Coded):
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled_by(self, scalar):
+    def _times(self, scalar):
         s = _as_fraction(scalar)
-        return type(self)(self.truncation, {k: s * c for k, c in self._coeffs.items()})
+        num = {k: c * s.numerator for k, c in self._num.items()}
+        return self._of(self.truncation, num, self._den * s.denominator)
 
-    __mul__ = __rmul__ = _scaled_by
+    __mul__ = __rmul__ = _times
 
     def agrees_with(self, other, through: int | None = None) -> bool:
         """Equality up to the smaller truncation (or ``through``)."""
@@ -465,19 +500,16 @@ class TruncatedSeries(_Coded):
     def truncate(self, n: int):
         if n > self.truncation:
             raise ValueError("cannot raise truncation")
-        return type(self)(n, self._coeffs)
+        if parse_int(n) < 0:
+            raise ValueError("truncation must be nonnegative")
+        return self.padded(n)
 
     def padded(self, n: int):
         """Reinterpret as a polynomial known to all degrees <= ``n``; at
         ``n = -1``, which the constructor refuses, no degree is known."""
         if n == self.truncation:
             return self
-        if n == -1:
-            out = object.__new__(type(self))
-            object.__setattr__(out, "truncation", -1)
-            object.__setattr__(out, "_coeffs", {})
-            return out
-        return type(self)(n, self._coeffs)
+        return self._of(n, self._num, self._den, cut=True)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +564,17 @@ class BiSeries(TruncatedSeries):
     def coefficient(self, i: int, j: int) -> Fraction:
         if self._degree((i, j)) > self.truncation:
             raise ValueError("coefficient beyond truncation")
-        return self._coeffs.get((i, j), Fraction(0))
+        return Fraction(self._num.get((i, j), 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
-            return self._scaled_by(other)
+            return self._times(other)
         n = min(self.truncation, other.truncation)
-        out: dict[tuple[int, int], Fraction] = {}
-        _add_product(out, self._coeffs, other._coeffs, n)
-        return BiSeries(n, out)
+        out: dict[tuple[int, int], int] = {}
+        _add_product(out, self._num, other._num, n)
+        return BiSeries._of(n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -552,10 +584,8 @@ class BiSeries(TruncatedSeries):
         """Multiply by the monomial x^di y^dj; truncation grows by di+dj."""
         if di < 0 or dj < 0:
             raise ValueError("shift exponents must be nonnegative")
-        return BiSeries(
-            self.truncation + di + dj,
-            {(i + di, j + dj): c for (i, j), c in self._coeffs.items()},
-        )
+        shifted = {(i + di, j + dj): c for (i, j), c in self._num.items()}
+        return BiSeries._of(self.truncation + di + dj, shifted, self._den)
 
     # -- substitution and splits ---------------------------------------------
 
@@ -565,24 +595,23 @@ class BiSeries(TruncatedSeries):
         rational and each pair defaults to the identity, so
         ``substitute(x=(0, -1), y=(-1, 0))`` is s(-y, -x).
         """
-        px = _linear_powers(x, {i for i, _ in self._coeffs})
-        py = _linear_powers(y, {j for _, j in self._coeffs})
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._coeffs.items():
+        qx, px = _linear_powers(x, {i for i, _ in self._num})
+        qy, py = _linear_powers(y, {j for _, j in self._num})
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self._num.items():
             _add_product(out, px[i], py[j], self.truncation, c)
-        return BiSeries(self.truncation, out)
+        return BiSeries._of(self.truncation, out, self._den * qx * qy)
 
     def parity_split(self) -> tuple["BiSeries", "BiSeries"]:
         """(even, odd) parts by parity of the total degree."""
-        even = {k: v for k, v in self._coeffs.items() if (k[0] + k[1]) % 2 == 0}
-        odd = {k: v for k, v in self._coeffs.items() if (k[0] + k[1]) % 2 == 1}
-        return BiSeries(self.truncation, even), BiSeries(self.truncation, odd)
+        parts = [{k: c for k, c in self._num.items() if sum(k) % 2 == r} for r in (0, 1)]
+        return tuple(BiSeries._of(self.truncation, p, self._den) for p in parts)
 
     # -- inversion and exact division ----------------------------------------
 
     def inverse(self) -> "BiSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        if not self._coeffs.get((0, 0)):
+        if not self._num.get((0, 0)):
             raise ValueError("non-unit series")
         return BiSeries.one(self.truncation).divide_exact(self)
 
@@ -594,7 +623,9 @@ class BiSeries(TruncatedSeries):
         is long division on one running remainder, lowest degree first
         and within a degree highest power of x first: each term is
         divided by the divisor's degree-v term with the highest power of
-        x, and that quotient term times the divisor is subtracted.  A
+        x, and that quotient term times the divisor is subtracted.  It
+        runs on ``Fraction``s, as the quotient's denominator is known
+        only at the end, and stores the quotient once.  A
         quotient term with a negative exponent is a remainder, and raises
         InexactDivision, e.g. for ``(1 + x) / y``.
         """
@@ -604,9 +635,9 @@ class BiSeries(TruncatedSeries):
         if self.truncation < v:
             raise ValueError("dividend truncation below divisor valuation")
         n = min(self.truncation, divisor.truncation)
-        (a, b), lead = max((k, c) for k, c in divisor._coeffs.items() if sum(k) == v)
-        minus_divisor = {k: -c for k, c in divisor._coeffs.items()}
-        rem = dict(self._coeffs)
+        (a, b), lead = max((k, c) for k, c in divisor.items() if sum(k) == v)
+        minus_divisor = {k: -c for k, c in divisor.items()}
+        rem = dict(self.items())
         q: dict[tuple[int, int], Fraction] = {}
         for d in range(n + 1):
             for i in range(d, -1, -1):
@@ -625,7 +656,8 @@ def _add_product(out: dict, p: dict, q: dict, n: int, c=1) -> None:
     """Add c p q into ``out``, dropping terms of total degree above ``n``.
 
     The one product of two coefficient dicts: ``*``, ``substitute`` and
-    ``divide_exact`` all multiply through it.
+    ``divide_exact`` all multiply through it, the first two on integer
+    numerators.
     """
     for (i1, j1), c1 in p.items():
         room = n - i1 - j1
@@ -640,18 +672,23 @@ def _add_product(out: dict, p: dict, q: dict, n: int, c=1) -> None:
                 out[key] = c1 * c2 if prev is None else prev + c1 * c2
 
 
-def _linear_powers(form, exponents: Iterable[int]) -> dict[int, dict]:
+def _linear_powers(form, exponents: Iterable[int]) -> tuple[int, dict[int, dict]]:
     """(a x + b y)^i for each i in ``exponents``, for form (a, b), read
     off the binomial theorem: sum of C(i, k) a^k b^(i-k) x^k y^(i-k).
 
-    A monomial form gives its one term, so a large exponent costs one
-    power of a scalar.
+    With a = A/q and b = B/q over the least common denominator q, all
+    powers are integer dicts over q^t, t the largest exponent: the i-th
+    is (A x + B y)^i q^(t-i).  A monomial form gives its one term, so a
+    large exponent costs one power of a scalar.
     """
     a, b = map(_as_fraction, form)
+    q, t = lcm(a.denominator, b.denominator), max(exponents, default=0)
+    a, b = (c.numerator * q // c.denominator for c in (a, b))
     if not (a and b):
-        return {i: {(i, 0) if a else (0, i): (a or b) ** i} for i in exponents}
-    return {
-        i: {(k, i - k): comb(i, k) * a**k * b ** (i - k) for k in range(i + 1)}
+        c = a or b
+        return q**t, {i: {(i, 0) if a else (0, i): c**i * q ** (t - i)} for i in exponents}
+    return q**t, {
+        i: {(k, i - k): comb(i, k) * a**k * b ** (i - k) * q ** (t - i) for k in range(i + 1)}
         for i in exponents
     }
 
@@ -679,18 +716,15 @@ class PairSeries(TruncatedSeries):
     _constant_key = None
     _CODEC = _Codec(None, (), (_Table("terms", (("k", "l"), ("m", "n")), _pair_name),))
 
-    def __init__(self, truncation: int, coeffs: dict | None = None):
+    def _fill(self, truncation: int, num: dict, den: int) -> None:
+        """Store each term under its key in the normal order: a reversed
+        key flips the sign, and a bracket [A, A] is dropped."""
         normal: dict = {}
-        for key, c in (coeffs or {}).items():
-            c = _as_fraction(c)
-            u, v = key
-            if u == v:
-                self._degree(key)  # zero, but a malformed key is still refused
-                continue
-            if u < v:
-                key, c = (v, u), -c
-            normal[key] = normal.get(key, 0) + c
-        super().__init__(truncation, normal)
+        for (u, v), c in num.items():
+            if u != v:
+                key, c = ((u, v), c) if u > v else ((v, u), -c)
+                normal[key] = normal.get(key, 0) + c
+        super()._fill(truncation, normal, den)
 
     @staticmethod
     def _degree(key) -> int:
@@ -702,9 +736,8 @@ class PairSeries(TruncatedSeries):
     def coefficient(self, u: tuple[int, int], v: tuple[int, int]) -> Fraction:
         if self._degree((u, v)) > self.truncation:
             raise ValueError("coefficient beyond truncation")
-        if u < v:
-            return -self._coeffs.get((v, u), Fraction(0))
-        return self._coeffs.get((u, v), Fraction(0))
+        c = -self._num.get((v, u), 0) if u < v else self._num.get((u, v), 0)
+        return Fraction(c, self._den)
 
 
 # ---------------------------------------------------------------------------

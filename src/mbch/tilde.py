@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .assoc import _generator
 from .bch import _hausdorff_steps
@@ -89,20 +89,21 @@ class TildeElement(_QuotientElement):
 # Letter actions and the derivation
 # ---------------------------------------------------------------------------
 
-def _leibniz(pairs: PairSeries, linear_part) -> dict:
-    """A derivation d on brackets: [u,v] goes to [du,v] + [u,dv].
+def _leibniz(pairs: PairSeries, linear_part, den: int = 1) -> PairSeries:
+    """A derivation d on brackets: [u,v] goes to [du,v] + [u,dv], at the
+    truncation of ``pairs``.
 
-    ``linear_part(u)`` gives the linear terms of d{u} as ((m,n), c)
-    pairs; the rest of du and dv would bracket into brackets of
-    brackets of long commutators, zero in this quotient.
+    ``linear_part(u)`` gives the linear terms of d{u} as an integer dict
+    {(m,n): c} over ``den``; the rest of du and dv would bracket into
+    brackets of brackets of long commutators, zero in this quotient.
     """
     out: dict = {}
-    for (u, v), c in pairs.items():
-        for p, cp in linear_part(u):
+    for (u, v), c in pairs._num.items():
+        for p, cp in linear_part(u).items():
             out[p, v] = out.get((p, v), 0) + c * cp
-        for p, cp in linear_part(v):
+        for p, cp in linear_part(v).items():
             out[u, p] = out.get((u, p), 0) + c * cp
-    return out
+    return PairSeries._of(pairs.truncation, out, pairs._den * den, cut=True)
 
 
 def tilde_act(gen: str, e: TildeElement) -> TildeElement:
@@ -115,25 +116,22 @@ def tilde_act(gen: str, e: TildeElement) -> TildeElement:
     """
     if _generator(gen) == "X":
         linear = e.linear.shift(1, 0) - e.b
-        quad = _leibniz(e.quadratic, lambda u: [((u[0] + 1, u[1]), 1)])
+        quad = _leibniz(e.quadratic, lambda u: {(u[0] + 1, u[1]): 1})
     else:
         linear = e.linear.shift(0, 1) + e.a
-        quad = _leibniz(e.quadratic, lambda u: [((u[0], u[1] + 1), 1)])
-        for (m, n), c in e.linear.items():
-            for k in range(1, m + 1):
-                key = ((k - 1, 0), (m - k, n))
-                quad[key] = quad.get(key, 0) + comb(m, k) * c
+        quad = _leibniz(e.quadratic, lambda u: {(u[0], u[1] + 1): 1})
+        sorted_in = {
+            ((k - 1, 0), (m - k, n)): comb(m, k) * c
+            for (m, n), c in e.linear._num.items() for k in range(1, m + 1)
+        }
+        quad = quad + PairSeries._of(quad.truncation, sorted_in, e.linear._den, cut=True)
     return TildeElement(e.truncation, 0, 0, linear, quad)
 
 
 def _h1_tail(first: int, truncation: int) -> dict[Pair, Fraction]:
-    """Coefficients of sum (B_l / l!) {first, l-1}, cut at the truncation."""
-    out = {}
-    for l in range(1, truncation - first):
-        c = bernoulli(l)
-        if c:
-            out[(first, l - 1)] = c / factorial(l)
-    return out
+    """Coefficients of sum (B_l / l!) {first, l-1}, cut at the truncation;
+    those of the odd l > 1 are zero."""
+    return {(first, l - 1): bernoulli(l) / factorial(l) for l in range(1, truncation - first)}
 
 
 @functools.cache
@@ -163,18 +161,25 @@ def tilde_dy(e: TildeElement) -> TildeElement:
 
     On quadratic terms it acts by the Leibniz rule.  D {m,n} has no X or
     Y term, so the linear terms of e add into one linear and one pair
-    dict, and only Y contributes to X.
+    dict, and only Y contributes to X.  The images D {m,n} that e reads
+    are put over one common denominator first.
     """
     truncation = e.truncation
-    linear = {mn: e.b * c for mn, c in _h1_tail(0, truncation).items()} if e.b else {}
-    quad = _leibniz(
-        e.quadratic, lambda u: _dy_linear(*u, truncation).linear.items()
-    )
-    for (m, n), c in e.linear.items():
-        image = _dy_linear(m, n, truncation)
-        for table, terms in ((linear, image.linear), (quad, image.quadratic)):
+    lin, quad = e.linear, e.quadratic
+    keys = {*lin._num, *(u for uv in quad._num for u in uv)}
+    images = {u: _dy_linear(*u, truncation) for u in keys}
+    den = lcm(*(t._den for i in images.values() for t in (i.linear, i.quadratic)))
+    over = {u: (i.linear._over(den), i.quadratic._over(den)) for u, i in images.items()}
+    linear, pairs = {}, {}
+    for mn, c in lin._num.items():
+        for table, terms in zip((linear, pairs), over[mn]):
             for key, cd in terms.items():
                 table[key] = table.get(key, 0) + c * cd
+    pairs = PairSeries._of(quad.truncation, pairs, lin._den * den)
+    linear = BiSeries._of(lin.truncation, linear, lin._den * den)
+    if e.b:
+        linear = linear + BiSeries(max(lin.truncation, 0), _h1_tail(0, truncation)) * e.b
+    quad = _leibniz(quad, lambda u: over[u][0], den) + pairs
     return TildeElement(truncation, e.b, 0, linear, quad)
 
 
@@ -208,11 +213,13 @@ def expand_to_free(e: TildeElement) -> LieSeries:
         m, n = mn
         return "X" * (m + 1) + "Y" * (n + 1), (-1) ** (n + 1)
 
-    out = {"X": e.a, "Y": e.b}
-    for mn, c in e.linear.items():
+    lin, quad = e.linear, e.quadratic
+    den = lcm(e.a.denominator, e.b.denominator, lin._den, quad._den)
+    out = {g: s.numerator * den // s.denominator for g, s in (("X", e.a), ("Y", e.b))}
+    for mn, c in lin._over(den).items():
         w, sign = lyndon(mn)
         out[w] = sign * c
-    for (u, v), c in e.quadratic.items():
+    for (u, v), c in quad._over(den).items():
         (wu, su), (wv, sv) = lyndon(u), lyndon(v)
         _add_lyndon_bracket(out, {wu: su * c}, {wv: sv})
-    return LieSeries(e.truncation, out)
+    return LieSeries._of(e.truncation, out, den)

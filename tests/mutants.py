@@ -32,8 +32,9 @@ MUTANTS = [
     Mutant(
         "nc_log weight 1/4 for 1/3",
         "assoc.py",
-        "Fraction((-1) ** (k + 1), k) for k in range(1, top + 1)",
-        "Fraction((-1) ** (k + 1), 4 if k == 3 else k) for k in range(1, top + 1)",
+        'BiSeries.named("log1p", n // z.min_degree())',
+        'BiSeries.named("log1p", n // z.min_degree())'
+        ' - BiSeries.monomial(3, 0, n // z.min_degree(), Fraction(1, 12))',
         "bch", 9, "recursion matches word-level log through degree 9",
     ),
     Mutant(
@@ -53,8 +54,8 @@ MUTANTS = [
     Mutant(
         "stripping step's k = 2 exp weight negated",
         "assoc.py",
-        "_power_sum(den, neg, n, _exp_weights(n // d))",
-        "_power_sum(den, neg, n, [-w if k == 2 else w for k, w in enumerate(_exp_weights(n // d))])",
+        '_power_sum(-part, n, BiSeries.named("exp", n // d))',
+        '_power_sum(-part, n, BiSeries.named("exp", n // d) - BiSeries.monomial(2, 0, n // d, 1))',
         "zassenhaus", 9, "per-degree terms match stripping through degree 9",
         detail="nonzero associative residual in degree 4",
     ),
@@ -93,6 +94,14 @@ MUTANTS = [
         "(even_h - Fraction(1, 2)).divide_exact(two_x)\n",
         "(even_h - Fraction(1, 2)).divide_exact(two_x) + Fraction(1, 156)\n",
         "kv", 9, "constant coefficient of f is 1/12",
+    ),
+    Mutant(
+        "+ puts only the left operand over the common denominator",
+        "series.py",
+        "        for k, c in b._over(den).items():\n",
+        "        for k, c in b._num.items():\n",
+        "metabelian", 9, "projected recursion equals closed formula at degree 9",
+        detail="differs at (1,0)",
     ),
     Mutant(
         "goldberg_c plus 10^-9 x^20 y^20",

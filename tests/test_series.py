@@ -699,7 +699,7 @@ def test_immutability_error_names_the_class(cls):
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         a.truncation = 5
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
-        a._coeffs = {}
+        a.coefficients = {}
     assert a.truncation == 3
     assert repr(a) == f"{cls.__name__}(truncation=3, 4 terms)"
 
